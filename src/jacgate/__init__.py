@@ -7,7 +7,6 @@ from .certify import (
     CertConfig,
     CertOutcome,
     OutcomeKind,
-    brute_force_scan,
     gradient_only_origin,
     only_origin,
     properness_certificate,

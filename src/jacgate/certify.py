@@ -17,7 +17,6 @@ coordinates snap to small rationals, confirmed exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -26,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateDirectionError, ZeroPolynomialError
-from .floatval import FloatSystem, gauss_newton, snap_candidates
-from .intervals import Box, Interval, IntervalPoly
+from .floatval import FloatPoly, FloatSystem, gauss_newton, snap_exact
+from .intervals import Bisection, Box, Interval, IntervalPoly
 from .poly import Polynomial
 from .sampling import points_on_sphere
 from .weights import Weight, euler_check, higher_part, raw_weighted_degree
@@ -105,13 +104,15 @@ def _validate_system(system: Sequence[Polynomial], w: Weight) -> list[int]:
     return degrees
 
 
-def _verify_witness(
+def _newton_witness(
     system: Sequence[Polynomial],
     fsys: FloatSystem,
-    point: np.ndarray,
+    start: Sequence[float],
     cfg: CertConfig,
 ) -> CertOutcome | None:
-    """Accept a refined point as a witness if residuals and norm pass; snap if possible."""
+    """Newton-refine a start on ``fsys``, the system plus the unit sphere; accept the
+    point as a witness if residuals and norm pass, exact if a rational snapping does."""
+    point, _, _ = gauss_newton(fsys, start, tol=min(cfg.rho, 1e-12))
     if not np.all(np.isfinite(point)):
         return None
     norm = float(np.linalg.norm(point))
@@ -122,19 +123,17 @@ def _verify_witness(
         return None
     lo = (Fraction(1) - Fraction(cfg.tau)) ** 2
     hi = (Fraction(1) + Fraction(cfg.tau)) ** 2
-    for snapped in snap_candidates(point.tolist()):
-        if all(c == 0 for c in snapped):
-            continue
-        if not all(g.evaluate(snapped) == 0 for g in system):
-            continue
-        norm_sq = sum(c * c for c in snapped)
-        if lo <= norm_sq <= hi:
-            return CertOutcome(
-                kind=OutcomeKind.NONTRIVIAL_ZERO,
-                witness=snapped,
-                exact=True,
-                residuals=tuple(0.0 for _ in system),
-            )
+    snapped = snap_exact(
+        point.tolist(),
+        lambda q: lo <= sum(c * c for c in q) <= hi and all(g.evaluate(q) == 0 for g in system),
+    )
+    if snapped is not None:
+        return CertOutcome(
+            kind=OutcomeKind.NONTRIVIAL_ZERO,
+            witness=snapped,
+            exact=True,
+            residuals=tuple(0.0 for _ in system),
+        )
     return CertOutcome(
         kind=OutcomeKind.NONTRIVIAL_ZERO,
         witness=tuple(float(c) for c in point),
@@ -164,55 +163,47 @@ def only_origin(
 
     # witness hunt from low-discrepancy sphere points
     for start in points_on_sphere(n, cfg.probes, cfg.seed):
-        refined, _, _ = gauss_newton(fsys, start, tol=min(cfg.rho, 1e-12))
-        outcome = _verify_witness(system, fsys, refined, cfg)
+        outcome = _newton_witness(system, fsys, start, cfg)
         if outcome is not None:
             return outcome
 
     # branch and bound over the shell around the unit sphere
     ipolys = [IntervalPoly(g) for g in system]
     shell = Interval(1.0 - cfg.shell, 1.0 + cfg.shell)
-    stack = [Box.cube(n, 1.0)]
-    processed = 0
-    max_depth_seen = 0
-    deepest_unresolved: Box | None = None
 
-    while stack:
-        box = stack.pop()
-        processed += 1
-        max_depth_seen = max(max_depth_seen, box.depth)
+    def excluded(box: Box) -> bool:
         if not box.norm_sq().intersects(shell):
-            continue
-        if any(p.excludes_zero(box.coords) for p in ipolys):
-            continue
-        at_limit = box.depth >= cfg.depth or processed >= cfg.max_boxes
-        if at_limit or box.depth in _REFINE_DEPTHS:
-            refined, _, _ = gauss_newton(fsys, box.center(), tol=min(cfg.rho, 1e-12))
-            outcome = _verify_witness(system, fsys, refined, cfg)
+            return True
+        return any(p.excludes_zero(box.coords) for p in ipolys)
+
+    search = Bisection(Box.cube(n, 1.0), cfg.depth, cfg.max_boxes)
+    deepest_unresolved: Box | None = None
+    for box in search.survivors(excluded):
+        leaf = search.is_leaf(box)
+        if leaf or box.depth in _REFINE_DEPTHS:
+            outcome = _newton_witness(system, fsys, box.center(), cfg)
             if outcome is not None:
-                return replace(outcome, max_depth=max_depth_seen, boxes=processed)
-        if at_limit:
+                return replace(outcome, max_depth=search.max_depth, boxes=search.boxes)
+        if leaf:
             if deepest_unresolved is None or box.depth > deepest_unresolved.depth:
                 deepest_unresolved = box
-            if processed >= cfg.max_boxes:
+            if search.budget_spent:
                 # drain: everything still on the stack counts as unresolved
-                for leftover in stack:
-                    if deepest_unresolved is None or leftover.depth > deepest_unresolved.depth:
-                        deepest_unresolved = leftover
+                deepest_unresolved = max(
+                    [deepest_unresolved, *search.stack], key=lambda b: b.depth
+                )
                 break
-            continue
-        left, right = box.split()
-        stack.append(right)
-        stack.append(left)
 
     if deepest_unresolved is not None:
         return CertOutcome(
             kind=OutcomeKind.INCONCLUSIVE,
-            max_depth=max_depth_seen,
-            boxes=processed,
+            max_depth=search.max_depth,
+            boxes=search.boxes,
             unresolved=deepest_unresolved,
         )
-    return CertOutcome(kind=OutcomeKind.ONLY_ORIGIN, max_depth=max_depth_seen, boxes=processed)
+    return CertOutcome(
+        kind=OutcomeKind.ONLY_ORIGIN, max_depth=search.max_depth, boxes=search.boxes
+    )
 
 
 def unique_zero_nonneg(p: Polynomial, w: Weight, cfg: CertConfig | None = None) -> CertOutcome:
@@ -222,7 +213,7 @@ def unique_zero_nonneg(p: Polynomial, w: Weight, cfg: CertConfig | None = None) 
     parts of sums of squares); it is spot-checked on sample points.
     """
     cfg = cfg or CertConfig()
-    fp = FloatSystem([p]).polys[0]
+    fp = FloatPoly(p)
     for point in points_on_sphere(p.n, 16, cfg.seed + 1):
         if fp(np.array(point)) < -1e-9:
             raise ValueError("polynomial is negative at a sample point; nonneg contract violated")
@@ -260,54 +251,3 @@ def properness_certificate(
     top = higher_part(h, w)
     outcome = unique_zero_nonneg(top, w, cfg)
     return outcome.is_only_origin, outcome
-
-
-def brute_force_scan(
-    system: Sequence[Polynomial],
-    resolution: int,
-    rho: float = 1e-10,
-    tau: float = 1e-8,
-    refine_top: int = 12,
-) -> tuple[Fraction, ...] | tuple[float, ...] | None:
-    """Test oracle: scan primitive lattice directions on the sphere.
-
-    Normalizes every primitive integer direction with coordinates in
-    [-resolution, resolution] onto the unit sphere, ranks them by the
-    squared residual of the system, and Newton-refines the best few.
-    Returns a verified witness or None.
-    """
-    if not system:
-        raise ValueError("empty system")
-    n = system[0].n
-    fsys_plain = FloatSystem(list(system))
-    directions: set[tuple[int, ...]] = set()
-
-    def rec(prefix: list[int]):
-        if len(prefix) == n:
-            if any(prefix):
-                g = math.gcd(*(abs(v) for v in prefix))
-                directions.add(tuple(v // g for v in prefix))
-            return
-        for v in range(-resolution, resolution + 1):
-            rec(prefix + [v])
-
-    rec([])
-    ordered = sorted(directions)
-    matrix = np.array(ordered, dtype=np.float64)
-    matrix /= np.linalg.norm(matrix, axis=1)[:, np.newaxis]
-    score = np.zeros(matrix.shape[0])
-    for fp in fsys_plain.polys:
-        score += fp.many(matrix) ** 2
-    scored = [
-        (float(score[i]), tuple(matrix[i].tolist())) for i in range(matrix.shape[0])
-    ]
-    scored.sort(key=lambda item: (item[0], item[1]))
-
-    cfg = CertConfig(rho=rho, tau=tau)
-    augmented = FloatSystem(list(system) + [_sphere_poly(n)])
-    for _, start in scored[:refine_top]:
-        refined, _, _ = gauss_newton(augmented, start, tol=min(rho, 1e-12))
-        outcome = _verify_witness(system, augmented, refined, cfg)
-        if outcome is not None:
-            return outcome.witness
-    return None

@@ -23,7 +23,7 @@ from .parsing import parse_map_file, parse_poly_file, print_poly
 from .poly import h_norm
 from .weights import (
     Weight,
-    block_structure,
+    field_blocks,
     higher_part_field,
     qh_decompose,
 )
@@ -222,7 +222,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         return 0
     if target == "Y":
         fhp = higher_part_field(h, w)
-        bs = block_structure(h, w)
+        bs = field_blocks(fhp)
         print(f"component degrees i = {tuple(fhp.degrees)}")
         for j, component in enumerate(fhp.field.components):
             print(f"  Y_s[{j + 1}] = {print_poly(component, names)}")

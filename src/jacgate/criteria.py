@@ -17,8 +17,6 @@ re-verified here rather than trusted.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -42,8 +40,8 @@ from .errors import (
     PreconditionError,
     ZeroPolynomialError,
 )
-from .floatval import FloatSystem, gauss_newton, snap_candidates
-from .intervals import Box, IntervalPoly
+from .floatval import FloatSystem, gauss_newton, snap_exact
+from .intervals import Bisection, Box, IntervalPoly
 from .poly import PolyMap, h_norm, jacobian_det
 from .sampling import points_in_box
 from .weights import (
@@ -51,6 +49,7 @@ from .weights import (
     Weight,
     block_structure,
     enumerate_weights,
+    field_blocks,
     higher_part,
     higher_part_field,
     higher_part_map,
@@ -103,10 +102,6 @@ class CriterionResult:
     def succeeded(self) -> bool:
         return self.outcome is not None and self.outcome.is_only_origin
 
-    @property
-    def inconclusive(self) -> bool:
-        return self.outcome is not None and self.outcome.is_inconclusive
-
 
 class VerdictKind(Enum):
     INJECTIVE = "injective"
@@ -123,25 +118,12 @@ class AnalysisConfig:
     starts: int = 32
     rho: float = 1e-10
     cert: CertConfig = field(default_factory=CertConfig)
-    threads: int | None = None
-
-    def worker_count(self) -> int:
-        if self.threads is not None:
-            return max(1, self.threads)
-        env = os.environ.get("JACGATE_THREADS")
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError:
-                return 1
-        return 1
 
 
 @dataclass(frozen=True)
 class WeightSearchResult:
     attempts: dict[Criterion, tuple[CriterionResult, ...]]
     best: dict[Criterion, CriterionResult | None]
-    inconclusive: dict[Criterion, tuple[CriterionResult, ...]]
 
 
 @dataclass(frozen=True)
@@ -193,44 +175,27 @@ def check_assumptions(
     for start in points_in_box(fmap.n, 4 * cfg.probes, box_radius, cfg.seed):
         point, residual, converged = gauss_newton(det_sys, start, tol=1e-12)
         if converged and residual <= 1e-10 and np.all(np.abs(point) <= box_radius):
-            for snapped in snap_candidates(point.tolist()):
-                if det.evaluate(snapped) == 0:
-                    return Assumptions(
-                        f_zero_at_origin=f_zero,
-                        jac_status=JacStatus.VIOLATION_FOUND,
-                        jac_point=snapped,
-                        jac_exact=True,
-                    )
+            snapped = snap_exact(point.tolist(), lambda q: det.evaluate(q) == 0)
             return Assumptions(
                 f_zero_at_origin=f_zero,
                 jac_status=JacStatus.VIOLATION_FOUND,
-                jac_point=tuple(point.tolist()),
-                jac_exact=False,
+                jac_point=tuple(point.tolist()) if snapped is None else snapped,
+                jac_exact=snapped is not None,
             )
 
     # interval exclusion over the box
     ipoly = IntervalPoly(det)
-    stack = [Box.cube(fmap.n, box_radius)]
-    processed = 0
-    max_depth = 0
-    budget = cfg.cert.max_boxes
-    depth_limit = min(cfg.cert.depth, 20)
-    while stack:
-        box = stack.pop()
-        processed += 1
-        max_depth = max(max_depth, box.depth)
-        if ipoly.excludes_zero(box.coords):
-            continue
-        if box.depth >= depth_limit or processed >= budget:
+    search = Bisection(
+        Box.cube(fmap.n, box_radius), min(cfg.cert.depth, 20), cfg.cert.max_boxes
+    )
+    for box in search.survivors(lambda box: ipoly.excludes_zero(box.coords)):
+        if search.is_leaf(box):
             return Assumptions(f_zero_at_origin=f_zero, jac_status=JacStatus.ASSUMED)
-        left, right = box.split()
-        stack.append(right)
-        stack.append(left)
     return Assumptions(
         f_zero_at_origin=f_zero,
         jac_status=JacStatus.VERIFIED_ON_BOX,
         jac_box=box_radius,
-        jac_depth=max_depth,
+        jac_depth=search.max_depth,
     )
 
 
@@ -314,10 +279,9 @@ def check_field_higher_part(
         return CriterionResult(
             criterion=Criterion.FIELD_HIGHER_PART, weight=w, outcome=None, diagnostic=str(exc)
         )
-    bs = block_structure(h, w)
     outcome = only_origin(list(fhp.field.components), w, cfg.cert)
     return CriterionResult(
-        criterion=Criterion.FIELD_HIGHER_PART, weight=w, outcome=outcome, block=bs
+        criterion=Criterion.FIELD_HIGHER_PART, weight=w, outcome=outcome, block=field_blocks(fhp)
     )
 
 
@@ -402,29 +366,19 @@ def weight_search(
     criteria = list(criteria) if criteria is not None else list(_CHECKERS)
     s_max = s_max if s_max is not None else cfg.s_max
     weights = enumerate_weights(fmap.n, s_max)
-    workers = cfg.worker_count()
     attempts: dict[Criterion, tuple[CriterionResult, ...]] = {}
     best: dict[Criterion, CriterionResult | None] = {}
-    inconclusive: dict[Criterion, tuple[CriterionResult, ...]] = {}
     for criterion in criteria:
         checker = _CHECKERS[criterion]
         results: list[CriterionResult] = []
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(lambda w: checker(fmap, w, cfg), weights):
-                    results.append(result)
-                    if result.succeeded:
-                        break
-        else:
-            for w in weights:
-                result = checker(fmap, w, cfg)
-                results.append(result)
-                if result.succeeded:
-                    break
+        for w in weights:
+            result = checker(fmap, w, cfg)
+            results.append(result)
+            if result.succeeded:
+                break
         attempts[criterion] = tuple(results)
         best[criterion] = next((r for r in results if r.succeeded), None)
-        inconclusive[criterion] = tuple(r for r in results if r.inconclusive)
-    return WeightSearchResult(attempts=attempts, best=best, inconclusive=inconclusive)
+    return WeightSearchResult(attempts=attempts, best=best)
 
 
 def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
@@ -491,38 +445,23 @@ def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
             reason="refuted",
         )
 
-    if witness is not None and (witness.exact or success is None):
-        return VerdictReport(
-            kind=VerdictKind.NOT_INJECTIVE,
-            by=None,
-            weight=None,
-            witness=witness,
-            assumptions=assumptions,
-            search=search,
-            properness_weight=properness_weight,
-            tilde=tilde,
-            conflict_note=conflict_note,
-        )
+    # a success beside an exact pair has raised above, so a pair reported
+    # with a success is numeric
     if success is not None:
-        note = conflict_note
+        kind = VerdictKind.INJECTIVE
         if witness is not None:
-            note = "numeric (non-exact) witness pair found; reported alongside the certificate"
-        return VerdictReport(
-            kind=VerdictKind.INJECTIVE,
-            by=success.criterion,
-            weight=success.weight,
-            witness=witness,
-            assumptions=assumptions,
-            search=search,
-            properness_weight=properness_weight,
-            tilde=tilde,
-            conflict_note=note,
-        )
+            conflict_note = (
+                "numeric (non-exact) witness pair found; reported alongside the certificate"
+            )
+    elif witness is not None:
+        kind = VerdictKind.NOT_INJECTIVE
+    else:
+        kind = VerdictKind.UNKNOWN
     return VerdictReport(
-        kind=VerdictKind.UNKNOWN,
-        by=None,
-        weight=None,
-        witness=None,
+        kind=kind,
+        by=success.criterion if success is not None else None,
+        weight=success.weight if success is not None else None,
+        witness=witness,
         assumptions=assumptions,
         search=search,
         properness_weight=properness_weight,

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .floatval import FloatSystem, gauss_newton, snap_candidates
+from .floatval import FloatSystem, gauss_newton, snap_exact
 from .poly import PolyMap, gradient_field, h_norm, jacobian_matrix
 from .sampling import points_in_box
 
@@ -219,6 +219,10 @@ def witness_from_probe(
     """Look for a second preimage of F(probe) via zeros of the recentred map."""
     b = tuple(Fraction(v) for v in probe)
     c = fmap.evaluate(b)
+
+    def shifted(z: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        return tuple(zb + zv for zb, zv in zip(b, z))
+
     recentred = PolyMap(
         [component.translate(b) - value for component, value in zip(fmap.components, c)]
     )
@@ -229,12 +233,9 @@ def witness_from_probe(
         if float(np.linalg.norm(z)) <= 1e-5:
             continue  # the trivial zero at the probe itself
         # try to promote the pair to exact rationals
-        for z_snap in snap_candidates(zero.point):
-            if all(v == 0 for v in z_snap):
-                continue
-            a_exact = tuple(zb + zv for zb, zv in zip(b, z_snap))
-            if fmap.evaluate(a_exact) == c:
-                return WitnessPair(a=a_exact, b=b, exact=True, deviation=0.0)
+        z_snap = snap_exact(zero.point, lambda z: any(z) and fmap.evaluate(shifted(z)) == c)
+        if z_snap is not None:
+            return WitnessPair(a=shifted(z_snap), b=b, exact=True, deviation=0.0)
         a_float = tuple((z + b_float).tolist())
         fa = FloatSystem(list(fmap.components)).residual(np.array(a_float))
         deviation = float(np.max(np.abs(fa - np.array([float(v) for v in c]))))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -14,10 +14,9 @@ from .poly import Polynomial
 class FloatPoly:
     """A polynomial compiled to coefficient/exponent arrays for fast evaluation."""
 
-    __slots__ = ("n", "coeffs", "exps")
+    __slots__ = ("coeffs", "exps")
 
     def __init__(self, p: Polynomial):
-        self.n = p.n
         items = p.sorted_terms()
         self.coeffs = np.array([float(c) for _, c in items], dtype=np.float64)
         self.exps = np.array([k for k, _ in items], dtype=np.int64).reshape(len(items), p.n)
@@ -28,13 +27,6 @@ class FloatPoly:
         with np.errstate(over="ignore", invalid="ignore"):
             return float(self.coeffs @ np.prod(x[np.newaxis, :] ** self.exps, axis=1))
 
-    def many(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at a batch of points, shape (count, n)."""
-        if self.coeffs.size == 0:
-            return np.zeros(points.shape[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.prod(points[:, np.newaxis, :] ** self.exps[np.newaxis, :, :], axis=2) @ self.coeffs
-
 
 class FloatSystem:
     """A system of polynomials with its Jacobian, compiled for floats."""
@@ -43,7 +35,6 @@ class FloatSystem:
         if not polys:
             raise ValueError("empty system")
         self.n = polys[0].n
-        self.m = len(polys)
         self.polys = [FloatPoly(p) for p in polys]
         self.jac_polys = [[FloatPoly(p.partial(j)) for j in range(self.n)] for p in polys]
 
@@ -101,23 +92,19 @@ def gauss_newton(
 _SNAP_DENOMINATORS = (1, 2, 3, 4, 6, 8, 12, 16, 100, 1000, 10**5, 10**7)
 
 
-def snap_candidates(point: Sequence[float]) -> Iterator[tuple[Fraction, ...]]:
-    """Rational snappings of a float point, smallest denominators first."""
+def snap_exact(
+    point: Sequence[float], accept: Callable[[tuple[Fraction, ...]], bool]
+) -> tuple[Fraction, ...] | None:
+    """First rational snapping of a float point that ``accept`` confirms exactly.
+
+    Snappings are tried smallest denominators first, each distinct one once;
+    ``accept`` is the caller's exact test.  None when no snapping passes.
+    """
     seen: set[tuple[Fraction, ...]] = set()
     for den in _SNAP_DENOMINATORS:
         snapped = tuple(Fraction(float(c)).limit_denominator(den) for c in point)
         if snapped not in seen:
             seen.add(snapped)
-            yield snapped
-
-
-def snap_to_exact_zero(
-    polys: Sequence[Polynomial], point: Sequence[float]
-) -> tuple[Fraction, ...] | None:
-    """First rational snapping at which every polynomial vanishes exactly."""
-    for candidate in snap_candidates(point):
-        if all(c == 0 for c in candidate):
-            continue
-        if all(p.evaluate(candidate) == 0 for p in polys):
-            return candidate
+            if accept(snapped):
+                return snapped
     return None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .poly import Polynomial
 
@@ -28,10 +28,6 @@ def _up(x: float) -> float:
 class Interval(NamedTuple):
     lo: float
     hi: float
-
-    @classmethod
-    def point(cls, x: float) -> "Interval":
-        return cls(x, x)
 
     @classmethod
     def from_fraction(cls, value: Fraction) -> "Interval":
@@ -149,8 +145,44 @@ class Box(NamedTuple):
             total = total + c.pow_int(2)
         return total
 
-    def max_width(self) -> float:
-        return max(c.width() for c in self.coords)
+
+class Bisection:
+    """Depth-first bisection of one root box: the branch-and-bound loop.
+
+    ``survivors(excluded)`` yields, in depth-first order, every box that the
+    caller's sound exclusion test cannot discard, and splits it once the
+    caller resumes, unless it is a leaf: at the depth limit, or reached with
+    the box budget spent.  ``boxes`` counts every box popped, excluded or
+    not; ``stack`` holds the boxes still pending when the caller stops.
+    """
+
+    def __init__(self, root: Box, depth_limit: int, max_boxes: int):
+        self.depth_limit = depth_limit
+        self.max_boxes = max_boxes
+        self.stack = [root]
+        self.boxes = 0
+        self.max_depth = 0
+
+    @property
+    def budget_spent(self) -> bool:
+        return self.boxes >= self.max_boxes
+
+    def is_leaf(self, box: Box) -> bool:
+        return box.depth >= self.depth_limit or self.budget_spent
+
+    def survivors(self, excluded: Callable[[Box], bool]) -> Iterator[Box]:
+        stack = self.stack
+        while stack:
+            box = stack.pop()
+            self.boxes += 1
+            self.max_depth = max(self.max_depth, box.depth)
+            if excluded(box):
+                continue
+            yield box
+            if not self.is_leaf(box):
+                left, right = box.split()
+                stack.append(right)
+                stack.append(left)
 
 
 class IntervalPoly:

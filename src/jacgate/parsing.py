@@ -18,6 +18,7 @@ Map file format (UTF-8 text, ``#`` starts a comment):
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,11 @@ from .errors import ParseError
 from .poly import Polynomial, PolyMap
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+# Caps on one expression, checked before anything is expanded, so that input
+# like x^100000000 fails at once; tested and benchmarked maps stay far below.
+MAX_DEGREE = 32
+MAX_TERMS = 1000
 
 
 # -- expression AST ----------------------------------------------------
@@ -197,7 +203,12 @@ class _Parser:
             if "/" in token.text:
                 raise ParseError("fractional exponent is not allowed", token.line, token.column)
             self.advance()
-            return Pow(base, int(token.text))
+            exponent = int(token.text)
+            if exponent > MAX_DEGREE:
+                raise ParseError(
+                    f"exponent {exponent} exceeds the cap {MAX_DEGREE}", token.line, token.column
+                )
+            return Pow(base, exponent)
         return base
 
     def parse_base(self) -> Node:
@@ -228,6 +239,36 @@ class _Parser:
         )
 
 
+def _expansion_bound(node: Node, line: int) -> tuple[int, int]:
+    """Upper bounds on the degree and the term count of ``node`` once expanded.
+
+    A k-th power of a t-term polynomial has at most C(t+k-1, k) terms and a
+    product at most t_a * t_b; exceeding a cap raises ParseError.
+    """
+    if isinstance(node, Lit):
+        return 0, 1
+    if isinstance(node, Var):
+        return 1, 1
+    if isinstance(node, Neg):
+        return _expansion_bound(node.child, line)
+    if isinstance(node, Pow):
+        d, t = _expansion_bound(node.child, line)
+        k = node.exponent
+        degree, terms = d * k, math.comb(t + k - 1, k)
+    else:
+        da, ta = _expansion_bound(node.left, line)
+        db, tb = _expansion_bound(node.right, line)
+        if isinstance(node, Mul):
+            degree, terms = da + db, ta * tb
+        else:
+            degree, terms = max(da, db), ta + tb
+    if degree > MAX_DEGREE:
+        raise ParseError(f"expression degree exceeds the cap {MAX_DEGREE}", line)
+    if terms > MAX_TERMS:
+        raise ParseError(f"expression may expand to more than {MAX_TERMS} terms", line)
+    return degree, terms
+
+
 def _fold(node: Node, n: int, index_of: dict[str, int], line: int) -> Polynomial:
     if isinstance(node, Lit):
         return Polynomial.constant(n, node.value)
@@ -255,12 +296,16 @@ def parse_expr(src: str, names: Sequence[str], line: int = 1) -> Polynomial:
         raise ParseError("duplicate variable name")
     tokens = _tokenize(src, line_offset=line)
     parser = _Parser(tokens)
-    node = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(f"unexpected {trailing.text!r}", trailing.line, trailing.column)
-    index_of = {name: i for i, name in enumerate(names)}
-    return _fold(node, len(names), index_of, line)
+    try:
+        node = parser.parse_expr()
+        trailing = parser.peek()
+        if trailing.kind != "end":
+            raise ParseError(f"unexpected {trailing.text!r}", trailing.line, trailing.column)
+        _expansion_bound(node, line)
+        index_of = {name: i for i, name in enumerate(names)}
+        return _fold(node, len(names), index_of, line)
+    except RecursionError:
+        raise ParseError("expression is too long or nested too deeply", line) from None
 
 
 # -- map files ----------------------------------------------------------

@@ -77,13 +77,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def total_degree(self) -> int:
-        """Maximum total degree; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(k) for k in self.terms)
-
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in descending graded lexicographic order."""
         return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]), reverse=True)

@@ -39,6 +39,8 @@ def points_in_box(n: int, count: int, radius: float, seed: int = 0) -> list[tupl
 def points_on_sphere(n: int, count: int, seed: int = 0) -> list[tuple[float, ...]]:
     """Low-discrepancy directions normalized onto the unit sphere."""
     out: list[tuple[float, ...]] = []
+    if count <= 0:
+        return out
     raw = kronecker_unit(n, 3 * count + 8, seed)
     for point in raw:
         v = [2.0 * u - 1.0 for u in point]

@@ -178,13 +178,6 @@ def euler_check(p: Polynomial, w: Weight, degree: int) -> bool:
     return lhs == p.scale(degree)
 
 
-def is_quasi_homogeneous(p: Polynomial, w: Weight) -> bool:
-    """True iff all terms share one weighted degree (constants count as degree 0)."""
-    if p.is_zero:
-        return True
-    return len(qh_decompose(p, w).parts) == 1
-
-
 def higher_part_field(h: Polynomial, w: Weight) -> FieldHigherPart:
     """Higher part of the descent field of ``h``, assembled per component.
 
@@ -211,10 +204,16 @@ def higher_part_field(h: Polynomial, w: Weight) -> FieldHigherPart:
 
 def block_structure(h: Polynomial, w: Weight) -> BlockStructure:
     """Sort coordinates by field degree and group ties into blocks."""
-    fhp = higher_part_field(h, w)
+    return field_blocks(higher_part_field(h, w))
+
+
+def field_blocks(fhp: FieldHigherPart) -> BlockStructure:
+    """The block structure of an already computed field higher part."""
+    w = fhp.weight
     degrees = fhp.degrees
+    n = len(degrees)
     # stable sort by descending degree
-    perm = tuple(sorted(range(h.n), key=lambda j: -degrees[j]))
+    perm = tuple(sorted(range(n), key=lambda j: -degrees[j]))
     sizes: list[int] = []
     block_degrees: list[int] = []
     block_weights: list[tuple[int, ...]] = []
@@ -230,7 +229,7 @@ def block_structure(h: Polynomial, w: Weight) -> BlockStructure:
         block_weights.append(tuple(w.s[j] for j in perm[start:start + size]))
         start += size
     m = math.prod(block_degrees)
-    raw_tilde = [0] * h.n
+    raw_tilde = [0] * n
     start = 0
     for size, degree in zip(sizes, block_degrees):
         factor = m // degree

@@ -28,7 +28,6 @@ from jacgate import (
     Polynomial,
     Weight,
     block_structure,
-    brute_force_scan,
     check_field_higher_part,
     derive_tilde_and_verify,
     euler_check,
@@ -50,6 +49,7 @@ from jacgate import (
 )
 from jacgate.cli import main
 from jacgate.errors import InternalInconsistencyError
+from oracle import brute_force_scan
 
 W11 = Weight((1, 1))
 

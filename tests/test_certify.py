@@ -13,7 +13,6 @@ from jacgate import (
     OutcomeKind,
     Polynomial,
     Weight,
-    brute_force_scan,
     gradient_only_origin,
     only_origin,
     properness_certificate,
@@ -21,7 +20,10 @@ from jacgate import (
 )
 from jacgate.errors import ZeroPolynomialError
 from jacgate.floatval import FloatSystem
+from jacgate.intervals import Box, Interval
+from jacgate.sampling import points_on_sphere
 from jacgate.weights import scale_point
+from oracle import brute_force_scan
 
 
 W11 = Weight((1, 1))
@@ -74,6 +76,40 @@ class TestOnlyOrigin:
             value = fsys.residual(np.array([float(v) for v in scaled]))
             bound = float(lam) ** 6 * 10 * 1e-10 + 1e-12
             assert np.max(np.abs(value)) <= bound
+
+    @pytest.mark.parametrize(
+        "cfg, kind, boxes, max_depth, unresolved",
+        [
+            (CertConfig(), OutcomeKind.ONLY_ORIGIN, 31, 5, None),
+            (
+                CertConfig(depth=4),
+                OutcomeKind.INCONCLUSIVE,
+                27,
+                4,
+                Box((Interval(-1.0, -0.5), Interval(0.0, 0.5)), 4),
+            ),
+            # the budget stops the search only at a surviving box: box 8,
+            # which is deeper than the box still pending
+            (
+                CertConfig(max_boxes=7),
+                OutcomeKind.INCONCLUSIVE,
+                8,
+                4,
+                Box((Interval(-1.0, 0.0), Interval(0.0, 1.0)), 2),
+            ),
+        ],
+        ids=["certified", "depth_limit", "box_budget"],
+    )
+    def test_branch_and_bound_contract(self, cfg, kind, boxes, max_depth, unresolved):
+        outcome = only_origin([p2("x^3 + y^3"), p2("y")], W11, cfg)
+        assert outcome.kind is kind
+        assert (outcome.boxes, outcome.max_depth) == (boxes, max_depth)
+        assert outcome.unresolved == unresolved
+
+    @pytest.mark.parametrize("count", [-1, 0, 1, 16])
+    def test_probe_count(self, count):
+        # probes=0 turns the witness hunt off
+        assert len(points_on_sphere(3, count)) == max(count, 0)
 
     def test_monotonic_in_depth(self):
         for depth in (6, 12, 24):

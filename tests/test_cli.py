@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -62,6 +63,15 @@ class TestCheck:
 
     def test_missing_file_exit_one(self):
         assert main(["check", "/nonexistent/f.map"]) == 1
+
+    @pytest.mark.parametrize("expr", ["x^100000000", "(x+y+1)^400"])
+    def test_oversized_input_exit_one_fast(self, tmp_path, capsys, expr):
+        path = tmp_path / "big.map"
+        path.write_text(f"vars: x, y\nf = {expr}\ng = y\n")
+        started = time.perf_counter()
+        assert main(["check", str(path)]) == 1
+        assert time.perf_counter() - started < 1.0
+        assert "exceeds the cap" in capsys.readouterr().err
 
     def test_json_deterministic(self, ex_file, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -8,6 +8,7 @@ from conftest import p2
 from corpus import field_pass_instances
 from jacgate import (
     AnalysisConfig,
+    CertConfig,
     Criterion,
     JacStatus,
     OutcomeKind,
@@ -49,6 +50,21 @@ class TestAssumptions:
         assumptions = check_assumptions(PolyMap.identity(2))
         assert assumptions.f_zero_at_origin
         assert assumptions.jac_status is JacStatus.VERIFIED_ON_BOX
+
+    @pytest.mark.parametrize(
+        "cert, status, depth",
+        [
+            (CertConfig(), JacStatus.VERIFIED_ON_BOX, 15),
+            (CertConfig(depth=10), JacStatus.ASSUMED, None),
+            (CertConfig(max_boxes=5), JacStatus.ASSUMED, None),
+        ],
+        ids=["verified", "depth_limit", "box_budget"],
+    )
+    def test_branch_and_bound_contract(self, cert, status, depth):
+        # det DF = 1 + 3x^2 + 1/20*(x+y)^4 > 0 needs bisection to depth 15
+        fmap = PolyMap([p2("x + x^3 + 1/100*(x+y)^5"), p2("y")])
+        assumptions = check_assumptions(fmap, 10.0, AnalysisConfig(cert=cert))
+        assert (assumptions.jac_status, assumptions.jac_depth) == (status, depth)
 
 
 class TestMapCriterion:
@@ -166,15 +182,6 @@ class TestWeightSearch:
         result = weight_search(PolyMap.identity(2), s_max=2)
         for criterion, best in result.best.items():
             assert best is not None and best.weight == W11
-
-    def test_thread_env_does_not_change_results(self, cubic_map, monkeypatch):
-        sequential = weight_search(cubic_map, [Criterion.MAP_HIGHER_PART], s_max=2)
-        monkeypatch.setenv("JACGATE_THREADS", "2")
-        threaded = weight_search(cubic_map, [Criterion.MAP_HIGHER_PART], s_max=2)
-        seq_best = sequential.best[Criterion.MAP_HIGHER_PART]
-        thr_best = threaded.best[Criterion.MAP_HIGHER_PART]
-        assert seq_best.weight == thr_best.weight
-        assert seq_best.outcome.kind is thr_best.outcome.kind
 
 
 class TestVerdict:

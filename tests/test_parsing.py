@@ -61,6 +61,22 @@ class TestParseExpr:
         with pytest.raises(ParseError):
             parse_expr("2 x", ("x",))
 
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("2^100000000", "exponent 100000000 exceeds"),
+            ("(x^20*y)^2", "degree exceeds"),
+            ("(x+y+z+1)^17", "more than 1000 terms"),
+            ("(x+y+z+1)^9*(x+y+z+1)^9", "more than 1000 terms"),
+            ("(" * 2000 + "x" + ")" * 2000, "nested too deeply"),
+            ("+".join(["x"] * 2000), "too long"),
+        ],
+        ids=["exponent", "degree", "power_terms", "product_terms", "nesting", "length"],
+    )
+    def test_size_caps(self, src, message):
+        with pytest.raises(ParseError, match=message):
+            parse_expr(src, ("x", "y", "z"))
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as exc_info:
             parse_expr("x + (y", ("x", "y"))
