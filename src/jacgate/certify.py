@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateDirectionError, ZeroPolynomialError
-from .floatval import FloatPoly, FloatSystem, gauss_newton, snap_exact
+from .floatval import FloatSystem, gauss_newton, snap_exact
 from .intervals import Bisection, Box, Interval, IntervalPoly
 from .poly import Polynomial
 from .sampling import points_on_sphere
@@ -118,7 +118,7 @@ def _newton_witness(
     norm = float(np.linalg.norm(point))
     if abs(norm - 1.0) > cfg.tau:
         return None
-    residuals = np.array([p(point) for p in fsys.polys[: len(system)]])
+    residuals = fsys.residual(point)[: len(system)]
     if np.max(np.abs(residuals)) > cfg.rho:
         return None
     lo = (Fraction(1) - Fraction(cfg.tau)) ** 2
@@ -210,12 +210,12 @@ def unique_zero_nonneg(p: Polynomial, w: Weight, cfg: CertConfig | None = None) 
     """Only-origin decision for a single non-negative quasi-homogeneous polynomial.
 
     Non-negativity is the caller's contract (the intended inputs are higher
-    parts of sums of squares); it is spot-checked on sample points.
+    parts of sums of squares); it is spot-checked exactly on sample points,
+    as float rounding in a high-degree sum of squares can dip below zero.
     """
     cfg = cfg or CertConfig()
-    fp = FloatPoly(p)
     for point in points_on_sphere(p.n, 16, cfg.seed + 1):
-        if fp(np.array(point)) < -1e-9:
+        if p.evaluate([Fraction(c) for c in point]) < 0:
             raise ValueError("polynomial is negative at a sample point; nonneg contract violated")
     return only_origin([p], w, cfg)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .floatval import FloatSystem, gauss_newton, snap_exact
-from .poly import PolyMap, gradient_field, h_norm, jacobian_matrix
+from .poly import PolyMap, gradient_field, h_norm
 from .sampling import points_in_box
 
 
@@ -69,6 +69,24 @@ class IndexSumReport:
     note: str | None = None
 
 
+def _newton_zeros(
+    fmap: PolyMap, starts: int, box: float, rho: float, dedup_radius: float, seed: int
+) -> list[tuple[np.ndarray, float]]:
+    """Deduped converged Newton points and their residuals, in lexicographic order."""
+    if starts < 1:
+        raise ValueError("need at least one start")
+    fsys = FloatSystem(list(fmap.components))
+    found: list[tuple[np.ndarray, float]] = []
+    for start in points_in_box(fmap.n, starts, box, seed):
+        point, residual, converged = gauss_newton(fsys, start, tol=rho)
+        if not converged or residual > rho:
+            continue
+        if any(np.linalg.norm(point - q) <= dedup_radius for q, _ in found):
+            continue
+        found.append((point, residual))
+    return sorted(found, key=lambda item: tuple(item[0].tolist()))
+
+
 def find_zeros(
     fmap: PolyMap,
     starts: int = 64,
@@ -78,23 +96,8 @@ def find_zeros(
     seed: int = 0,
 ) -> ZeroReport:
     """Damped Newton from low-discrepancy starts; converged points deduped."""
-    if starts < 1:
-        raise ValueError("need at least one start")
-    fsys = FloatSystem(list(fmap.components))
-    found: list[np.ndarray] = []
-    residuals: list[float] = []
-    for start in points_in_box(fmap.n, starts, box, seed):
-        point, residual, converged = gauss_newton(fsys, start, tol=rho)
-        if not converged or residual > rho:
-            continue
-        if any(np.linalg.norm(point - q) <= dedup_radius for q in found):
-            continue
-        found.append(point)
-        residuals.append(residual)
-    order = sorted(range(len(found)), key=lambda i: tuple(found[i].tolist()))
     zeros: list[ZeroInfo] = []
-    for i in order:
-        point = found[i]
+    for point, residual in _newton_zeros(fmap, starts, box, rho, dedup_radius, seed):
         try:
             index = index_at(fmap, point, rho=rho)
             note = None
@@ -102,7 +105,7 @@ def find_zeros(
             index = None
             note = str(exc)
         zeros.append(
-            ZeroInfo(point=tuple(point.tolist()), residual=residuals[i], index=index, note=note)
+            ZeroInfo(point=tuple(point.tolist()), residual=residual, index=index, note=note)
         )
     return ZeroReport(
         zeros=tuple(zeros), starts_used=starts, dedup_radius=dedup_radius, box=box, seed=seed
@@ -122,10 +125,7 @@ def index_at(fmap: PolyMap, q: Sequence[float], rho: float = 1e-10) -> int:
     if abs(det_df) < 1e-8:
         raise PreconditionError(f"near-singular Jacobian at the zero: det {det_df:.3e}")
     descent = gradient_field(h_norm(fmap))
-    dy_rows = jacobian_matrix(descent)
-    dy_sys = [FloatSystem(row) for row in dy_rows]
-    matrix = np.array([s.residual(x) for s in dy_sys])
-    det_dy = float(np.linalg.det(matrix))
+    det_dy = float(np.linalg.det(FloatSystem(list(descent.components)).jacobian(x)))
     if det_dy == 0.0:
         raise PreconditionError("descent field Jacobian is numerically singular")
     return 1 if det_dy > 0 else -1
@@ -145,16 +145,16 @@ def flow_descent(
     Each accepted step must not increase the potential (within ``h_slack``);
     a step that does gets halved until it fits or underflows.
     """
-    h_poly = h_norm(fmap)
-    h_sys = FloatSystem([h_poly])
-    y_sys = FloatSystem(list(gradient_field(h_poly).components))
+    h_sys = FloatSystem([h_norm(fmap)])
     f_sys = FloatSystem(list(fmap.components))
 
     def h_value(x: np.ndarray) -> float:
         return float(h_sys.residual(x)[0])
 
     def velocity(x: np.ndarray) -> np.ndarray:
-        return y_sys.residual(x)
+        # the descent field negates the exact partials of H; subtracting from
+        # 0.0 keeps exact zeros +0.0, as evaluating the negated partials does
+        return 0.0 - h_sys.jacobian(x)[0]
 
     x = np.array(start, dtype=np.float64)
     t = 0.0
@@ -226,18 +226,18 @@ def witness_from_probe(
     recentred = PolyMap(
         [component.translate(b) - value for component, value in zip(fmap.components, c)]
     )
-    report = find_zeros(recentred, starts=starts, box=box, rho=rho, seed=seed)
     b_float = np.array([float(v) for v in b])
-    for zero in report.zeros:
-        z = np.array(zero.point)
+    fsys: FloatSystem | None = None
+    for z, _ in _newton_zeros(recentred, starts, box, rho, dedup_radius=1e-6, seed=seed):
         if float(np.linalg.norm(z)) <= 1e-5:
             continue  # the trivial zero at the probe itself
         # try to promote the pair to exact rationals
-        z_snap = snap_exact(zero.point, lambda z: any(z) and fmap.evaluate(shifted(z)) == c)
+        z_snap = snap_exact(z.tolist(), lambda z: any(z) and fmap.evaluate(shifted(z)) == c)
         if z_snap is not None:
             return WitnessPair(a=shifted(z_snap), b=b, exact=True, deviation=0.0)
         a_float = tuple((z + b_float).tolist())
-        fa = FloatSystem(list(fmap.components)).residual(np.array(a_float))
+        fsys = fsys or FloatSystem(list(fmap.components))
+        fa = fsys.residual(np.array(a_float))
         deviation = float(np.max(np.abs(fa - np.array([float(v) for v in c]))))
         if deviation <= 2 * rho:
             return WitnessPair(

@@ -11,42 +11,43 @@ import numpy as np
 from .poly import Polynomial
 
 
-class FloatPoly:
-    """A polynomial compiled to coefficient/exponent arrays for fast evaluation."""
-
-    __slots__ = ("coeffs", "exps")
-
-    def __init__(self, p: Polynomial):
-        items = p.sorted_terms()
-        self.coeffs = np.array([float(c) for _, c in items], dtype=np.float64)
-        self.exps = np.array([k for k, _ in items], dtype=np.int64).reshape(len(items), p.n)
-
-    def __call__(self, x: np.ndarray) -> float:
-        if self.coeffs.size == 0:
-            return 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(self.coeffs @ np.prod(x[np.newaxis, :] ** self.exps, axis=1))
-
-
 class FloatSystem:
-    """A system of polynomials with its Jacobian, compiled for floats."""
+    """Polynomials and their first partials compiled onto one exponent table.
+
+    A call evaluates each distinct monomial it needs once, and each row sums
+    its terms in ``sorted_terms`` order.  The polynomials' own monomials head the
+    table, and ``residual`` evaluates only that prefix.
+    """
 
     def __init__(self, polys: Sequence[Polynomial]):
         if not polys:
             raise ValueError("empty system")
         self.n = polys[0].n
-        self.polys = [FloatPoly(p) for p in polys]
-        self.jac_polys = [[FloatPoly(p.partial(j)) for j in range(self.n)] for p in polys]
+        column: dict[tuple[int, ...], int] = {}
+
+        def compile_row(p: Polynomial) -> tuple[np.ndarray, np.ndarray]:
+            items = p.sorted_terms()
+            cols = [column.setdefault(k, len(column)) for k, _ in items]
+            return np.array([float(c) for _, c in items]), np.array(cols, dtype=np.intp)
+
+        self._rows = [compile_row(p) for p in polys]
+        self._residual_width = len(column)
+        self._jac_rows = [compile_row(p.partial(j)) for p in polys for j in range(self.n)]
+        self._exps = np.array(list(column), dtype=np.int64).reshape(len(column), self.n)
+
+    def _evaluate(self, rows: list, width: int, x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            monomials = np.prod(x[np.newaxis, :] ** self._exps[:width], axis=1)
+            return np.array([c @ monomials[cols] for c, cols in rows], dtype=np.float64)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        return np.array([p(x) for p in self.polys], dtype=np.float64)
+        return self._evaluate(self._rows, self._residual_width, x)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return np.array(
-            [[entry(x) for entry in row] for row in self.jac_polys], dtype=np.float64
-        )
+        return self._evaluate(self._jac_rows, len(self._exps), x).reshape(-1, self.n)
 
 
+@np.errstate(over="ignore")
 def gauss_newton(
     system: FloatSystem,
     x0: Sequence[float],
@@ -67,26 +68,24 @@ def gauss_newton(
     norm = float(np.dot(r, r))
     for _ in range(max_iter):
         if np.max(np.abs(r)) <= tol:
-            return x, float(np.max(np.abs(r))), True
-        jac = system.jacobian(x)
+            break
         try:
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+            step, *_ = np.linalg.lstsq(system.jacobian(x), -r, rcond=None)
         except np.linalg.LinAlgError:
-            return x, float(np.max(np.abs(r))), False
+            break
         if not np.all(np.isfinite(step)):
-            return x, float(np.max(np.abs(r))), False
-        lam = 1.0
-        for _ in range(max_backtracks):
-            candidate = x + lam * step
+            break
+        for k in range(max_backtracks):
+            candidate = x + 0.5**k * step
             rc = system.residual(candidate)
             nc = float(np.dot(rc, rc))
             if nc < norm:
                 x, r, norm = candidate, rc, nc
                 break
-            lam *= 0.5
         else:
             break
-    return x, float(np.max(np.abs(r))), bool(np.max(np.abs(r)) <= tol)
+    residual = float(np.max(np.abs(r)))
+    return x, residual, residual <= tol
 
 
 _SNAP_DENOMINATORS = (1, 2, 3, 4, 6, 8, 12, 16, 100, 1000, 10**5, 10**7)

@@ -81,10 +81,11 @@ Node = Lit | Var | Add | Sub | Neg | Mul | Pow
 
 @dataclass(frozen=True)
 class MapFile:
-    """Parsed map file: variable names, expression strings, optional name."""
+    """Parsed map file: variable names, expression strings and their lines, optional name."""
 
     vars: tuple[str, ...]
     polys: tuple[str, ...]
+    lines: tuple[int, ...]
     name: str | None = None
 
 
@@ -314,7 +315,7 @@ def parse_map_source(src: str) -> MapFile:
     """Split a map file into its raw header and expression strings."""
     variables: list[str] | None = None
     name: str | None = None
-    exprs: list[str] = []
+    exprs: list[tuple[str, int]] = []
     for lineno, raw in enumerate(src.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -337,30 +338,28 @@ def parse_map_source(src: str) -> MapFile:
         if "=" not in line:
             raise ParseError("expected 'lhs = expression'", lineno)
         _, expr = line.split("=", 1)
-        exprs.append(expr.strip())
+        exprs.append((expr.strip(), lineno))
     if variables is None:
         raise ParseError("missing vars: line")
     if not exprs:
         raise ParseError("no polynomial lines found")
-    return MapFile(vars=tuple(variables), polys=tuple(exprs), name=name)
+    polys, lines = zip(*exprs)
+    return MapFile(vars=tuple(variables), polys=polys, lines=lines, name=name)
 
 
 def parse_poly_file(src: str) -> tuple[list[Polynomial], tuple[str, ...], str | None]:
     """Parse a file of polynomials sharing one variable list (not necessarily square)."""
     mapfile = parse_map_source(src)
-    polys = [parse_expr(expr, mapfile.vars) for expr in mapfile.polys]
+    polys = [parse_expr(e, mapfile.vars, line=k) for e, k in zip(mapfile.polys, mapfile.lines)]
     return polys, mapfile.vars, mapfile.name
 
 
 def parse_map_file(src: str) -> tuple[PolyMap, tuple[str, ...]]:
     """Parse a square map file into a PolyMap plus its variable names."""
-    mapfile = parse_map_source(src)
-    if len(mapfile.polys) != len(mapfile.vars):
-        raise ParseError(
-            f"non-square map: {len(mapfile.vars)} variables but {len(mapfile.polys)} polynomials"
-        )
-    components = [parse_expr(expr, mapfile.vars) for expr in mapfile.polys]
-    return PolyMap(components), mapfile.vars
+    polys, names, _ = parse_poly_file(src)
+    if len(polys) != len(names):
+        raise ParseError(f"non-square map: {len(names)} variables but {len(polys)} polynomials")
+    return PolyMap(polys), names
 
 
 # -- printing -----------------------------------------------------------

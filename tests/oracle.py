@@ -8,15 +8,18 @@ import numpy as np
 
 from jacgate import CertConfig, Polynomial
 from jacgate.certify import _newton_witness, _sphere_poly
-from jacgate.floatval import FloatPoly, FloatSystem
+from jacgate.floatval import FloatSystem
 
 
-def _values(fp: FloatPoly, points: np.ndarray) -> np.ndarray:
-    """Evaluate ``fp`` at a batch of points, shape (count, n)."""
-    if fp.coeffs.size == 0:
+def _values(p: Polynomial, points: np.ndarray) -> np.ndarray:
+    """Evaluate ``p`` at a batch of points, shape (count, n)."""
+    items = p.sorted_terms()
+    if not items:
         return np.zeros(points.shape[0])
+    coeffs = np.array([float(c) for _, c in items], dtype=np.float64)
+    exps = np.array([k for k, _ in items], dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.prod(points[:, np.newaxis, :] ** fp.exps[np.newaxis, :, :], axis=2) @ fp.coeffs
+        return np.prod(points[:, np.newaxis, :] ** exps[np.newaxis, :, :], axis=2) @ coeffs
 
 
 def brute_force_scan(
@@ -53,7 +56,7 @@ def brute_force_scan(
     matrix /= np.linalg.norm(matrix, axis=1)[:, np.newaxis]
     score = np.zeros(matrix.shape[0])
     for p in system:
-        score += _values(FloatPoly(p), matrix) ** 2
+        score += _values(p, matrix) ** 2
     scored = [
         (float(score[i]), tuple(matrix[i].tolist())) for i in range(matrix.shape[0])
     ]

@@ -11,9 +11,12 @@ from corpus import nonneg_qh_instances, qh_system_instances
 from jacgate import (
     CertConfig,
     OutcomeKind,
+    PolyMap,
     Polynomial,
     Weight,
     gradient_only_origin,
+    h_norm,
+    higher_part,
     only_origin,
     properness_certificate,
     unique_zero_nonneg,
@@ -141,6 +144,17 @@ class TestUniqueZeroNonneg:
     def test_negative_input_rejected(self):
         with pytest.raises(ValueError, match="nonneg"):
             unique_zero_nonneg(p2("-x^2 - y^2"), W11)
+
+    def test_indefinite_input_rejected(self):
+        with pytest.raises(ValueError, match="nonneg"):
+            unique_zero_nonneg(p2("x^2 - y^2"), W11)
+
+    def test_float_rounding_is_not_negativity(self):
+        # the H top of ((x+y)^30 + x, y) is (x+y)^60/2: in floats it dips to
+        # about -1.5e-8 at a sample point where its exact value is +1.5e-43
+        fmap = PolyMap([p2("(x+y)^30 + x"), p2("y")])
+        outcome = unique_zero_nonneg(higher_part(h_norm(fmap), W11), W11)
+        assert outcome.kind is OutcomeKind.NONTRIVIAL_ZERO
 
 
 class TestGradientOnlyOrigin:

@@ -71,7 +71,8 @@ class TestCheck:
         started = time.perf_counter()
         assert main(["check", str(path)]) == 1
         assert time.perf_counter() - started < 1.0
-        assert "exceeds the cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "exceeds the cap" in err and "(line 2," in err
 
     def test_json_deterministic(self, ex_file, tmp_path, capsys):
         a = tmp_path / "a.json"

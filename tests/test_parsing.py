@@ -125,6 +125,12 @@ class TestMapFile:
         with pytest.raises(ParseError, match="vars"):
             parse_map_file("f = x\n")
 
+    @pytest.mark.parametrize("parse", [parse_map_file, parse_poly_file])
+    def test_error_reports_file_line(self, parse):
+        with pytest.raises(ParseError) as exc_info:
+            parse("vars: x, y\nf = x^100000000\ng = y\n")
+        assert exc_info.value.line == 2
+
 
 class TestPrintPoly:
     def test_simple(self):
