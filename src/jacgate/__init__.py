@@ -49,7 +49,7 @@ from .errors import (
     PreconditionError,
     ZeroPolynomialError,
 )
-from .parsing import parse_expr, parse_map_file, parse_poly_file, print_map, print_poly
+from .parsing import parse_expr, parse_map_file, parse_poly_file, print_poly
 from .poly import (
     PolyMap,
     Polynomial,

@@ -32,14 +32,16 @@ from .sampling import points_on_sphere
 from .weights import Weight, euler_check, higher_part, raw_weighted_degree
 
 
+SHELL = 0.0625  # half-width of the norm-square shell around the sphere
+RHO = 1e-10     # residual tolerance for witnesses
+TAU = 1e-8      # allowed distance of a witness norm from 1
+_PROBES = 16    # sphere points the witness hunt starts from
+
+
 @dataclass(frozen=True)
 class CertConfig:
     depth: int = 24
-    shell: float = 0.0625  # half-width of the norm-square shell around the sphere
-    rho: float = 1e-10     # residual tolerance for witnesses
-    tau: float = 1e-8      # allowed distance of a witness norm from 1
     max_boxes: int = 200_000
-    probes: int = 16
     seed: int = 0
 
 
@@ -105,24 +107,21 @@ def _validate_system(system: Sequence[Polynomial], w: Weight) -> list[int]:
 
 
 def _newton_witness(
-    system: Sequence[Polynomial],
-    fsys: FloatSystem,
-    start: Sequence[float],
-    cfg: CertConfig,
+    system: Sequence[Polynomial], fsys: FloatSystem, start: Sequence[float]
 ) -> CertOutcome | None:
     """Newton-refine a start on ``fsys``, the system plus the unit sphere; accept the
     point as a witness if residuals and norm pass, exact if a rational snapping does."""
-    point, _, _ = gauss_newton(fsys, start, tol=min(cfg.rho, 1e-12))
+    point, _, _ = gauss_newton(fsys, start, tol=1e-12)
     if not np.all(np.isfinite(point)):
         return None
     norm = float(np.linalg.norm(point))
-    if abs(norm - 1.0) > cfg.tau:
+    if abs(norm - 1.0) > TAU:
         return None
     residuals = fsys.residual(point)[: len(system)]
-    if np.max(np.abs(residuals)) > cfg.rho:
+    if np.max(np.abs(residuals)) > RHO:
         return None
-    lo = (Fraction(1) - Fraction(cfg.tau)) ** 2
-    hi = (Fraction(1) + Fraction(cfg.tau)) ** 2
+    lo = (Fraction(1) - Fraction(TAU)) ** 2
+    hi = (Fraction(1) + Fraction(TAU)) ** 2
     snapped = snap_exact(
         point.tolist(),
         lambda q: lo <= sum(c * c for c in q) <= hi and all(g.evaluate(q) == 0 for g in system),
@@ -162,14 +161,14 @@ def only_origin(
     fsys = FloatSystem(augmented)
 
     # witness hunt from low-discrepancy sphere points
-    for start in points_on_sphere(n, cfg.probes, cfg.seed):
-        outcome = _newton_witness(system, fsys, start, cfg)
+    for start in points_on_sphere(n, _PROBES, cfg.seed):
+        outcome = _newton_witness(system, fsys, start)
         if outcome is not None:
             return outcome
 
     # branch and bound over the shell around the unit sphere
     ipolys = [IntervalPoly(g) for g in system]
-    shell = Interval(1.0 - cfg.shell, 1.0 + cfg.shell)
+    shell = Interval(1.0 - SHELL, 1.0 + SHELL)
 
     def excluded(box: Box) -> bool:
         if not box.norm_sq().intersects(shell):
@@ -181,7 +180,7 @@ def only_origin(
     for box in search.survivors(excluded):
         leaf = search.is_leaf(box)
         if leaf or box.depth in _REFINE_DEPTHS:
-            outcome = _newton_witness(system, fsys, box.center(), cfg)
+            outcome = _newton_witness(system, fsys, box.center())
             if outcome is not None:
                 return replace(outcome, max_depth=search.max_depth, boxes=search.boxes)
         if leaf:
@@ -206,7 +205,26 @@ def only_origin(
     )
 
 
-def unique_zero_nonneg(p: Polynomial, w: Weight, cfg: CertConfig | None = None) -> CertOutcome:
+def certify_once(
+    table: dict | None, certifier, system: Sequence[Polynomial], w: Weight, cfg: CertConfig
+) -> CertOutcome:
+    """``certifier(system, w, cfg)``, run once per certifier, system and config kept in ``table``.
+
+    An outcome depends on the system and ``cfg`` alone: the weight enters only
+    the Euler contract, which is checked again whenever an outcome is reused.
+    """
+    table = {} if table is None else table
+    key = (certifier, tuple(system), cfg)
+    if key in table:
+        _validate_system(system, w)
+    else:
+        table[key] = certifier(system, w, cfg)
+    return table[key]
+
+
+def unique_zero_nonneg(
+    p: Polynomial, w: Weight, cfg: CertConfig | None = None, table: dict | None = None
+) -> CertOutcome:
     """Only-origin decision for a single non-negative quasi-homogeneous polynomial.
 
     Non-negativity is the caller's contract (the intended inputs are higher
@@ -217,10 +235,12 @@ def unique_zero_nonneg(p: Polynomial, w: Weight, cfg: CertConfig | None = None) 
     for point in points_on_sphere(p.n, 16, cfg.seed + 1):
         if p.evaluate([Fraction(c) for c in point]) < 0:
             raise ValueError("polynomial is negative at a sample point; nonneg contract violated")
-    return only_origin([p], w, cfg)
+    return certify_once(table, only_origin, [p], w, cfg)
 
 
-def gradient_only_origin(p: Polynomial, w: Weight, cfg: CertConfig | None = None) -> CertOutcome:
+def gradient_only_origin(
+    p: Polynomial, w: Weight, cfg: CertConfig | None = None, table: dict | None = None
+) -> CertOutcome:
     """Only-origin decision for the gradient system of a quasi-homogeneous polynomial.
 
     A dead direction j (the polynomial does not involve x_j) makes the j-th
@@ -241,7 +261,7 @@ def gradient_only_origin(p: Polynomial, w: Weight, cfg: CertConfig | None = None
                 residuals=tuple(0.0 for _ in partials),
             )
         raise DegenerateDirectionError(j)
-    return only_origin(partials, w, cfg)
+    return certify_once(table, only_origin, partials, w, cfg)
 
 
 def properness_certificate(

@@ -15,8 +15,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .certify import CertConfig, CertOutcome, gradient_only_origin, only_origin, unique_zero_nonneg
-from .criteria import AnalysisConfig, VerdictKind, VerdictReport, verdict
+from .certify import RHO, SHELL, TAU, CertConfig, CertOutcome, gradient_only_origin, only_origin
+from .certify import unique_zero_nonneg
+from .criteria import PROBES, STARTS, AnalysisConfig, VerdictKind, VerdictReport, verdict
 from .dynamics import find_zeros
 from .errors import JacgateError, ZeroPolynomialError
 from .parsing import parse_map_file, parse_poly_file, print_poly
@@ -129,12 +130,12 @@ def _build_report(
             "weights_max": cfg.s_max,
             "depth": cfg.cert.depth,
             "box": cfg.box_radius,
-            "seed": cfg.seed,
-            "rho": cfg.cert.rho,
-            "tau": cfg.cert.tau,
-            "shell": cfg.cert.shell,
-            "probes": cfg.probes,
-            "starts": cfg.starts,
+            "seed": cfg.cert.seed,
+            "rho": RHO,
+            "tau": TAU,
+            "shell": SHELL,
+            "probes": PROBES,
+            "starts": STARTS,
         },
     }
 
@@ -158,9 +159,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     text = _read(args.mapfile)
     fmap, names = parse_map_file(text)
     cert = CertConfig(depth=args.depth, seed=args.seed)
-    cfg = AnalysisConfig(
-        s_max=args.weights_max, box_radius=args.box, seed=args.seed, cert=cert
-    )
+    cfg = AnalysisConfig(s_max=args.weights_max, box_radius=args.box, cert=cert)
     started = time.perf_counter()
     report = verdict(fmap, cfg)
     elapsed = time.perf_counter() - started
@@ -201,8 +200,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     text = _read(args.mapfile)
     fmap, names = parse_map_file(text)
     w = _parse_weights_flag(args.weights, fmap.n)
-    target = args.target.upper()
-    if target == "F":
+    if args.target == "F":
         for i, component in enumerate(fmap.components):
             if component.is_zero:
                 raise ZeroPolynomialError(f"component {i} is identically zero", component=i)
@@ -214,24 +212,23 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     h = h_norm(fmap)
     if h.is_zero:
         raise ZeroPolynomialError("norm function is identically zero")
-    if target == "H":
+    if args.target == "H":
         decomposition = qh_decompose(h, w)
         print("H = ||F||^2/2:")
         for degree, part in decomposition.parts:
             print(f"  degree {degree}: {print_poly(part, names)}")
         return 0
-    if target == "Y":
-        fhp = higher_part_field(h, w)
-        bs = field_blocks(fhp)
-        print(f"component degrees i = {tuple(fhp.degrees)}")
-        for j, component in enumerate(fhp.field.components):
-            print(f"  Y_s[{j + 1}] = {print_poly(component, names)}")
-        print(
-            f"blocks: r={bs.r} sizes={tuple(bs.sizes)} degrees={tuple(bs.degrees)} "
-            f"m={bs.m} tilde={tuple(bs.raw_tilde)}"
-        )
-        return 0
-    raise JacgateError(f"unknown target {args.target!r}; use F, H, or Y")
+    # argparse allows only F, H and Y
+    fhp = higher_part_field(h, w)
+    bs = field_blocks(fhp)
+    print(f"component degrees i = {tuple(fhp.degrees)}")
+    for j, component in enumerate(fhp.field.components):
+        print(f"  Y_s[{j + 1}] = {print_poly(component, names)}")
+    print(
+        f"blocks: r={bs.r} sizes={tuple(bs.sizes)} degrees={tuple(bs.degrees)} "
+        f"m={bs.m} tilde={tuple(bs.raw_tilde)}"
+    )
+    return 0
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -243,13 +240,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
     mode = args.mode
     if mode == "system":
         outcome = only_origin(polys, w, cfg)
-    elif mode in ("nonneg", "gradient"):
+    else:  # argparse allows only system, nonneg and gradient
         if len(polys) != 1:
             raise JacgateError(f"mode {mode!r} expects exactly one polynomial")
         checker = unique_zero_nonneg if mode == "nonneg" else gradient_only_origin
         outcome = checker(polys[0], w, cfg)
-    else:
-        raise JacgateError(f"unknown mode {args.mode!r}")
     print(f"outcome: {outcome.kind.value}")
     if outcome.witness is not None:
         print(f"witness: {outcome.witness} (exact={outcome.exact})")

@@ -29,6 +29,7 @@ from .certify import (
     CertConfig,
     CertOutcome,
     OutcomeKind,
+    certify_once,
     gradient_only_origin,
     only_origin,
     unique_zero_nonneg,
@@ -42,12 +43,11 @@ from .errors import (
 )
 from .floatval import FloatSystem, gauss_newton, snap_exact
 from .intervals import Bisection, Box, IntervalPoly
-from .poly import PolyMap, h_norm, jacobian_det
+from .poly import PolyMap, Polynomial, h_norm, jacobian_det
 from .sampling import points_in_box
 from .weights import (
     BlockStructure,
     Weight,
-    block_structure,
     enumerate_weights,
     field_blocks,
     higher_part,
@@ -96,7 +96,6 @@ class CriterionResult:
     diagnostic: str | None = None
     gradient_outcome: CertOutcome | None = None
     block: BlockStructure | None = None
-    tilde: Weight | None = None
 
     @property
     def succeeded(self) -> bool:
@@ -109,14 +108,15 @@ class VerdictKind(Enum):
     UNKNOWN = "unknown"
 
 
+# the witness search's probe points and Newton starts per probe
+PROBES = 8
+STARTS = 32
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     s_max: int = 4
     box_radius: float = 10.0
-    seed: int = 0
-    probes: int = 8
-    starts: int = 32
-    rho: float = 1e-10
     cert: CertConfig = field(default_factory=CertConfig)
 
 
@@ -139,15 +139,15 @@ class VerdictReport:
     conflict_note: str | None = None
 
 
-def check_assumptions(
-    fmap: PolyMap, box_radius: float = 10.0, cfg: AnalysisConfig | None = None
-) -> Assumptions:
+def check_assumptions(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> Assumptions:
     """Verify the origin condition exactly and the Jacobian condition on a box.
 
     The determinant is first probed for zeros with damped Newton from
-    low-discrepancy starts, then interval branch-and-bound tries to exclude
-    zero over the whole box.  Outside the box nothing is claimed: absence
-    of both a violation and a full exclusion leaves the status assumed.
+    low-discrepancy starts, then its exact signs at those starts are compared:
+    a sign change proves a zero between two of them.  Last, interval
+    branch-and-bound tries to exclude zero over the whole box.  Outside the
+    box nothing is claimed: absence of both a violation and a full exclusion
+    leaves the status assumed.
     """
     cfg = cfg or AnalysisConfig()
     origin = (Fraction(0),) * fmap.n
@@ -166,15 +166,16 @@ def check_assumptions(
         return Assumptions(
             f_zero_at_origin=f_zero,
             jac_status=JacStatus.VERIFIED_ON_BOX,
-            jac_box=box_radius,
+            jac_box=cfg.box_radius,
             jac_depth=0,
         )
 
     # witness hunt: roots of det inside the box
     det_sys = FloatSystem([det])
-    for start in points_in_box(fmap.n, 4 * cfg.probes, box_radius, cfg.seed):
+    starts = points_in_box(fmap.n, 4 * PROBES, cfg.box_radius, cfg.cert.seed)
+    for start in starts:
         point, residual, converged = gauss_newton(det_sys, start, tol=1e-12)
-        if converged and residual <= 1e-10 and np.all(np.abs(point) <= box_radius):
+        if converged and residual <= 1e-10 and np.all(np.abs(point) <= cfg.box_radius):
             snapped = snap_exact(point.tolist(), lambda q: det.evaluate(q) == 0)
             return Assumptions(
                 f_zero_at_origin=f_zero,
@@ -182,11 +183,16 @@ def check_assumptions(
                 jac_point=tuple(point.tolist()) if snapped is None else snapped,
                 jac_exact=snapped is not None,
             )
+    zero = _sign_change_zero(det, starts)
+    if zero is not None:
+        return Assumptions(
+            f_zero_at_origin=f_zero, jac_status=JacStatus.VIOLATION_FOUND, jac_point=zero
+        )
 
     # interval exclusion over the box
     ipoly = IntervalPoly(det)
     search = Bisection(
-        Box.cube(fmap.n, box_radius), min(cfg.cert.depth, 20), cfg.cert.max_boxes
+        Box.cube(fmap.n, cfg.box_radius), min(cfg.cert.depth, 20), cfg.cert.max_boxes
     )
     for box in search.survivors(lambda box: ipoly.excludes_zero(box.coords)):
         if search.is_leaf(box):
@@ -194,13 +200,35 @@ def check_assumptions(
     return Assumptions(
         f_zero_at_origin=f_zero,
         jac_status=JacStatus.VERIFIED_ON_BOX,
-        jac_box=box_radius,
+        jac_box=cfg.box_radius,
         jac_depth=search.max_depth,
     )
 
 
+def _sign_change_zero(p: Polynomial, starts: list[tuple[float, ...]]) -> tuple | None:
+    """A point near a zero of ``p`` that its exact signs at ``starts`` prove, or None.
+
+    Between a start where ``p > 0`` and one where ``p <= 0`` lies a zero
+    (intermediate value theorem); 53 exact bisections, keeping that sign
+    pattern at the ends, shrink the segment to the float precision of its
+    length, and its midpoint is returned in floats: near the zero, not on it.
+    """
+    points = [tuple(Fraction(c) for c in start) for start in starts]
+    positive = [p.evaluate(point) > 0 for point in points]
+    if all(positive) or not any(positive):
+        return None
+    pos, neg = points[positive.index(True)], points[positive.index(False)]
+    for _ in range(53):
+        mid = tuple((a + b) / 2 for a, b in zip(pos, neg))
+        if p.evaluate(mid) > 0:
+            pos = mid
+        else:
+            neg = mid
+    return tuple(float((a + b) / 2) for a, b in zip(pos, neg))
+
+
 def check_map_higher_part(
-    fmap: PolyMap, w: Weight, cfg: AnalysisConfig | None = None
+    fmap: PolyMap, w: Weight, cfg: AnalysisConfig | None = None, table: dict | None = None
 ) -> CriterionResult:
     cfg = cfg or AnalysisConfig()
     try:
@@ -209,12 +237,12 @@ def check_map_higher_part(
         return CriterionResult(
             criterion=Criterion.MAP_HIGHER_PART, weight=w, outcome=None, diagnostic=str(exc)
         )
-    outcome = only_origin(list(top.components), w, cfg.cert)
+    outcome = certify_once(table, only_origin, top.components, w, cfg.cert)
     return CriterionResult(criterion=Criterion.MAP_HIGHER_PART, weight=w, outcome=outcome)
 
 
 def check_h_higher_part(
-    fmap: PolyMap, w: Weight, cfg: AnalysisConfig | None = None
+    fmap: PolyMap, w: Weight, cfg: AnalysisConfig | None = None, table: dict | None = None
 ) -> CriterionResult:
     """Run both the unique-zero and the gradient form; they must agree.
 
@@ -232,9 +260,9 @@ def check_h_higher_part(
             diagnostic="norm function is identically zero",
         )
     top = higher_part(h, w)
-    primary = unique_zero_nonneg(top, w, cfg.cert)
+    primary = unique_zero_nonneg(top, w, cfg.cert, table)
     try:
-        secondary = gradient_only_origin(top, w, cfg.cert)
+        secondary = gradient_only_origin(top, w, cfg.cert, table)
     except DegenerateDirectionError as exc:
         return CriterionResult(
             criterion=Criterion.H_NORM_HIGHER_PART,
@@ -262,7 +290,7 @@ def check_h_higher_part(
 
 
 def check_field_higher_part(
-    fmap: PolyMap, w: Weight, cfg: AnalysisConfig | None = None
+    fmap: PolyMap, w: Weight, cfg: AnalysisConfig | None = None, table: dict | None = None
 ) -> CriterionResult:
     cfg = cfg or AnalysisConfig()
     h = h_norm(fmap)
@@ -279,7 +307,7 @@ def check_field_higher_part(
         return CriterionResult(
             criterion=Criterion.FIELD_HIGHER_PART, weight=w, outcome=None, diagnostic=str(exc)
         )
-    outcome = only_origin(list(fhp.field.components), w, cfg.cert)
+    outcome = certify_once(table, only_origin, fhp.field.components, w, cfg.cert)
     return CriterionResult(
         criterion=Criterion.FIELD_HIGHER_PART, weight=w, outcome=outcome, block=field_blocks(fhp)
     )
@@ -297,6 +325,7 @@ def derive_tilde_and_verify(
     w: Weight,
     cfg: AnalysisConfig | None = None,
     field_result: CriterionResult | None = None,
+    table: dict | None = None,
 ) -> tuple[Weight, CriterionResult]:
     """Derive the new weight vector from a field-criterion success and re-verify.
 
@@ -308,14 +337,13 @@ def derive_tilde_and_verify(
     """
     cfg = cfg or AnalysisConfig()
     if field_result is None:
-        field_result = check_field_higher_part(fmap, w, cfg)
+        field_result = check_field_higher_part(fmap, w, cfg, table)
     if not field_result.succeeded:
         raise PreconditionError(
             "field criterion did not certify only-origin at the given weight"
         )
-    bs = field_result.block or block_structure(h_norm(fmap), w)
-    derived = tilde_weights(bs)
-    map_result = check_map_higher_part(fmap, derived, cfg)
+    derived = tilde_weights(field_result.block)
+    map_result = check_map_higher_part(fmap, derived, cfg, table)
     if map_result.outcome is None or map_result.outcome.is_nontrivial_zero:
         raise InternalInconsistencyError(
             f"map criterion refuted at derived weight {tuple(derived.s)} although the "
@@ -328,13 +356,8 @@ def derive_tilde_and_verify(
             "deeper certification needed",
             reason="inconclusive",
         )
-    _assert_sandwich(fmap, derived, cfg.seed)
-    return derived, CriterionResult(
-        criterion=map_result.criterion,
-        weight=map_result.weight,
-        outcome=map_result.outcome,
-        tilde=derived,
-    )
+    _assert_sandwich(fmap, derived, cfg.cert.seed)
+    return derived, map_result
 
 
 def _assert_sandwich(fmap: PolyMap, w: Weight, seed: int, points: int = 100) -> None:
@@ -358,21 +381,23 @@ def _assert_sandwich(fmap: PolyMap, w: Weight, seed: int, points: int = 100) -> 
 def weight_search(
     fmap: PolyMap,
     criteria: Sequence[Criterion] | None = None,
-    s_max: int | None = None,
     cfg: AnalysisConfig | None = None,
+    table: dict | None = None,
 ) -> WeightSearchResult:
-    """Try canonical weights in (sum, lex) order, stopping per criterion at success."""
+    """Try canonical weights in (sum, lex) order, stopping per criterion at success.
+
+    Outcomes kept in ``table`` are reused; ``verdict`` passes one per map.
+    """
     cfg = cfg or AnalysisConfig()
     criteria = list(criteria) if criteria is not None else list(_CHECKERS)
-    s_max = s_max if s_max is not None else cfg.s_max
-    weights = enumerate_weights(fmap.n, s_max)
+    weights = enumerate_weights(fmap.n, cfg.s_max)
     attempts: dict[Criterion, tuple[CriterionResult, ...]] = {}
     best: dict[Criterion, CriterionResult | None] = {}
     for criterion in criteria:
         checker = _CHECKERS[criterion]
         results: list[CriterionResult] = []
         for w in weights:
-            result = checker(fmap, w, cfg)
+            result = checker(fmap, w, cfg, table)
             results.append(result)
             if result.succeeded:
                 break
@@ -390,26 +415,16 @@ def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
     inconsistency is raised instead of a verdict.
     """
     cfg = cfg or AnalysisConfig()
-    assumptions = check_assumptions(fmap, cfg.box_radius, cfg)
+    assumptions = check_assumptions(fmap, cfg)
     witness = injectivity_witness(
-        fmap,
-        probes=cfg.probes,
-        starts=cfg.starts,
-        box=cfg.box_radius / 2.0,
-        rho=cfg.rho,
-        seed=cfg.seed,
+        fmap, probes=PROBES, starts=STARTS, box=cfg.box_radius / 2.0, seed=cfg.cert.seed
     )
-    search = weight_search(fmap, None, cfg.s_max, cfg)
+    # one table of certified systems per map; no outcome outlives this verdict
+    table: dict = {}
+    search = weight_search(fmap, None, cfg, table)
 
-    success: CriterionResult | None = None
-    for criterion in (
-        Criterion.MAP_HIGHER_PART,
-        Criterion.H_NORM_HIGHER_PART,
-        Criterion.FIELD_HIGHER_PART,
-    ):
-        if search.best.get(criterion) is not None:
-            success = search.best[criterion]
-            break
+    # the first criterion to succeed, in the order of _CHECKERS
+    success = next((best for best in search.best.values() if best is not None), None)
 
     properness_weight: Weight | None = None
     h_best = search.best.get(Criterion.H_NORM_HIGHER_PART)
@@ -420,7 +435,7 @@ def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
     field_best = search.best.get(Criterion.FIELD_HIGHER_PART)
     if field_best is not None:
         try:
-            derived, _ = derive_tilde_and_verify(fmap, field_best.weight, cfg, field_best)
+            derived, _ = derive_tilde_and_verify(fmap, field_best.weight, cfg, field_best, table)
             tilde = (field_best.weight, derived)
         except InternalInconsistencyError as exc:
             if exc.reason != "inconclusive":

@@ -405,9 +405,3 @@ def print_poly(p: Polynomial, names: Sequence[str] | None = None) -> str:
         else:
             chunks.append(f"+ {body}" if coefficient > 0 else f"- {body}")
     return " ".join(chunks)
-
-
-def print_map(fmap: PolyMap, names: Sequence[str] | None = None) -> str:
-    if names is None:
-        names = default_names(fmap.n)
-    return "(" + ", ".join(print_poly(c, names) for c in fmap.components) + ")"

@@ -8,6 +8,7 @@ exponent sum equals ``d``, equivalently when it obeys the scaling law
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,8 +90,8 @@ class BlockStructure:
     """Coordinates grouped by their field-degree, sorted descending.
 
     ``perm`` lists original coordinate indices so that degrees are
-    non-increasing (stable under ties); ``sizes``/``degrees``/``block_weights``
-    describe the groups; ``m`` is the product of the distinct degrees and
+    non-increasing (stable under ties); ``sizes``/``degrees`` describe the
+    groups; ``m`` is the product of the distinct degrees and
     ``raw_tilde`` the derived weight vector before gcd canonicalization,
     back in original coordinate order.
     """
@@ -99,8 +100,6 @@ class BlockStructure:
     perm: tuple[int, ...]
     sizes: tuple[int, ...]
     degrees: tuple[int, ...]
-    block_weights: tuple[tuple[int, ...], ...]
-    component_degrees: tuple[int, ...]
     m: int
     raw_tilde: tuple[int, ...]
 
@@ -216,7 +215,6 @@ def field_blocks(fhp: FieldHigherPart) -> BlockStructure:
     perm = tuple(sorted(range(n), key=lambda j: -degrees[j]))
     sizes: list[int] = []
     block_degrees: list[int] = []
-    block_weights: list[tuple[int, ...]] = []
     for j in perm:
         d = degrees[j]
         if block_degrees and block_degrees[-1] == d:
@@ -224,10 +222,6 @@ def field_blocks(fhp: FieldHigherPart) -> BlockStructure:
         else:
             block_degrees.append(d)
             sizes.append(1)
-    start = 0
-    for size in sizes:
-        block_weights.append(tuple(w.s[j] for j in perm[start:start + size]))
-        start += size
     m = math.prod(block_degrees)
     raw_tilde = [0] * n
     start = 0
@@ -241,8 +235,6 @@ def field_blocks(fhp: FieldHigherPart) -> BlockStructure:
         perm=perm,
         sizes=tuple(sizes),
         degrees=tuple(block_degrees),
-        block_weights=tuple(block_weights),
-        component_degrees=degrees,
         m=m,
         raw_tilde=tuple(raw_tilde),
     )
@@ -295,18 +287,7 @@ def enumerate_weights(n: int, s_max: int) -> list[Weight]:
     """All canonical weights with entries in [1, s_max], ordered by (sum, lex)."""
     if s_max < 1:
         raise ValueError("s_max must be at least 1")
-    seen: set[tuple[int, ...]] = set()
-    out: list[Weight] = []
-    def rec(prefix: list[int]):
-        if len(prefix) == n:
-            if math.gcd(*prefix) == 1:
-                key = tuple(prefix)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(Weight(key))
-            return
-        for v in range(1, s_max + 1):
-            rec(prefix + [v])
-    rec([])
+    entries = itertools.product(range(1, s_max + 1), repeat=n)
+    out = [Weight(s) for s in entries if math.gcd(*s) == 1]
     out.sort(key=lambda w: (sum(w.s), w.s))
     return out

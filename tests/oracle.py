@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from jacgate import CertConfig, Polynomial
+from jacgate import Polynomial
 from jacgate.certify import _newton_witness, _sphere_poly
 from jacgate.floatval import FloatSystem
 
@@ -25,8 +25,6 @@ def _values(p: Polynomial, points: np.ndarray) -> np.ndarray:
 def brute_force_scan(
     system: Sequence[Polynomial],
     resolution: int,
-    rho: float = 1e-10,
-    tau: float = 1e-8,
     refine_top: int = 12,
 ) -> tuple[Fraction, ...] | tuple[float, ...] | None:
     """Scan primitive lattice directions on the sphere.
@@ -62,10 +60,9 @@ def brute_force_scan(
     ]
     scored.sort(key=lambda item: (item[0], item[1]))
 
-    cfg = CertConfig(rho=rho, tau=tau)
     augmented = FloatSystem(list(system) + [_sphere_poly(n)])
     for _, start in scored[:refine_top]:
-        outcome = _newton_witness(system, augmented, start, cfg)
+        outcome = _newton_witness(system, augmented, start)
         if outcome is not None:
             return outcome.witness
     return None

@@ -21,6 +21,7 @@ from jacgate import (
     properness_certificate,
     unique_zero_nonneg,
 )
+from jacgate.certify import RHO
 from jacgate.errors import ZeroPolynomialError
 from jacgate.floatval import FloatSystem
 from jacgate.intervals import Box, Interval
@@ -64,10 +65,9 @@ class TestOnlyOrigin:
             only_origin([Polynomial.zero(2)], W11)
 
     def test_witness_residuals_below_tolerance(self):
-        cfg = CertConfig()
-        outcome = only_origin([p2("1/2*x^6 + x^3*y^3 + 1/2*y^6")], W11, cfg)
+        outcome = only_origin([p2("1/2*x^6 + x^3*y^3 + 1/2*y^6")], W11)
         assert outcome.residuals is not None
-        assert max(abs(r) for r in outcome.residuals) <= cfg.rho
+        assert max(abs(r) for r in outcome.residuals) <= RHO
 
     def test_witness_scale_invariance(self):
         system = [p2("1/2*x^6 + x^3*y^3 + 1/2*y^6")]
@@ -111,7 +111,7 @@ class TestOnlyOrigin:
 
     @pytest.mark.parametrize("count", [-1, 0, 1, 16])
     def test_probe_count(self, count):
-        # probes=0 turns the witness hunt off
+        # a count of 0 or less gives no points
         assert len(points_on_sphere(3, count)) == max(count, 0)
 
     def test_monotonic_in_depth(self):

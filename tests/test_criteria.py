@@ -26,6 +26,7 @@ from jacgate import (
     verdict,
     weight_search,
 )
+from jacgate.certify import certify_once, only_origin
 from jacgate.errors import PreconditionError
 
 
@@ -34,7 +35,7 @@ W11 = Weight((1, 1))
 
 class TestAssumptions:
     def test_cubic_verified(self, cubic_map):
-        assumptions = check_assumptions(cubic_map, box_radius=10.0)
+        assumptions = check_assumptions(cubic_map, AnalysisConfig(box_radius=10.0))
         assert assumptions.f_zero_at_origin
         assert assumptions.jac_status is JacStatus.VERIFIED_ON_BOX
 
@@ -63,8 +64,17 @@ class TestAssumptions:
     def test_branch_and_bound_contract(self, cert, status, depth):
         # det DF = 1 + 3x^2 + 1/20*(x+y)^4 > 0 needs bisection to depth 15
         fmap = PolyMap([p2("x + x^3 + 1/100*(x+y)^5"), p2("y")])
-        assumptions = check_assumptions(fmap, 10.0, AnalysisConfig(cert=cert))
+        assumptions = check_assumptions(fmap, AnalysisConfig(box_radius=10.0, cert=cert))
         assert (assumptions.jac_status, assumptions.jac_depth) == (status, depth)
+
+    def test_sign_change_proves_violation(self):
+        # det DF = 30*(x+y)^29 + 1 vanishes on the line x + y = -(1/30)^(1/29),
+        # where Newton does not converge; the exact signs at the starts differ
+        assumptions = check_assumptions(PolyMap([p2("(x+y)^30 + x"), p2("y")]))
+        assert assumptions.jac_status is JacStatus.VIOLATION_FOUND
+        assert not assumptions.jac_exact
+        x, y = assumptions.jac_point
+        assert abs(x + y + (1 / 30) ** (1 / 29)) < 1e-12
 
 
 class TestMapCriterion:
@@ -169,19 +179,52 @@ class TestDeriveTilde:
 
 class TestWeightSearch:
     def test_cubic_map_criterion_first_weight(self, cubic_map):
-        result = weight_search(cubic_map, [Criterion.MAP_HIGHER_PART], s_max=2)
+        result = weight_search(cubic_map, [Criterion.MAP_HIGHER_PART], AnalysisConfig(s_max=2))
         best = result.best[Criterion.MAP_HIGHER_PART]
         assert best is not None and best.weight == W11
 
     def test_cubic_h_criterion_no_success(self, cubic_map):
-        result = weight_search(cubic_map, [Criterion.H_NORM_HIGHER_PART], s_max=2)
+        result = weight_search(cubic_map, [Criterion.H_NORM_HIGHER_PART], AnalysisConfig(s_max=2))
         assert result.best[Criterion.H_NORM_HIGHER_PART] is None
         assert len(result.attempts[Criterion.H_NORM_HIGHER_PART]) == 3
 
     def test_identity_all_criteria_first_weight(self):
-        result = weight_search(PolyMap.identity(2), s_max=2)
+        result = weight_search(PolyMap.identity(2), None, AnalysisConfig(s_max=2))
         for criterion, best in result.best.items():
             assert best is not None and best.weight == W11
+
+
+class TestCertTable:
+    def test_each_system_certified_once(self, cubic_map, monkeypatch):
+        import jacgate.certify
+        import jacgate.criteria
+
+        original = jacgate.certify.only_origin
+        systems = []
+
+        def recording(system, w, cfg=None):
+            systems.append(tuple(system))
+            return original(system, w, cfg)
+
+        monkeypatch.setattr(jacgate.certify, "only_origin", recording)
+        monkeypatch.setattr(jacgate.criteria, "only_origin", recording)
+        cfg = AnalysisConfig(s_max=4)
+        report = verdict(cubic_map, cfg)
+        # the H criterion fails at all 11 weights, which have 3 distinct tops
+        assert len(report.search.attempts[Criterion.H_NORM_HIGHER_PART]) == 11
+        assert len(systems) == len(set(systems))
+        # the same attempts as certifying each one with a table of its own
+        for criterion, results in report.search.attempts.items():
+            checker = jacgate.criteria._CHECKERS[criterion]
+            assert results == tuple(checker(cubic_map, r.weight, cfg) for r in results)
+
+    def test_reuse_still_checks_euler(self):
+        table: dict = {}
+        system = [p2("x^2 + y^2")]
+        assert certify_once(table, only_origin, system, W11, CertConfig()).is_only_origin
+        with pytest.raises(ValueError, match="not quasi-homogeneous"):
+            certify_once(table, only_origin, system, Weight((1, 2)), CertConfig())
+        assert len(table) == 1
 
 
 class TestVerdict:
