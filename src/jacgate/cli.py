@@ -316,6 +316,9 @@ def main(argv: list[str] | None = None) -> int:
     except (JacgateError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except OverflowError as exc:
+        print(f"error: a coefficient is beyond float range ({exc})", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -9,6 +9,18 @@ Grammar (explicit ``*`` for products, ``^`` for powers, no juxtaposition):
 
 Rational literals ``p/q`` are single tokens; general division is rejected.
 
+The parser expands each expression as it reads it.  Every piece carries
+bounds on its degree, term count and coefficient bits taken from the syntax
+alone, never from the expanded polynomial: a sum of t_a and t_b terms has at
+most t_a + t_b, a product at most t_a * t_b, and a k-th power of t terms at
+most C(t+k-1, k).  A literal p/q counts the bits of p and q, a variable
+none, a sum the larger of its operands' bits plus one, a product their
+total, a k-th power k times its base's.  Each operator checks the bounds
+of its result against ``MAX_DEGREE``, ``MAX_TERMS`` and ``MAX_BITS`` before
+computing it, so input like x^100000000, a long run of (x+y+z+1)^9 -
+(x+y+z+1)^9 that cancels to 0, a product of thousands of constants or
+((2^32)^32)^32 fails at once.
+
 Map file format (UTF-8 text, ``#`` starts a comment):
 
     vars: x, y
@@ -28,55 +40,15 @@ from .errors import ParseError
 from .poly import Polynomial, PolyMap
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(
+    rf"(?P<number>\d+(?:/\d*)?)|(?P<ident>{_IDENT_RE.pattern})|(?P<op>[-+*^()])"
+    r"|(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<other>.)"
+)
 
-# Caps on one expression, checked before anything is expanded, so that input
-# like x^100000000 fails at once; tested and benchmarked maps stay far below.
+# Caps on one expression; tested and benchmarked maps stay far below them.
 MAX_DEGREE = 32
 MAX_TERMS = 1000
-
-
-# -- expression AST ----------------------------------------------------
-
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    child: "Node"
-    exponent: int
-
-
-Node = Lit | Var | Add | Sub | Neg | Mul | Pow
+MAX_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -99,69 +71,54 @@ class _Token:
     column: int
 
 
-def _tokenize(src: str, line_offset: int = 1) -> list[_Token]:
+def _tokenize(src: str, line: int) -> list[_Token]:
     tokens: list[_Token] = []
-    line = line_offset
-    column = 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        start_col = column
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            text = src[i:j]
-            # rational literal p/q is one token: the '/' must be glued to digits
-            if j < len(src) and src[j] == "/":
-                k = j + 1
-                while k < len(src) and src[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ParseError("expected digits after '/' in rational literal", line, column)
-                text = src[i:k]
-                j = k
-            column += j - i
-            tokens.append(_Token("number", text, line, start_col))
-            i = j
-            continue
-        if ch.isalpha():
-            match = _IDENT_RE.match(src, i)
-            assert match is not None
-            text = match.group(0)
-            column += len(text)
-            tokens.append(_Token("ident", text, line, start_col))
-            i = match.end()
-            continue
-        if ch in "+-*^()":
-            tokens.append(_Token("op", ch, line, start_col))
-            i += 1
-            column += 1
-            continue
-        if ch == "/":
+    line_start = 0
+    for match in _TOKEN_RE.finditer(src):
+        kind, text = match.lastgroup, match.group()
+        column = match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "other" and text == "/":
             raise ParseError(
                 "division is only allowed inside rational literals like 1/2", line, column
             )
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(_Token("end", "", line, column))
+        elif kind == "other":
+            raise ParseError(f"unexpected character {text!r}", line, column)
+        elif text.endswith("/"):
+            raise ParseError("expected digits after '/' in rational literal", line, column)
+        elif kind != "space":
+            tokens.append(_Token(kind, text, line, column))
+    tokens.append(_Token("end", "", line, len(src) - line_start + 1))
     return tokens
 
 
 # -- recursive descent -------------------------------------------------
 
+# What each parse method returns: (polynomial, degree bound, term bound, bits bound).
+_Piece = tuple[Polynomial, int, int, int]
+
+
+def _capped(op: _Token, degree: int, terms: int, bits: int) -> tuple[int, int, int]:
+    if degree > MAX_DEGREE:
+        raise ParseError(f"expression degree exceeds the cap {MAX_DEGREE}", op.line, op.column)
+    if terms > MAX_TERMS:
+        raise ParseError(
+            f"expression may expand to more than {MAX_TERMS} terms", op.line, op.column
+        )
+    if bits > MAX_BITS:
+        raise ParseError(
+            f"expression coefficients may exceed {MAX_BITS} bits", op.line, op.column
+        )
+    return degree, terms, bits
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Token], names: Sequence[str]):
         self.tokens = tokens
         self.pos = 0
+        self.n = len(names)
+        self.index_of = {name: i for i, name in enumerate(names)}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -171,68 +128,67 @@ class _Parser:
         self.pos += 1
         return token
 
-    def expect_op(self, text: str) -> _Token:
+    def parse_expr(self) -> _Piece:
+        p, degree, terms, bits = self.parse_term()
+        while self.peek().text in ("+", "-"):
+            op = self.advance()
+            q, q_degree, q_terms, q_bits = self.parse_term()
+            degree, terms, bits = _capped(
+                op, max(degree, q_degree), terms + q_terms, max(bits, q_bits) + 1
+            )
+            p = p + q if op.text == "+" else p - q
+        return p, degree, terms, bits
+
+    def parse_term(self) -> _Piece:
+        p, degree, terms, bits = self.parse_factor()
+        while self.peek().text == "*":
+            op = self.advance()
+            q, q_degree, q_terms, q_bits = self.parse_factor()
+            degree, terms, bits = _capped(op, degree + q_degree, terms * q_terms, bits + q_bits)
+            p = p * q
+        return p, degree, terms, bits
+
+    def parse_factor(self) -> _Piece:
+        p, degree, terms, bits = self.parse_base()
+        if self.peek().text != "^":
+            return p, degree, terms, bits
+        caret = self.advance()
         token = self.peek()
-        if token.kind != "op" or token.text != text:
-            raise ParseError(f"expected {text!r}", token.line, token.column)
-        return self.advance()
+        if token.text == "-":
+            raise ParseError("negative exponent is not allowed", token.line, token.column)
+        if token.kind != "number":
+            raise ParseError("expected a natural number after '^'", caret.line, caret.column)
+        if "/" in token.text:
+            raise ParseError("fractional exponent is not allowed", token.line, token.column)
+        self.advance()
+        k = int(token.text)
+        if k > MAX_DEGREE:
+            raise ParseError(f"exponent {k} exceeds the cap {MAX_DEGREE}", token.line, token.column)
+        degree, terms, bits = _capped(caret, degree * k, math.comb(terms + k - 1, k), k * bits)
+        return p**k, degree, terms, bits
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            right = self.parse_term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
-
-    def parse_term(self) -> Node:
-        node = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().text == "*":
-            self.advance()
-            node = Mul(node, self.parse_factor())
-        return node
-
-    def parse_factor(self) -> Node:
-        base = self.parse_base()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            caret = self.advance()
-            token = self.peek()
-            if token.kind == "op" and token.text == "-":
-                raise ParseError("negative exponent is not allowed", token.line, token.column)
-            if token.kind != "number":
-                raise ParseError("expected a natural number after '^'", caret.line, caret.column)
-            if "/" in token.text:
-                raise ParseError("fractional exponent is not allowed", token.line, token.column)
-            self.advance()
-            exponent = int(token.text)
-            if exponent > MAX_DEGREE:
-                raise ParseError(
-                    f"exponent {exponent} exceeds the cap {MAX_DEGREE}", token.line, token.column
-                )
-            return Pow(base, exponent)
-        return base
-
-    def parse_base(self) -> Node:
-        token = self.peek()
+    def parse_base(self) -> _Piece:
+        token = self.advance()
         if token.kind == "number":
-            self.advance()
-            if "/" in token.text:
-                numerator, denominator = token.text.split("/")
-                if int(denominator) == 0:
-                    raise ParseError("zero denominator", token.line, token.column)
-                return Lit(Fraction(int(numerator), int(denominator)))
-            return Lit(Fraction(int(token.text)))
+            numerator, _, denominator = token.text.partition("/")
+            if denominator and int(denominator) == 0:
+                raise ParseError("zero denominator", token.line, token.column)
+            value = Fraction(int(numerator), int(denominator or 1))
+            bits = value.numerator.bit_length() + value.denominator.bit_length()
+            return Polynomial.constant(self.n, value), 0, 1, bits
         if token.kind == "ident":
-            self.advance()
-            return Var(token.text)
-        if token.kind == "op" and token.text == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        if token.kind == "op" and token.text == "-":
-            self.advance()
-            return Neg(self.parse_factor())
+            if token.text not in self.index_of:
+                raise ParseError(f"unknown variable {token.text!r}", token.line, token.column)
+            return Polynomial.variable(self.n, self.index_of[token.text]), 1, 1, 0
+        if token.text == "(":
+            piece = self.parse_expr()
+            closing = self.advance()
+            if closing.text != ")":
+                raise ParseError("expected ')'", closing.line, closing.column)
+            return piece
+        if token.text == "-":
+            p, degree, terms, bits = self.parse_factor()
+            return -p, degree, terms, bits
         raise ParseError(
             f"unexpected {'end of input' if token.kind == 'end' else token.text!r}",
             token.line,
@@ -240,73 +196,20 @@ class _Parser:
         )
 
 
-def _expansion_bound(node: Node, line: int) -> tuple[int, int]:
-    """Upper bounds on the degree and the term count of ``node`` once expanded.
-
-    A k-th power of a t-term polynomial has at most C(t+k-1, k) terms and a
-    product at most t_a * t_b; exceeding a cap raises ParseError.
-    """
-    if isinstance(node, Lit):
-        return 0, 1
-    if isinstance(node, Var):
-        return 1, 1
-    if isinstance(node, Neg):
-        return _expansion_bound(node.child, line)
-    if isinstance(node, Pow):
-        d, t = _expansion_bound(node.child, line)
-        k = node.exponent
-        degree, terms = d * k, math.comb(t + k - 1, k)
-    else:
-        da, ta = _expansion_bound(node.left, line)
-        db, tb = _expansion_bound(node.right, line)
-        if isinstance(node, Mul):
-            degree, terms = da + db, ta * tb
-        else:
-            degree, terms = max(da, db), ta + tb
-    if degree > MAX_DEGREE:
-        raise ParseError(f"expression degree exceeds the cap {MAX_DEGREE}", line)
-    if terms > MAX_TERMS:
-        raise ParseError(f"expression may expand to more than {MAX_TERMS} terms", line)
-    return degree, terms
-
-
-def _fold(node: Node, n: int, index_of: dict[str, int], line: int) -> Polynomial:
-    if isinstance(node, Lit):
-        return Polynomial.constant(n, node.value)
-    if isinstance(node, Var):
-        if node.name not in index_of:
-            raise ParseError(f"unknown variable {node.name!r}", line, 0)
-        return Polynomial.variable(n, index_of[node.name])
-    if isinstance(node, Add):
-        return _fold(node.left, n, index_of, line) + _fold(node.right, n, index_of, line)
-    if isinstance(node, Sub):
-        return _fold(node.left, n, index_of, line) - _fold(node.right, n, index_of, line)
-    if isinstance(node, Neg):
-        return -_fold(node.child, n, index_of, line)
-    if isinstance(node, Mul):
-        return _fold(node.left, n, index_of, line) * _fold(node.right, n, index_of, line)
-    if isinstance(node, Pow):
-        return _fold(node.child, n, index_of, line) ** node.exponent
-    raise TypeError(f"unknown node {node!r}")
-
-
 def parse_expr(src: str, names: Sequence[str], line: int = 1) -> Polynomial:
     """Parse one expression into a fully expanded polynomial over ``names``."""
     names = list(names)
     if len(set(names)) != len(names):
         raise ParseError("duplicate variable name")
-    tokens = _tokenize(src, line_offset=line)
-    parser = _Parser(tokens)
+    parser = _Parser(_tokenize(src, line), names)
     try:
-        node = parser.parse_expr()
-        trailing = parser.peek()
-        if trailing.kind != "end":
-            raise ParseError(f"unexpected {trailing.text!r}", trailing.line, trailing.column)
-        _expansion_bound(node, line)
-        index_of = {name: i for i, name in enumerate(names)}
-        return _fold(node, len(names), index_of, line)
+        p, *_ = parser.parse_expr()
     except RecursionError:
         raise ParseError("expression is too long or nested too deeply", line) from None
+    trailing = parser.peek()
+    if trailing.kind != "end":
+        raise ParseError(f"unexpected {trailing.text!r}", trailing.line, trailing.column)
+    return p
 
 
 # -- map files ----------------------------------------------------------

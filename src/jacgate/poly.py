@@ -84,14 +84,6 @@ class Polynomial:
     def coefficient(self, exponent: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exponent), Fraction(0))
 
-    def variables_used(self) -> set[int]:
-        used: set[int] = set()
-        for exponent in self.terms:
-            for i, k in enumerate(exponent):
-                if k:
-                    used.add(i)
-        return used
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
             return self.n == other.n and self.terms == other.terms

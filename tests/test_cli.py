@@ -74,6 +74,21 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "exceeds the cap" in err and "(line 2," in err
 
+    @pytest.mark.parametrize(
+        "command, f",
+        [
+            ("check", f"1{'0' * 400}*x + x^3"),
+            ("zeros", f"1{'0' * 400}*x + x^3"),
+            ("check", f"1{'0' * 200}*x^3 + x"),  # the H top has a 10^400 coefficient
+        ],
+        ids=["check", "zeros", "check_h_top"],
+    )
+    def test_coefficient_beyond_float_range_exit_one(self, tmp_path, capsys, command, f):
+        path = tmp_path / "huge.map"
+        path.write_text(f"vars: x, y\nf = {f}\ng = y\n")
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: a coefficient is beyond float range")
+
     def test_json_deterministic(self, ex_file, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -42,8 +42,9 @@ class TestParseExpr:
         )
 
     def test_unknown_variable(self):
-        with pytest.raises(ParseError, match="unknown variable"):
+        with pytest.raises(ParseError, match="unknown variable") as exc_info:
             parse_expr("x + z", ("x", "y"))
+        assert exc_info.value.column == 5
 
     def test_negative_exponent(self):
         with pytest.raises(ParseError, match="negative exponent"):
@@ -57,6 +58,11 @@ class TestParseExpr:
         with pytest.raises(ParseError, match="rational literals"):
             parse_expr("x / 2", ("x",))
 
+    @pytest.mark.parametrize("src", ["x + \u00e9", "x\u00b2"], ids=["letter", "superscript"])
+    def test_non_ascii_character_rejected(self, src):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_expr(src, ("x",))
+
     def test_juxtaposition_rejected(self):
         with pytest.raises(ParseError):
             parse_expr("2 x", ("x",))
@@ -69,9 +75,15 @@ class TestParseExpr:
             ("(x+y+z+1)^17", "more than 1000 terms"),
             ("(x+y+z+1)^9*(x+y+z+1)^9", "more than 1000 terms"),
             ("(" * 2000 + "x" + ")" * 2000, "nested too deeply"),
-            ("+".join(["x"] * 2000), "too long"),
+            ("+".join(["x"] * 2000), "more than 1000 terms"),
+            (" + ".join(["(x+y+z+1)^9 - (x+y+z+1)^9"] * 3), "more than 1000 terms"),
+            ("*".join(["3"] * 2000), "exceed 4096 bits"),
+            ("((2^32)^32)^32", "exceed 4096 bits"),
         ],
-        ids=["exponent", "degree", "power_terms", "product_terms", "nesting", "length"],
+        ids=[
+            "exponent", "degree", "power_terms", "product_terms", "nesting", "length",
+            "cancelling", "constant_product", "nested_power",
+        ],
     )
     def test_size_caps(self, src, message):
         with pytest.raises(ParseError, match=message):
