@@ -15,6 +15,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .poly import Polynomial
 
 _INF = math.inf
+# entries a coordinate's power memo holds before it is cleared, so that
+# memory stays bounded however many distinct intervals a run visits
+_MEMO_SIZE = 4096
 
 
 def _down(x: float) -> float:
@@ -186,32 +189,70 @@ class Bisection:
 
 
 class IntervalPoly:
-    """A polynomial compiled for interval evaluation over boxes."""
+    """A polynomial compiled for interval evaluation over boxes.
 
-    __slots__ = ("n", "terms")
+    Each term is stored as its coefficient's bounds and the slots of the
+    coordinate powers it multiplies, in increasing coordinate order; zero
+    exponents are dropped.  ``bounds`` evaluates on plain floats with the
+    operations, and the order of operations, of ``Interval``'s ``*``, ``+``
+    and ``pow_int``, so its result is the one that term-by-term ``Interval``
+    arithmetic gives, to the bit.  A branch-and-bound run sees each
+    coordinate interval again and again, so the powers each coordinate
+    needs are memoised per coordinate interval, for the life of the object
+    (one run: callers build one per branch-and-bound run).
+    """
+
+    __slots__ = ("terms", "_memo")
 
     def __init__(self, p: Polynomial):
-        self.n = p.n
+        items = [
+            (Interval.from_fraction(c), [(i, k) for i, k in enumerate(exponent) if k])
+            for exponent, c in p.sorted_terms()
+        ]
+        needed = sorted({factor for _, factors in items for factor in factors})
+        slot = {factor: s for s, factor in enumerate(needed)}
+        # (coordinate, its needed exponents, memo: interval -> those powers),
+        # in slot order
+        self._memo = [
+            (i, tuple(k for j, k in needed if j == i), {})
+            for i in sorted({i for i, _ in needed})
+        ]
         self.terms = [
-            (Interval.from_fraction(c), exponent) for exponent, c in p.sorted_terms()
+            (c.lo, c.hi, tuple(slot[factor] for factor in factors)) for c, factors in items
         ]
 
     def bounds(self, coords: Sequence[Interval]) -> Interval:
-        powers: list[dict[int, Interval]] = [{} for _ in range(self.n)]
-        total = Interval(0.0, 0.0)
-        for coefficient, exponent in self.terms:
-            term = coefficient
-            for i, k in enumerate(exponent):
-                if k == 0:
-                    continue
-                cache = powers[i]
-                value = cache.get(k)
-                if value is None:
-                    value = coords[i].pow_int(k)
-                    cache[k] = value
-                term = term * value
-            total = total + term
-        return total
+        # Intervals equal as tuples share an entry though a zero endpoint's
+        # sign may differ: every result passes through nextafter, which
+        # maps 0.0 and -0.0 alike, so the sign never reaches a bound.
+        values: list = []
+        for i, exponents, memo in self._memo:
+            c = coords[i]
+            powers = memo.get(c)
+            if powers is None:
+                if len(memo) >= _MEMO_SIZE:
+                    memo.clear()
+                powers = memo[c] = tuple(c.pow_int(k) for k in exponents)
+            values += powers
+        step, down, up = math.nextafter, -_INF, _INF
+        total_lo = total_hi = 0.0
+        for a, b, slots in self.terms:
+            for s in slots:
+                c, d = values[s]
+                p1, p2, p3, p4 = a * c, a * d, b * c, b * d
+                # min(p1, p2, p3, p4) and max(...) as the builtins pick
+                # them, NaN included, without the cost of two calls
+                lo = p2 if p2 < p1 else p1
+                lo = p3 if p3 < lo else lo
+                lo = p4 if p4 < lo else lo
+                hi = p2 if p2 > p1 else p1
+                hi = p3 if p3 > hi else hi
+                hi = p4 if p4 > hi else hi
+                a = step(lo, down)
+                b = step(hi, up)
+            total_lo = step(total_lo + a, down)
+            total_hi = step(total_hi + b, up)
+        return Interval(total_lo, total_hi)
 
     def excludes_zero(self, coords: Sequence[Interval]) -> bool:
         bound = self.bounds(coords)

@@ -1,4 +1,5 @@
-"""Grid oracle that the only-origin certifier is checked against in tests."""
+"""Oracles that tests check the library against: a grid scan for the
+only-origin certifier and term-by-term interval bounds for ``IntervalPoly``."""
 
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 from jacgate import Polynomial
 from jacgate.certify import _newton_witness, _sphere_poly
 from jacgate.floatval import FloatSystem
+from jacgate.intervals import Interval
 
 
 def _values(p: Polynomial, points: np.ndarray) -> np.ndarray:
@@ -66,3 +68,18 @@ def brute_force_scan(
         if outcome is not None:
             return outcome.witness
     return None
+
+
+def reference_bounds(p: Polynomial, coords: Sequence[Interval]) -> Interval:
+    """Bounds of ``p`` over a box by term-by-term ``Interval`` arithmetic.
+
+    The compiled ``IntervalPoly.bounds`` must return exactly this interval.
+    """
+    total = Interval(0.0, 0.0)
+    for exponent, c in p.sorted_terms():
+        term = Interval.from_fraction(c)
+        for i, k in enumerate(exponent):
+            if k:
+                term = term * coords[i].pow_int(k)
+        total = total + term
+    return total

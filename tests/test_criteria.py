@@ -28,6 +28,7 @@ from jacgate import (
 )
 from jacgate.certify import certify_once, only_origin
 from jacgate.errors import PreconditionError
+from jacgate.intervals import IntervalPoly
 
 
 W11 = Weight((1, 1))
@@ -66,6 +67,24 @@ class TestAssumptions:
         fmap = PolyMap([p2("x + x^3 + 1/100*(x+y)^5"), p2("y")])
         assumptions = check_assumptions(fmap, AnalysisConfig(box_radius=10.0, cert=cert))
         assert (assumptions.jac_status, assumptions.jac_depth) == (status, depth)
+
+    def test_jacbox_branch_and_bound(self, monkeypatch):
+        # a map of the check-jacbox benchmark's form:
+        # det DF = 1 + (x - y/2)^2 + 1/10*(x+y)^4 >= 1, excluded box by box
+        calls = 0
+        bounds = IntervalPoly.bounds
+
+        def counting(self, coords):
+            nonlocal calls
+            calls += 1
+            return bounds(self, coords)
+
+        monkeypatch.setattr(IntervalPoly, "bounds", counting)
+        fmap = PolyMap([p2("x + 1/3*(x - 1/2*y)^3 + 1/50*(x + y)^5"), p2("y")])
+        assumptions = check_assumptions(fmap)
+        assert (assumptions.jac_status, assumptions.jac_depth, calls) == (
+            JacStatus.VERIFIED_ON_BOX, 17, 25519
+        )
 
     def test_sign_change_proves_violation(self):
         # det DF = 30*(x+y)^29 + 1 vanishes on the line x + y = -(1/30)^(1/29),
