@@ -5,14 +5,16 @@ scaling action, so any non-trivial real zero can be rescaled onto the unit
 Euclidean sphere.  The decision therefore reduces to: does the system have
 a common zero on the sphere?
 
-Strategy: first hunt for a witness with damped Gauss-Newton from
-low-discrepancy sphere points; failing that, run interval branch-and-bound
-over [-1, 1]^n restricted to a shell around the sphere.  A box is discarded
-when its norm-square bounds miss the shell or when some polynomial's
-interval bounds exclude zero; surviving boxes are subdivided, with Newton
-refinement attempts at a few trigger depths.  Exclusion of every box is a
-sound certificate; witnesses are verified by residuals and, when the
-coordinates snap to small rationals, confirmed exactly.
+Strategy: the proof runs first.  Interval branch-and-bound covers
+[-1, 1]^n restricted to a shell around the sphere; a box is discarded when
+its norm-square bounds miss the shell or when some polynomial's interval
+bounds exclude zero, and surviving boxes are subdivided.  Only when a box
+survives to one of a few trigger depths, or to a leaf, does the witness
+hunt start: damped Gauss-Newton from low-discrepancy sphere points, then
+from the centre of that box and of each later such box.  Exclusion of every
+box is a sound certificate, and a float Newton zero never overrides it;
+witnesses are verified by residuals and, when the coordinates snap to small
+rationals, confirmed exactly.
 """
 
 from __future__ import annotations
@@ -148,7 +150,13 @@ _REFINE_DEPTHS = frozenset({8, 12, 16, 20})
 def only_origin(
     system: Sequence[Polynomial], w: Weight, cfg: CertConfig | None = None
 ) -> CertOutcome:
-    """Decide whether the quasi-homogeneous system vanishes only at the origin."""
+    """Decide whether the quasi-homogeneous system vanishes only at the origin.
+
+    Branch-and-bound runs first, and Newton only once a box survives to a
+    trigger depth or a leaf: a system whose boxes are all excluded before
+    that is certified with no float work at all.  A witness found by the
+    sphere-point hunt reports ``max_depth=0, boxes=0``.
+    """
     cfg = cfg or CertConfig()
     degrees = _validate_system(system, w)
     n = system[0].n
@@ -156,15 +164,6 @@ def only_origin(
     # a non-zero constant in the system has no zeros at all
     if any(d == 0 for d in degrees):
         return CertOutcome(kind=OutcomeKind.ONLY_ORIGIN)
-
-    augmented = list(system) + [_sphere_poly(n)]
-    fsys = FloatSystem(augmented)
-
-    # witness hunt from low-discrepancy sphere points
-    for start in points_on_sphere(n, _PROBES, cfg.seed):
-        outcome = _newton_witness(system, fsys, start)
-        if outcome is not None:
-            return outcome
 
     # branch and bound over the shell around the unit sphere
     ipolys = [IntervalPoly(g) for g in system]
@@ -177,9 +176,17 @@ def only_origin(
 
     search = Bisection(Box.cube(n, 1.0), cfg.depth, cfg.max_boxes)
     deepest_unresolved: Box | None = None
+    fsys: FloatSystem | None = None
     for box in search.survivors(excluded):
         leaf = search.is_leaf(box)
         if leaf or box.depth in _REFINE_DEPTHS:
+            if fsys is None:
+                # the first box to refine: hunt from low-discrepancy sphere points
+                fsys = FloatSystem(list(system) + [_sphere_poly(n)])
+                for start in points_on_sphere(n, _PROBES, cfg.seed):
+                    outcome = _newton_witness(system, fsys, start)
+                    if outcome is not None:
+                        return outcome
             outcome = _newton_witness(system, fsys, box.center())
             if outcome is not None:
                 return replace(outcome, max_depth=search.max_depth, boxes=search.boxes)

@@ -142,12 +142,13 @@ class VerdictReport:
 def check_assumptions(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> Assumptions:
     """Verify the origin condition exactly and the Jacobian condition on a box.
 
-    The determinant is first probed for zeros with damped Newton from
-    low-discrepancy starts, then its exact signs at those starts are compared:
-    a sign change proves a zero between two of them.  Last, interval
-    branch-and-bound tries to exclude zero over the whole box.  Outside the
-    box nothing is claimed: absence of both a violation and a full exclusion
-    leaves the status assumed.
+    Interval branch-and-bound first tries to exclude zero from the
+    determinant over the whole box; a float Newton zero never overrides that
+    proof.  Only where it fails is the determinant probed for zeros with
+    damped Newton from low-discrepancy starts, and then its exact signs at
+    those starts are compared: a sign change proves a zero between two of
+    them.  Outside the box nothing is claimed: absence of both a violation
+    and a full exclusion leaves the status assumed.
     """
     cfg = cfg or AnalysisConfig()
     origin = (Fraction(0),) * fmap.n
@@ -170,6 +171,20 @@ def check_assumptions(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> Assum
             jac_depth=0,
         )
 
+    # interval exclusion over the box
+    ipoly = IntervalPoly(det)
+    search = Bisection(
+        Box.cube(fmap.n, cfg.box_radius), min(cfg.cert.depth, 20), cfg.cert.max_boxes
+    )
+    survivors = search.survivors(lambda box: ipoly.excludes_zero(box.coords))
+    if not any(search.is_leaf(box) for box in survivors):
+        return Assumptions(
+            f_zero_at_origin=f_zero,
+            jac_status=JacStatus.VERIFIED_ON_BOX,
+            jac_box=cfg.box_radius,
+            jac_depth=search.max_depth,
+        )
+
     # witness hunt: roots of det inside the box
     det_sys = FloatSystem([det])
     starts = points_in_box(fmap.n, 4 * PROBES, cfg.box_radius, cfg.cert.seed)
@@ -188,21 +203,7 @@ def check_assumptions(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> Assum
         return Assumptions(
             f_zero_at_origin=f_zero, jac_status=JacStatus.VIOLATION_FOUND, jac_point=zero
         )
-
-    # interval exclusion over the box
-    ipoly = IntervalPoly(det)
-    search = Bisection(
-        Box.cube(fmap.n, cfg.box_radius), min(cfg.cert.depth, 20), cfg.cert.max_boxes
-    )
-    for box in search.survivors(lambda box: ipoly.excludes_zero(box.coords)):
-        if search.is_leaf(box):
-            return Assumptions(f_zero_at_origin=f_zero, jac_status=JacStatus.ASSUMED)
-    return Assumptions(
-        f_zero_at_origin=f_zero,
-        jac_status=JacStatus.VERIFIED_ON_BOX,
-        jac_box=cfg.box_radius,
-        jac_depth=search.max_depth,
-    )
+    return Assumptions(f_zero_at_origin=f_zero, jac_status=JacStatus.ASSUMED)
 
 
 def _sign_change_zero(p: Polynomial, starts: list[tuple[float, ...]]) -> tuple | None:

@@ -1,16 +1,38 @@
 """Oracles that tests check the library against: a grid scan for the
-only-origin certifier and term-by-term interval bounds for ``IntervalPoly``."""
+only-origin certifier, term-by-term interval bounds for ``IntervalPoly``, and
+hunt-first references for ``only_origin`` and ``check_assumptions``."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from jacgate import Polynomial
-from jacgate.certify import _newton_witness, _sphere_poly
-from jacgate.floatval import FloatSystem
-from jacgate.intervals import Interval
+from jacgate.certify import (
+    _PROBES,
+    _REFINE_DEPTHS,
+    SHELL,
+    CertConfig,
+    CertOutcome,
+    OutcomeKind,
+    _newton_witness,
+    _sphere_poly,
+    _validate_system,
+)
+from jacgate.criteria import (
+    PROBES,
+    AnalysisConfig,
+    Assumptions,
+    JacStatus,
+    _sign_change_zero,
+)
+from jacgate.floatval import FloatSystem, gauss_newton, snap_exact
+from jacgate.intervals import Bisection, Box, Interval, IntervalPoly
+from jacgate.poly import PolyMap, jacobian_det
+from jacgate.sampling import points_in_box, points_on_sphere
+from jacgate.weights import Weight
 
 
 def _values(p: Polynomial, points: np.ndarray) -> np.ndarray:
@@ -83,3 +105,123 @@ def reference_bounds(p: Polynomial, coords: Sequence[Interval]) -> Interval:
                 term = term * coords[i].pow_int(k)
         total = total + term
     return total
+
+
+def hunt_first_only_origin(
+    system: Sequence[Polynomial], w: Weight, cfg: CertConfig | None = None
+) -> CertOutcome:
+    """``only_origin`` with the witness hunt from sphere points run before any box.
+
+    The library runs branch-and-bound first and hunts only from the first box
+    refined; the two agree on every outcome except a float witness that the
+    interval exclusion refutes, which only this order can report.
+    """
+    cfg = cfg or CertConfig()
+    degrees = _validate_system(system, w)
+    n = system[0].n
+    if any(d == 0 for d in degrees):
+        return CertOutcome(kind=OutcomeKind.ONLY_ORIGIN)
+
+    fsys = FloatSystem(list(system) + [_sphere_poly(n)])
+    for start in points_on_sphere(n, _PROBES, cfg.seed):
+        outcome = _newton_witness(system, fsys, start)
+        if outcome is not None:
+            return outcome
+
+    ipolys = [IntervalPoly(g) for g in system]
+    shell = Interval(1.0 - SHELL, 1.0 + SHELL)
+
+    def excluded(box: Box) -> bool:
+        if not box.norm_sq().intersects(shell):
+            return True
+        return any(p.excludes_zero(box.coords) for p in ipolys)
+
+    search = Bisection(Box.cube(n, 1.0), cfg.depth, cfg.max_boxes)
+    deepest_unresolved: Box | None = None
+    for box in search.survivors(excluded):
+        leaf = search.is_leaf(box)
+        if leaf or box.depth in _REFINE_DEPTHS:
+            outcome = _newton_witness(system, fsys, box.center())
+            if outcome is not None:
+                return replace(outcome, max_depth=search.max_depth, boxes=search.boxes)
+        if leaf:
+            if deepest_unresolved is None or box.depth > deepest_unresolved.depth:
+                deepest_unresolved = box
+            if search.budget_spent:
+                deepest_unresolved = max(
+                    [deepest_unresolved, *search.stack], key=lambda b: b.depth
+                )
+                break
+
+    if deepest_unresolved is not None:
+        return CertOutcome(
+            kind=OutcomeKind.INCONCLUSIVE,
+            max_depth=search.max_depth,
+            boxes=search.boxes,
+            unresolved=deepest_unresolved,
+        )
+    return CertOutcome(
+        kind=OutcomeKind.ONLY_ORIGIN, max_depth=search.max_depth, boxes=search.boxes
+    )
+
+
+def hunt_first_check_assumptions(
+    fmap: PolyMap, cfg: AnalysisConfig | None = None
+) -> Assumptions:
+    """``check_assumptions`` with the Newton hunt and the sign test run before the boxes.
+
+    The library runs the interval exclusion first; the two agree except where
+    a float Newton zero of det DF lies in a box that the exclusion proves
+    zero-free, which only this order reports as a violation.
+    """
+    cfg = cfg or AnalysisConfig()
+    origin = (Fraction(0),) * fmap.n
+    f_zero = all(value == 0 for value in fmap.evaluate(origin))
+
+    det = jacobian_det(fmap)
+    if det.is_zero:
+        return Assumptions(
+            f_zero_at_origin=f_zero,
+            jac_status=JacStatus.VIOLATION_FOUND,
+            jac_point=(0.0,) * fmap.n,
+            jac_exact=True,
+        )
+    if set(det.terms) == {(0,) * fmap.n}:
+        return Assumptions(
+            f_zero_at_origin=f_zero,
+            jac_status=JacStatus.VERIFIED_ON_BOX,
+            jac_box=cfg.box_radius,
+            jac_depth=0,
+        )
+
+    det_sys = FloatSystem([det])
+    starts = points_in_box(fmap.n, 4 * PROBES, cfg.box_radius, cfg.cert.seed)
+    for start in starts:
+        point, residual, converged = gauss_newton(det_sys, start, tol=1e-12)
+        if converged and residual <= 1e-10 and np.all(np.abs(point) <= cfg.box_radius):
+            snapped = snap_exact(point.tolist(), lambda q: det.evaluate(q) == 0)
+            return Assumptions(
+                f_zero_at_origin=f_zero,
+                jac_status=JacStatus.VIOLATION_FOUND,
+                jac_point=tuple(point.tolist()) if snapped is None else snapped,
+                jac_exact=snapped is not None,
+            )
+    zero = _sign_change_zero(det, starts)
+    if zero is not None:
+        return Assumptions(
+            f_zero_at_origin=f_zero, jac_status=JacStatus.VIOLATION_FOUND, jac_point=zero
+        )
+
+    ipoly = IntervalPoly(det)
+    search = Bisection(
+        Box.cube(fmap.n, cfg.box_radius), min(cfg.cert.depth, 20), cfg.cert.max_boxes
+    )
+    for box in search.survivors(lambda box: ipoly.excludes_zero(box.coords)):
+        if search.is_leaf(box):
+            return Assumptions(f_zero_at_origin=f_zero, jac_status=JacStatus.ASSUMED)
+    return Assumptions(
+        f_zero_at_origin=f_zero,
+        jac_status=JacStatus.VERIFIED_ON_BOX,
+        jac_box=cfg.box_radius,
+        jac_depth=search.max_depth,
+    )

@@ -21,13 +21,15 @@ from jacgate import (
     properness_certificate,
     unique_zero_nonneg,
 )
+import jacgate.certify
 from jacgate.certify import RHO
 from jacgate.errors import ZeroPolynomialError
 from jacgate.floatval import FloatSystem
 from jacgate.intervals import Box, Interval
 from jacgate.sampling import points_on_sphere
 from jacgate.weights import scale_point
-from oracle import brute_force_scan
+import oracle
+from oracle import brute_force_scan, hunt_first_only_origin
 
 
 W11 = Weight((1, 1))
@@ -123,6 +125,63 @@ class TestOnlyOrigin:
                 [p2("1/2*x^6 + x^3*y^3 + 1/2*y^6")], W11, CertConfig(depth=depth)
             )
             assert outcome.kind is OutcomeKind.NONTRIVIAL_ZERO
+
+
+class TestProveFirst:
+    """Branch-and-bound runs before the witness hunt and decides as hunting first did."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [CertConfig(), CertConfig(depth=10), CertConfig(max_boxes=50), CertConfig(seed=3)],
+        ids=["default", "depth_limit", "box_budget", "seed"],
+    )
+    def test_same_outcomes_as_hunting_first_on_seeded_systems(self, cfg):
+        kinds = set()
+        for system, w in qh_system_instances(30, seed=307):
+            outcome = only_origin(system, w, cfg)
+            # repr compares every float of a witness and its residuals
+            assert repr(outcome) == repr(hunt_first_only_origin(system, w, cfg)), system
+            kinds.add(outcome.kind)
+        assert kinds >= {OutcomeKind.ONLY_ORIGIN, OutcomeKind.NONTRIVIAL_ZERO}
+
+    def test_same_outcomes_as_hunting_first_on_nonneg_polynomials(self):
+        for p, w in nonneg_qh_instances(20, seed=211):
+            assert repr(only_origin([p], w)) == repr(hunt_first_only_origin([p], w)), p
+
+    def test_same_outcomes_on_contract_configs(self):
+        system = [p2("x^3 + y^3"), p2("y")]
+        for cfg in (CertConfig(depth=4), CertConfig(max_boxes=7)):
+            outcome = only_origin(system, W11, cfg)
+            assert outcome.is_inconclusive
+            assert repr(outcome) == repr(hunt_first_only_origin(system, W11, cfg))
+
+    def test_no_float_work_when_boxes_close_above_refine_depth(self, monkeypatch):
+        newton_calls = 0
+        systems_built = 0
+        newton = jacgate.certify.gauss_newton
+        float_system = jacgate.certify.FloatSystem
+
+        def counting_newton(*args, **kwargs):
+            nonlocal newton_calls
+            newton_calls += 1
+            return newton(*args, **kwargs)
+
+        def counting_system(*args, **kwargs):
+            nonlocal systems_built
+            systems_built += 1
+            return float_system(*args, **kwargs)
+
+        monkeypatch.setattr(jacgate.certify, "gauss_newton", counting_newton)
+        monkeypatch.setattr(jacgate.certify, "FloatSystem", counting_system)
+        monkeypatch.setattr(oracle, "FloatSystem", counting_system)
+        system = [p2("x^3 + y^3"), p2("y")]
+        outcome = only_origin(system, W11)
+        # every box is excluded by depth 5, before the first refine depth (8)
+        assert (outcome.kind, outcome.max_depth, outcome.boxes) == (OutcomeKind.ONLY_ORIGIN, 5, 31)
+        assert (newton_calls, systems_built) == (0, 0)
+        # hunting first makes one Newton run per probe point on the same system
+        hunt_first_only_origin(system, W11)
+        assert (newton_calls, systems_built) == (16, 1)
 
 
 class TestUniqueZeroNonneg:

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from random import Random
+
+import jacgate.criteria
 from conftest import p2
-from corpus import field_pass_instances
+from corpus import field_pass_instances, random_map
 from jacgate import (
     AnalysisConfig,
     CertConfig,
@@ -29,9 +32,39 @@ from jacgate import (
 from jacgate.certify import certify_once, only_origin
 from jacgate.errors import PreconditionError
 from jacgate.intervals import IntervalPoly
+from jacgate.weights import enumerate_weights
+import oracle
+from oracle import hunt_first_check_assumptions
 
 
 W11 = Weight((1, 1))
+
+# the maps of the tests below: the golden cubic, a parabola with det DF = 2x,
+# det DF > 0 proven at box depth 15 and at depth 17, and a zero of det DF that
+# only the exact sign change proves
+NAMED_MAPS = {
+    "cubic": PolyMap([p2("x^3 + y^3 + x"), p2("y")]),
+    "parabola": PolyMap([p2("x^2 - 1"), p2("y")]),
+    "depth15": PolyMap([p2("x + x^3 + 1/100*(x+y)^5"), p2("y")]),
+    "jacbox": PolyMap([p2("x + 1/3*(x - 1/2*y)^3 + 1/50*(x + y)^5"), p2("y")]),
+    "power30": PolyMap([p2("(x+y)^30 + x"), p2("y")]),
+}
+# det DF = x^2 + 10^-12 > 0, where Newton converges to a float "zero" near x = -2e-15
+TINYDET = PolyMap([p2("1/3*x^3 + 1/1000000000000*x"), p2("y")])
+
+
+def counting_newton(monkeypatch):
+    """Count the ``gauss_newton`` calls of ``check_assumptions`` and its oracle."""
+    calls = [0]
+    newton = jacgate.criteria.gauss_newton
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(jacgate.criteria, "gauss_newton", counting)
+    monkeypatch.setattr(oracle, "gauss_newton", counting)
+    return calls
 
 
 class TestAssumptions:
@@ -94,6 +127,64 @@ class TestAssumptions:
         assert not assumptions.jac_exact
         x, y = assumptions.jac_point
         assert abs(x + y + (1 / 30) ** (1 / 29)) < 1e-12
+
+
+class TestProveFirst:
+    """The box exclusion runs before the Newton hunt and decides as hunting first did."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            AnalysisConfig(),
+            AnalysisConfig(cert=CertConfig(depth=10)),
+            AnalysisConfig(cert=CertConfig(max_boxes=5)),
+        ],
+        ids=["default", "depth_limit", "box_budget"],
+    )
+    @pytest.mark.parametrize("name", sorted(NAMED_MAPS))
+    def test_same_assumptions_as_hunting_first(self, name, cfg):
+        fmap = NAMED_MAPS[name]
+        # repr compares every float of a violation point
+        assert repr(check_assumptions(fmap, cfg)) == repr(hunt_first_check_assumptions(fmap, cfg))
+
+    def test_same_assumptions_on_seeded_maps(self):
+        rng = Random(5)
+        maps = [random_map(rng, rng.choice((2, 2, 3)), 3, 3) for _ in range(20)]
+        maps += [fmap for fmap, _ in field_pass_instances(10, seed=19)]
+        for fmap in maps:
+            assert repr(check_assumptions(fmap)) == repr(hunt_first_check_assumptions(fmap)), fmap
+
+    def test_same_map_criterion_outcomes_as_hunting_first(self):
+        for name, fmap in NAMED_MAPS.items():
+            for w in enumerate_weights(2, 2):
+                top = higher_part_map(fmap, w).components
+                assert repr(only_origin(top, w)) == repr(oracle.hunt_first_only_origin(top, w)), (
+                    name, w
+                )
+
+    def test_no_newton_when_box_proves_det(self, monkeypatch, cubic_map):
+        calls = counting_newton(monkeypatch)
+        assumptions = check_assumptions(cubic_map)
+        assert assumptions.jac_status is JacStatus.VERIFIED_ON_BOX
+        assert calls[0] == 0
+        # hunting first runs Newton from all 32 starts on the same map
+        hunt_first_check_assumptions(cubic_map)
+        assert calls[0] == 32
+
+    def test_newton_runs_when_the_box_proof_fails(self, monkeypatch):
+        calls = counting_newton(monkeypatch)
+        cfg = AnalysisConfig(cert=CertConfig(depth=10))
+        assumptions = check_assumptions(NAMED_MAPS["depth15"], cfg)
+        assert assumptions.jac_status is JacStatus.ASSUMED
+        assert calls[0] == 32
+
+    def test_float_zero_does_not_override_box_proof(self):
+        assumptions = check_assumptions(TINYDET)
+        assert (assumptions.jac_status, assumptions.jac_depth) == (JacStatus.VERIFIED_ON_BOX, 0)
+        # hunting first reports the float "zero" that the depth-0 box refutes
+        refuted = hunt_first_check_assumptions(TINYDET)
+        assert refuted.jac_status is JacStatus.VIOLATION_FOUND and not refuted.jac_exact
+        assert abs(refuted.jac_point[0]) < 1e-14
 
 
 class TestMapCriterion:
@@ -278,6 +369,13 @@ class TestVerdict:
         report = verdict(fmap, AnalysisConfig(s_max=2))
         assert report.kind is VerdictKind.INJECTIVE
         assert report.weight == Weight((2, 1))
+
+    def test_tinydet_injective(self):
+        report = verdict(TINYDET)
+        assert report.kind is VerdictKind.INJECTIVE
+        assert (report.by, report.weight) == (Criterion.MAP_HIGHER_PART, W11)
+        assert report.assumptions.violated is None
+        assert report.conflict_note is None
 
     def test_properness_recorded_when_h_succeeds(self):
         report = verdict(PolyMap.identity(2))
