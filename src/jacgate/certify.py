@@ -8,13 +8,16 @@ a common zero on the sphere?
 Strategy: the proof runs first.  Interval branch-and-bound covers
 [-1, 1]^n restricted to a shell around the sphere; a box is discarded when
 its norm-square bounds miss the shell or when some polynomial's interval
-bounds exclude zero, and surviving boxes are subdivided.  Only when a box
-survives to one of a few trigger depths, or to a leaf, does the witness
-hunt start: damped Gauss-Newton from low-discrepancy sphere points, then
-from the centre of that box and of each later such box.  Exclusion of every
-box is a sound certificate, and a float Newton zero never overrides it;
-witnesses are verified by residuals and, when the coordinates snap to small
-rationals, confirmed exactly.
+bounds exclude zero, and surviving boxes are subdivided.  Exclusion of
+every box is a sound certificate.  The witness hunt (damped Gauss-Newton)
+starts only once a box survives to depth 16 or to a leaf: first from
+low-discrepancy sphere points, then from the centres of the shallower
+survivors at the refine depths 8 and 12, replayed in the order they were
+met and each reporting its own counts, then from that box and each later
+refine-depth survivor or leaf.  So a proof that closes before depth 16 is
+never overridden by a float Newton zero, while past depth 16 a hunt can
+still end the search first.  Witnesses are verified by residuals and, when
+the coordinates snap to small rationals, confirmed exactly.
 """
 
 from __future__ import annotations
@@ -145,6 +148,7 @@ def _newton_witness(
 
 # depths at which surviving boxes get a Newton attempt before the limit
 _REFINE_DEPTHS = frozenset({8, 12, 16, 20})
+_HUNT_DEPTH = 16  # the first survivor this deep, or the first leaf, starts the hunt
 
 
 def only_origin(
@@ -152,10 +156,15 @@ def only_origin(
 ) -> CertOutcome:
     """Decide whether the quasi-homogeneous system vanishes only at the origin.
 
-    Branch-and-bound runs first, and Newton only once a box survives to a
-    trigger depth or a leaf: a system whose boxes are all excluded before
-    that is certified with no float work at all.  A witness found by the
-    sphere-point hunt reports ``max_depth=0, boxes=0``.
+    Branch-and-bound runs first, and Newton only once a box survives to
+    depth ``_HUNT_DEPTH`` or to a leaf: a system whose boxes are all excluded
+    before that is certified with no float work at all, and no float zero
+    overrides that proof.  Survivors met earlier at a refine depth are then
+    hunted from in the order they were met, a witness from one reporting the
+    ``max_depth`` and ``boxes`` counted when it was met, so the outcome is the
+    one that hunting at each refine depth as it is reached would give.  Past
+    depth 16 a hunt can still end the search before the boxes close.  A
+    witness found by the sphere-point hunt reports ``max_depth=0, boxes=0``.
     """
     cfg = cfg or CertConfig()
     degrees = _validate_system(system, w)
@@ -177,16 +186,26 @@ def only_origin(
     search = Bisection(Box.cube(n, 1.0), cfg.depth, cfg.max_boxes)
     deepest_unresolved: Box | None = None
     fsys: FloatSystem | None = None
+    deferred: list[tuple[Box, int, int]] = []
     for box in search.survivors(excluded):
         leaf = search.is_leaf(box)
         if leaf or box.depth in _REFINE_DEPTHS:
+            if fsys is None and not leaf and box.depth < _HUNT_DEPTH:
+                # too shallow to start the hunt: keep the counts this box would report
+                deferred.append((box, search.max_depth, search.boxes))
+                continue
             if fsys is None:
-                # the first box to refine: hunt from low-discrepancy sphere points
+                # the hunt starts: low-discrepancy sphere points (each distinct
+                # one once), then the deferred boxes in the order they were met
                 fsys = FloatSystem(list(system) + [_sphere_poly(n)])
-                for start in points_on_sphere(n, _PROBES, cfg.seed):
+                for start in dict.fromkeys(points_on_sphere(n, _PROBES, cfg.seed)):
                     outcome = _newton_witness(system, fsys, start)
                     if outcome is not None:
                         return outcome
+                for early, max_depth, boxes in deferred:
+                    outcome = _newton_witness(system, fsys, early.center())
+                    if outcome is not None:
+                        return replace(outcome, max_depth=max_depth, boxes=boxes)
             outcome = _newton_witness(system, fsys, box.center())
             if outcome is not None:
                 return replace(outcome, max_depth=search.max_depth, boxes=search.boxes)

@@ -112,9 +112,11 @@ def hunt_first_only_origin(
 ) -> CertOutcome:
     """``only_origin`` with the witness hunt from sphere points run before any box.
 
-    The library runs branch-and-bound first and hunts only from the first box
-    refined; the two agree on every outcome except a float witness that the
-    interval exclusion refutes, which only this order can report.
+    The library runs branch-and-bound first and hunts only once a box reaches
+    depth 16 or a leaf, replaying the shallower refine-depth boxes in order;
+    the two agree on every outcome except a float witness that an interval
+    exclusion closing before depth 16 refutes, which only this order can
+    report.
     """
     cfg = cfg or CertConfig()
     degrees = _validate_system(system, w)

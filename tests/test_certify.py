@@ -132,8 +132,15 @@ class TestProveFirst:
 
     @pytest.mark.parametrize(
         "cfg",
-        [CertConfig(), CertConfig(depth=10), CertConfig(max_boxes=50), CertConfig(seed=3)],
-        ids=["default", "depth_limit", "box_budget", "seed"],
+        [
+            CertConfig(),
+            CertConfig(depth=10),
+            CertConfig(max_boxes=50),
+            CertConfig(seed=3),
+            CertConfig(depth=14),
+            CertConfig(depth=16),
+        ],
+        ids=["default", "depth_limit", "box_budget", "seed", "leaf_before_hunt_depth", "hunt_depth"],
     )
     def test_same_outcomes_as_hunting_first_on_seeded_systems(self, cfg):
         kinds = set()
@@ -155,33 +162,73 @@ class TestProveFirst:
             assert outcome.is_inconclusive
             assert repr(outcome) == repr(hunt_first_only_origin(system, W11, cfg))
 
-    def test_no_float_work_when_boxes_close_above_refine_depth(self, monkeypatch):
-        newton_calls = 0
-        systems_built = 0
+    @pytest.fixture
+    def float_work(self, monkeypatch):
+        """Counts of ``gauss_newton`` runs and ``FloatSystem`` builds, in the
+        library and in the oracle, since the last reset, and the depth the
+        library's branch-and-bound had reached at its first Newton run."""
+        counts = {"newton": 0, "systems": 0, "first_newton_depth": None}
         newton = jacgate.certify.gauss_newton
         float_system = jacgate.certify.FloatSystem
+        searches = []
+
+        class RecordedBisection(jacgate.certify.Bisection):
+            def __init__(self, *args):
+                super().__init__(*args)
+                searches.append(self)
 
         def counting_newton(*args, **kwargs):
-            nonlocal newton_calls
-            newton_calls += 1
+            if counts["first_newton_depth"] is None and searches:
+                counts["first_newton_depth"] = searches[-1].max_depth
+            counts["newton"] += 1
             return newton(*args, **kwargs)
 
         def counting_system(*args, **kwargs):
-            nonlocal systems_built
-            systems_built += 1
+            counts["systems"] += 1
             return float_system(*args, **kwargs)
 
         monkeypatch.setattr(jacgate.certify, "gauss_newton", counting_newton)
         monkeypatch.setattr(jacgate.certify, "FloatSystem", counting_system)
         monkeypatch.setattr(oracle, "FloatSystem", counting_system)
+        monkeypatch.setattr(jacgate.certify, "Bisection", RecordedBisection)
+        return counts
+
+    def test_no_float_work_when_boxes_close_above_refine_depth(self, float_work):
         system = [p2("x^3 + y^3"), p2("y")]
         outcome = only_origin(system, W11)
         # every box is excluded by depth 5, before the first refine depth (8)
         assert (outcome.kind, outcome.max_depth, outcome.boxes) == (OutcomeKind.ONLY_ORIGIN, 5, 31)
-        assert (newton_calls, systems_built) == (0, 0)
+        assert (float_work["newton"], float_work["systems"]) == (0, 0)
         # hunting first makes one Newton run per probe point on the same system
         hunt_first_only_origin(system, W11)
-        assert (newton_calls, systems_built) == (16, 1)
+        assert (float_work["newton"], float_work["systems"]) == (16, 1)
+
+    def test_no_float_work_when_boxes_close_before_hunt_depth(self, float_work):
+        # coupled3's MapHigherPart top at (1, 1): boxes survive to depth 9,
+        # past the refine depth 8, yet all close before the hunt depth 16
+        system = [p2("x^3 + y^3"), p2("y^3 + 1/3*x^3")]
+        outcome = only_origin(system, W11)
+        assert (outcome.kind, outcome.max_depth, outcome.boxes) == (OutcomeKind.ONLY_ORIGIN, 9, 63)
+        assert (float_work["newton"], float_work["systems"]) == (0, 0)
+        assert repr(hunt_first_only_origin(system, W11)) == repr(outcome)
+        # hunting first runs the 16 probes and Newton from both depth-8 survivors
+        assert (float_work["newton"], float_work["systems"]) == (18, 1)
+
+    def test_deferred_box_witness_reports_its_own_counts(self, float_work):
+        # the H top at (1, 1) of a check-jacbox map: the witness comes from the
+        # centre of the first depth-8 survivor, hunted only after depth 16
+        fmap = PolyMap([p2("1/50*x^3 - 3/25*x^2*y + 6/25*x*y^2 - 4/25*y^3 + x"), p2("y")])
+        system = [higher_part(h_norm(fmap), W11)]
+        outcome = only_origin(system, W11)
+        assert (outcome.kind, outcome.max_depth, outcome.boxes) == (
+            OutcomeKind.NONTRIVIAL_ZERO, 8, 11
+        )
+        # 15 distinct probes (entry 9 of the 16 repeats an earlier one), then the box
+        assert (float_work["newton"], float_work["first_newton_depth"]) == (16, 16)
+        float_work["newton"] = 0
+        assert repr(hunt_first_only_origin(system, W11)) == repr(outcome)
+        # the oracle runs the repeated probe twice
+        assert float_work["newton"] == 17
 
 
 class TestUniqueZeroNonneg:
