@@ -111,6 +111,7 @@ def _validate_system(system: Sequence[Polynomial], w: Weight) -> list[int]:
     return degrees
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _newton_witness(
     system: Sequence[Polynomial], fsys: FloatSystem, start: Sequence[float]
 ) -> CertOutcome | None:

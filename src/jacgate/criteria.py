@@ -228,6 +228,15 @@ def _sign_change_zero(p: Polynomial, starts: list[tuple[float, ...]]) -> tuple |
     return tuple(float((a + b) / 2) for a, b in zip(pos, neg))
 
 
+def _norm_function(fmap: PolyMap, table: dict | None) -> Polynomial:
+    """``h_norm(fmap)``, computed once per map kept in ``table``."""
+    table = {} if table is None else table
+    key = (h_norm, fmap)
+    if key not in table:
+        table[key] = h_norm(fmap)
+    return table[key]
+
+
 def check_map_higher_part(
     fmap: PolyMap, w: Weight, cfg: AnalysisConfig | None = None, table: dict | None = None
 ) -> CriterionResult:
@@ -252,7 +261,7 @@ def check_h_higher_part(
     result.
     """
     cfg = cfg or AnalysisConfig()
-    h = h_norm(fmap)
+    h = _norm_function(fmap, table)
     if h.is_zero:
         return CriterionResult(
             criterion=Criterion.H_NORM_HIGHER_PART,
@@ -294,7 +303,7 @@ def check_field_higher_part(
     fmap: PolyMap, w: Weight, cfg: AnalysisConfig | None = None, table: dict | None = None
 ) -> CriterionResult:
     cfg = cfg or AnalysisConfig()
-    h = h_norm(fmap)
+    h = _norm_function(fmap, table)
     if h.is_zero:
         return CriterionResult(
             criterion=Criterion.FIELD_HIGHER_PART,
@@ -357,16 +366,16 @@ def derive_tilde_and_verify(
             "deeper certification needed",
             reason="inconclusive",
         )
-    _assert_sandwich(fmap, derived, cfg.cert.seed)
+    _assert_sandwich(fmap, derived, cfg.cert.seed, table)
     return derived, map_result
 
 
-def _assert_sandwich(fmap: PolyMap, w: Weight, seed: int, points: int = 100) -> None:
-    """Exact check of 0 <= H_top <= ||F_top||^2 / 2 at random rational points."""
-    h_top = higher_part(h_norm(fmap), w)
+def _assert_sandwich(fmap: PolyMap, w: Weight, seed: int, table: dict | None) -> None:
+    """Exact check of 0 <= H_top <= ||F_top||^2 / 2 at 100 random rational points."""
+    h_top = higher_part(_norm_function(fmap, table), w)
     f_top = higher_part_map(fmap, w)
     rng = Random(seed + 97)
-    for _ in range(points):
+    for _ in range(100):
         x = tuple(
             Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(fmap.n)
         )
@@ -387,7 +396,8 @@ def weight_search(
 ) -> WeightSearchResult:
     """Try canonical weights in (sum, lex) order, stopping per criterion at success.
 
-    Outcomes kept in ``table`` are reused; ``verdict`` passes one per map.
+    Outcomes and the norm function kept in ``table`` are reused; ``verdict``
+    passes one per map.
     """
     cfg = cfg or AnalysisConfig()
     criteria = list(criteria) if criteria is not None else list(_CHECKERS)
@@ -408,18 +418,17 @@ def weight_search(
 
 
 def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
-    """Aggregate assumptions, criteria, and witness search into one verdict.
+    """Aggregate assumptions, criteria and, when no criterion holds, a witness search.
 
-    An exact witness pair always beats a fired criterion: the two can only
-    coexist when a standing hypothesis fails, and the report then names it.
-    If they coexist with hypotheses intact, something is broken and an
-    inconsistency is raised instead of a verdict.
+    In order: the standing hypotheses are checked; the weight search runs,
+    and a field-criterion success has its derived weights re-verified; a
+    success is demoted when a hypothesis is violated; and only when no
+    success is left does the Newton witness search look for two points with
+    one image.  A success is never checked against a witness at run time:
+    the tests check that the search finds no pair on certified maps.
     """
     cfg = cfg or AnalysisConfig()
     assumptions = check_assumptions(fmap, cfg)
-    witness = injectivity_witness(
-        fmap, probes=PROBES, starts=STARTS, box=cfg.box_radius / 2.0, seed=cfg.cert.seed
-    )
     # one table of certified systems per map; no outcome outlives this verdict
     table: dict = {}
     search = weight_search(fmap, None, cfg, table)
@@ -453,26 +462,14 @@ def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
         )
         success = None
 
-    if witness is not None and witness.exact and success is not None:
-        raise InternalInconsistencyError(
-            f"criterion {success.criterion.value} certified injectivity at weight "
-            f"{tuple(success.weight.s)} but an exact witness pair exists and no "
-            "hypothesis is violated",
-            reason="refuted",
-        )
-
-    # a success beside an exact pair has raised above, so a pair reported
-    # with a success is numeric
+    witness: WitnessPair | None = None
     if success is not None:
         kind = VerdictKind.INJECTIVE
-        if witness is not None:
-            conflict_note = (
-                "numeric (non-exact) witness pair found; reported alongside the certificate"
-            )
-    elif witness is not None:
-        kind = VerdictKind.NOT_INJECTIVE
     else:
-        kind = VerdictKind.UNKNOWN
+        witness = injectivity_witness(
+            fmap, probes=PROBES, starts=STARTS, box=cfg.box_radius / 2.0, seed=cfg.cert.seed
+        )
+        kind = VerdictKind.NOT_INJECTIVE if witness is not None else VerdictKind.UNKNOWN
     return VerdictReport(
         kind=kind,
         by=success.criterion if success is not None else None,

@@ -112,6 +112,7 @@ def find_zeros(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def index_at(fmap: PolyMap, q: Sequence[float], rho: float = 1e-10) -> int:
     """Sign of the descent field's Jacobian determinant at a zero of the map."""
     x = np.array(q, dtype=np.float64)
@@ -131,6 +132,7 @@ def index_at(fmap: PolyMap, q: Sequence[float], rho: float = 1e-10) -> int:
     return 1 if det_dy > 0 else -1
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def flow_descent(
     fmap: PolyMap,
     start: Sequence[float],
@@ -208,6 +210,7 @@ def flow_descent(
     return Trajectory(samples=tuple(samples), status=status)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def witness_from_probe(
     fmap: PolyMap,
     probe: Sequence[Fraction | int],

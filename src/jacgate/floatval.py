@@ -16,7 +16,9 @@ class FloatSystem:
 
     A call evaluates each distinct monomial it needs once, and each row sums
     its terms in ``sorted_terms`` order.  The polynomials' own monomials head the
-    table, and ``residual`` evaluates only that prefix.
+    table, and ``residual`` evaluates only that prefix.  Overflow and invalid
+    values are not silenced here: callers that can meet them enter
+    ``np.errstate`` once around their work.
     """
 
     def __init__(self, polys: Sequence[Polynomial]):
@@ -33,12 +35,12 @@ class FloatSystem:
         self._rows = [compile_row(p) for p in polys]
         self._residual_width = len(column)
         self._jac_rows = [compile_row(p.partial(j)) for p in polys for j in range(self.n)]
-        self._exps = np.array(list(column), dtype=np.int64).reshape(len(column), self.n)
+        # float exponents: the power runs in float64 either way, with no cast per call
+        self._exps = np.array(list(column), dtype=np.float64).reshape(len(column), self.n)
 
     def _evaluate(self, rows: list, width: int, x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            monomials = np.prod(x[np.newaxis, :] ** self._exps[:width], axis=1)
-            return np.array([c @ monomials[cols] for c, cols in rows], dtype=np.float64)
+        monomials = np.multiply.reduce(x ** self._exps[:width], axis=1)
+        return np.array([c @ monomials[cols] for c, cols in rows], dtype=np.float64)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         return self._evaluate(self._rows, self._residual_width, x)
@@ -47,7 +49,7 @@ class FloatSystem:
         return self._evaluate(self._jac_rows, len(self._exps), x).reshape(-1, self.n)
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def gauss_newton(
     system: FloatSystem,
     x0: Sequence[float],

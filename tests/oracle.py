@@ -1,6 +1,7 @@
 """Oracles that tests check the library against: a grid scan for the
-only-origin certifier, term-by-term interval bounds for ``IntervalPoly``, and
-hunt-first references for ``only_origin`` and ``check_assumptions``."""
+only-origin certifier, term-by-term interval bounds for ``IntervalPoly``,
+hunt-first references for ``only_origin`` and ``check_assumptions``, and a
+witness-first reference for ``verdict``."""
 
 import math
 from dataclasses import replace
@@ -23,11 +24,20 @@ from jacgate.certify import (
 )
 from jacgate.criteria import (
     PROBES,
+    STARTS,
     AnalysisConfig,
     Assumptions,
+    Criterion,
     JacStatus,
+    VerdictKind,
+    VerdictReport,
     _sign_change_zero,
+    check_assumptions,
+    derive_tilde_and_verify,
+    weight_search,
 )
+from jacgate.dynamics import injectivity_witness
+from jacgate.errors import InternalInconsistencyError
 from jacgate.floatval import FloatSystem, gauss_newton, snap_exact
 from jacgate.intervals import Bisection, Box, Interval, IntervalPoly
 from jacgate.poly import PolyMap, jacobian_det
@@ -226,4 +236,77 @@ def hunt_first_check_assumptions(
         jac_status=JacStatus.VERIFIED_ON_BOX,
         jac_box=cfg.box_radius,
         jac_depth=search.max_depth,
+    )
+
+
+def witness_first_verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
+    """``verdict`` with the witness search run on every map, before the weight search.
+
+    The library searches for a witness only when no criterion success is
+    left.  This order also checks each success against the search: an exact
+    pair beside a success with the hypotheses intact raises, and a numeric
+    pair is reported beside the certificate with a note.  The two agree on
+    every map whose certificate the search finds no pair against.
+    """
+    cfg = cfg or AnalysisConfig()
+    assumptions = check_assumptions(fmap, cfg)
+    witness = injectivity_witness(
+        fmap, probes=PROBES, starts=STARTS, box=cfg.box_radius / 2.0, seed=cfg.cert.seed
+    )
+    table: dict = {}
+    search = weight_search(fmap, None, cfg, table)
+    success = next((best for best in search.best.values() if best is not None), None)
+
+    properness_weight = None
+    h_best = search.best.get(Criterion.H_NORM_HIGHER_PART)
+    if h_best is not None:
+        properness_weight = h_best.weight
+
+    tilde = None
+    field_best = search.best.get(Criterion.FIELD_HIGHER_PART)
+    if field_best is not None:
+        try:
+            derived, _ = derive_tilde_and_verify(fmap, field_best.weight, cfg, field_best, table)
+            tilde = (field_best.weight, derived)
+        except InternalInconsistencyError as exc:
+            if exc.reason != "inconclusive":
+                raise
+
+    conflict_note = None
+    violated = assumptions.violated
+    if success is not None and violated is not None:
+        conflict_note = (
+            f"criterion {success.criterion.value} fired at weight {tuple(success.weight.s)} "
+            f"but hypothesis {violated} is violated, so its conclusion does not apply"
+        )
+        success = None
+
+    if witness is not None and witness.exact and success is not None:
+        raise InternalInconsistencyError(
+            f"criterion {success.criterion.value} certified injectivity at weight "
+            f"{tuple(success.weight.s)} but an exact witness pair exists and no "
+            "hypothesis is violated",
+            reason="refuted",
+        )
+
+    if success is not None:
+        kind = VerdictKind.INJECTIVE
+        if witness is not None:
+            conflict_note = (
+                "numeric (non-exact) witness pair found; reported alongside the certificate"
+            )
+    elif witness is not None:
+        kind = VerdictKind.NOT_INJECTIVE
+    else:
+        kind = VerdictKind.UNKNOWN
+    return VerdictReport(
+        kind=kind,
+        by=success.criterion if success is not None else None,
+        weight=success.weight if success is not None else None,
+        witness=witness,
+        assumptions=assumptions,
+        search=search,
+        properness_weight=properness_weight,
+        tilde=tilde,
+        conflict_note=conflict_note,
     )

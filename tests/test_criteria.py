@@ -30,11 +30,14 @@ from jacgate import (
     weight_search,
 )
 from jacgate.certify import certify_once, only_origin
+from jacgate.criteria import PROBES, STARTS
+from jacgate.dynamics import injectivity_witness
 from jacgate.errors import PreconditionError
 from jacgate.intervals import IntervalPoly
+from jacgate.parsing import parse_expr
 from jacgate.weights import enumerate_weights
 import oracle
-from oracle import hunt_first_check_assumptions
+from oracle import hunt_first_check_assumptions, witness_first_verdict
 
 
 W11 = Weight((1, 1))
@@ -328,6 +331,23 @@ class TestCertTable:
             checker = jacgate.criteria._CHECKERS[criterion]
             assert results == tuple(checker(cubic_map, r.weight, cfg) for r in results)
 
+    def test_norm_function_computed_once(self, monkeypatch):
+        maps = []
+        norm = jacgate.criteria.h_norm
+
+        def counting(fmap):
+            maps.append(fmap)
+            return norm(fmap)
+
+        monkeypatch.setattr(jacgate.criteria, "h_norm", counting)
+        # both norm criteria hold, and the derived weights' sandwich is checked
+        assert verdict(PolyMap.identity(2)).tilde is not None
+        # the H and field criteria fail at all 11 weights
+        report = verdict(NAMED_MAPS["cubic"])
+        assert len(report.search.attempts[Criterion.H_NORM_HIGHER_PART]) == 11
+        assert len(report.search.attempts[Criterion.FIELD_HIGHER_PART]) == 11
+        assert maps == [PolyMap.identity(2), NAMED_MAPS["cubic"]]
+
     def test_reuse_still_checks_euler(self):
         table: dict = {}
         system = [p2("x^2 + y^2")]
@@ -380,3 +400,113 @@ class TestVerdict:
     def test_properness_recorded_when_h_succeeds(self):
         report = verdict(PolyMap.identity(2))
         assert report.properness_weight == W11
+
+
+def p3(src: str):
+    return parse_expr(src, ("x", "y", "z"))
+
+
+# the named maps of the check-corpus benchmark, then two maps whose map
+# criterion fires while a hypothesis fails: det DF vanishes on x^2 = 1/3 for
+# (x^3 - x, y), and the parabola moves the origin
+CORPUS_MAPS = {
+    "cubic": PolyMap([p2("x^3 + y^3 + x"), p2("y")]),
+    "shear": PolyMap([p2("x + y^2"), p2("y")]),
+    "fold": PolyMap([p2("x^2 - y"), p2("y")]),
+    "cusp": PolyMap([p2("x^3 - 2*x + y"), p2("y")]),
+    "tri3": PolyMap([p3("x^5 + y^2 + z"), p3("y^3 + z^2"), p3("z^2*x + z")]),
+    "tinydet": TINYDET,
+    "coupled3": PolyMap([p2("x + x^3 + y^3"), p2("y + y^3 + 1/3*x^3")]),
+    "cubic_fold": PolyMap([p2("x^3 - x"), p2("y")]),
+    "parabola": NAMED_MAPS["parabola"],
+}
+
+
+def seeded_maps(count: int, seed: int) -> dict:
+    """Triangular maps (g(x) + alpha*y^c, h(y)) and diagonal maps (g(x), h(y)),
+    where g and h are gamma*(t^e + r^(e-1)*t) with seeded gamma, r > 0: monotone
+    for odd e, folding for even e.  About a third of them fold."""
+    rng = Random(seed)
+    q = (Fraction(1, 2), Fraction(1), Fraction(2))
+
+    def climb_or_fold(var: str, e: int) -> str:
+        gamma, r = rng.choice(q), rng.choice(q)
+        return f"{gamma}*({var}^{e} + {r ** (e - 1)}*{var})"
+
+    maps = {}
+    for k in range(count):
+        a = rng.choice((2, 3, 3, 4, 5, 5))
+        if rng.random() < 0.5:
+            alpha, c, b = rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)), rng.choice((3, 5))
+            components = [f"{climb_or_fold('x', a)} + {alpha}*y^{c}", climb_or_fold("y", b)]
+            maps[f"tri-{k:02d}"] = PolyMap([p2(c) for c in components])
+        else:
+            e = rng.choice((1, 3, 5))
+            maps[f"diag-{k:02d}"] = PolyMap([p2(climb_or_fold("x", a)), p2(climb_or_fold("y", e))])
+    return maps
+
+
+VERDICT_MAPS = {**CORPUS_MAPS, **seeded_maps(20, seed=29)}
+
+
+class TestWitnessLast:
+    """The witness search runs only when no criterion success is left."""
+
+    @pytest.mark.parametrize("name", sorted(VERDICT_MAPS))
+    def test_same_verdict_as_witness_first(self, name):
+        fmap = VERDICT_MAPS[name]
+        report = verdict(fmap)
+        # repr compares every float of a witness pair
+        assert repr(report) == repr(witness_first_verdict(fmap))
+        if report.kind is VerdictKind.INJECTIVE:
+            # the guarantee an exact pair beside a certificate once raised for
+            # at run time: on a certified map the search finds no pair at all
+            cfg = AnalysisConfig()
+            assert injectivity_witness(
+                fmap, probes=PROBES, starts=STARTS, box=cfg.box_radius / 2.0, seed=cfg.cert.seed
+            ) is None
+
+    @pytest.fixture
+    def witness_calls(self, monkeypatch):
+        calls = [0]
+        search = jacgate.criteria.injectivity_witness
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(jacgate.criteria, "injectivity_witness", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "fmap, cfg",
+        [
+            (CORPUS_MAPS["cubic"], AnalysisConfig()),
+            # a check-jacbox map, checked as with --weights-max 1
+            (PolyMap([p2("x + 1/5*(x - y)^3"), p2("y")]), AnalysisConfig(s_max=1)),
+        ],
+        ids=["cubic", "jacbox"],
+    )
+    def test_no_search_on_certified_maps(self, witness_calls, fmap, cfg):
+        assert verdict(fmap, cfg).kind is VerdictKind.INJECTIVE
+        assert witness_calls[0] == 0
+
+    @pytest.mark.parametrize(
+        "name, hypothesis",
+        [("cubic_fold", "jac_nonvanishing"), ("parabola", "f_zero_at_origin")],
+    )
+    def test_search_once_when_a_violation_demotes_the_success(
+        self, witness_calls, name, hypothesis
+    ):
+        report = verdict(CORPUS_MAPS[name])
+        assert (report.kind, report.by) == (VerdictKind.NOT_INJECTIVE, None)
+        assert "MapHigherPart fired" in report.conflict_note
+        assert f"hypothesis {hypothesis} is violated" in report.conflict_note
+        assert witness_calls[0] == 1
+
+    def test_search_once_when_no_criterion_fires(self, witness_calls):
+        # this map needs weights (2, 1); capped at 1, no criterion fires
+        report = verdict(PolyMap([p2("x + y^2"), p2("y")]), AnalysisConfig(s_max=1))
+        assert all(best is None for best in report.search.best.values())
+        assert (report.kind, report.witness) == (VerdictKind.UNKNOWN, None)
+        assert witness_calls[0] == 1

@@ -7,10 +7,13 @@ from random import Random
 import numpy as np
 import pytest
 
+import jacgate.dynamics
 from conftest import p2
 from corpus import random_point, random_polynomial
-from jacgate import Polynomial
-from jacgate.certify import _sphere_poly
+from jacgate import PolyMap, Polynomial
+from jacgate.certify import _newton_witness, _sphere_poly
+from jacgate.dynamics import FlowStatus, flow_descent, index_at, witness_from_probe
+from jacgate.errors import PreconditionError
 from jacgate.floatval import FloatSystem, gauss_newton
 
 
@@ -80,3 +83,47 @@ def test_overflow_does_not_converge_or_warn(poly, start):
         warnings.simplefilter("error")
         _, _, converged = gauss_newton(FloatSystem([poly]), start)
     assert converged is False
+
+
+class TestCallersSilenceOverflow:
+    """``FloatSystem`` leaves overflow and invalid values to each caller's ``np.errstate``.
+
+    Each point below overflows a power or a sum, or multiplies an overflowed
+    power by an underflowed one (inf * 0, an invalid value).
+    """
+
+    CUBIC = PolyMap([p2("x^3 + x"), p2("y")])
+    # x^200 overflows and y^200 underflows at (100, 0.01)
+    INF_TIMES_ZERO = PolyMap([Polynomial(2, {(200, 200): 1, (1, 0): 1}), p2("y")])
+
+    @staticmethod
+    def call(function, *args, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return function(*args, **kwargs)
+
+    def test_index_at(self):
+        with pytest.raises(PreconditionError, match="residual inf"):
+            self.call(index_at, self.CUBIC, (1e200, 0.0))
+        self.call(index_at, self.INF_TIMES_ZERO, (100.0, 0.01))
+
+    def test_flow_descent(self):
+        trajectory = self.call(flow_descent, self.CUBIC, (1e120, 1.0))
+        assert trajectory.status is FlowStatus.LEFT_BOX
+        trajectory = self.call(flow_descent, self.INF_TIMES_ZERO, (100.0, 0.01), max_steps=5)
+        assert trajectory.status is FlowStatus.STEP_LIMIT
+
+    def test_certify_residual_check(self):
+        # 4 * 5e307 overflows the sum at (1, 0), where the start already lies
+        # on the unit sphere, so Newton stops there at once
+        c = 5 * 10**307
+        system = [Polynomial(2, {(3, 0): c, (2, 0): c, (1, 0): c, (0, 0): c})]
+        fsys = FloatSystem(system + [_sphere_poly(2)])
+        assert self.call(_newton_witness, system, fsys, (1.0, 0.0)) is None
+
+    def test_witness_from_probe(self, monkeypatch):
+        # Newton "finds" second preimages of F(0, 0) where F overflows in floats
+        zeros = [(np.array([1e200, 0.0]), 0.0), (np.array([1e200, 1e-200]), 0.0)]
+        monkeypatch.setattr(jacgate.dynamics, "_newton_zeros", lambda *args, **kwargs: zeros)
+        fmap = PolyMap([p2("x^3*y^2 + x^3 + x"), p2("y")])
+        assert self.call(witness_from_probe, fmap, (0, 0)) is None
