@@ -187,29 +187,25 @@ def only_origin(
     search = Bisection(Box.cube(n, 1.0), cfg.depth, cfg.max_boxes)
     deepest_unresolved: Box | None = None
     fsys: FloatSystem | None = None
-    deferred: list[tuple[Box, int, int]] = []
+    # boxes to hunt from, in the order met, with the counts each would report
+    pending: list[tuple[Box, int, int]] = []
     for box in search.survivors(excluded):
         leaf = search.is_leaf(box)
         if leaf or box.depth in _REFINE_DEPTHS:
-            if fsys is None and not leaf and box.depth < _HUNT_DEPTH:
-                # too shallow to start the hunt: keep the counts this box would report
-                deferred.append((box, search.max_depth, search.boxes))
-                continue
-            if fsys is None:
-                # the hunt starts: low-discrepancy sphere points (each distinct
-                # one once), then the deferred boxes in the order they were met
+            pending.append((box, search.max_depth, search.boxes))
+            if fsys is None and (leaf or box.depth >= _HUNT_DEPTH):
+                # the hunt starts: low-discrepancy sphere points, each distinct one once
                 fsys = FloatSystem(list(system) + [_sphere_poly(n)])
                 for start in dict.fromkeys(points_on_sphere(n, _PROBES, cfg.seed)):
                     outcome = _newton_witness(system, fsys, start)
                     if outcome is not None:
                         return outcome
-                for early, max_depth, boxes in deferred:
+            if fsys is not None:
+                for early, max_depth, boxes in pending:
                     outcome = _newton_witness(system, fsys, early.center())
                     if outcome is not None:
                         return replace(outcome, max_depth=max_depth, boxes=boxes)
-            outcome = _newton_witness(system, fsys, box.center())
-            if outcome is not None:
-                return replace(outcome, max_depth=search.max_depth, boxes=search.boxes)
+                pending.clear()
         if leaf:
             if deepest_unresolved is None or box.depth > deepest_unresolved.depth:
                 deepest_unresolved = box
@@ -249,9 +245,7 @@ def certify_once(
     return table[key]
 
 
-def unique_zero_nonneg(
-    p: Polynomial, w: Weight, cfg: CertConfig | None = None, table: dict | None = None
-) -> CertOutcome:
+def unique_zero_nonneg(p: Polynomial, w: Weight, cfg: CertConfig | None = None) -> CertOutcome:
     """Only-origin decision for a single non-negative quasi-homogeneous polynomial.
 
     Non-negativity is the caller's contract (the intended inputs are higher
@@ -262,12 +256,10 @@ def unique_zero_nonneg(
     for point in points_on_sphere(p.n, 16, cfg.seed + 1):
         if p.evaluate([Fraction(c) for c in point]) < 0:
             raise ValueError("polynomial is negative at a sample point; nonneg contract violated")
-    return certify_once(table, only_origin, [p], w, cfg)
+    return only_origin([p], w, cfg)
 
 
-def gradient_only_origin(
-    p: Polynomial, w: Weight, cfg: CertConfig | None = None, table: dict | None = None
-) -> CertOutcome:
+def gradient_only_origin(p: Polynomial, w: Weight, cfg: CertConfig | None = None) -> CertOutcome:
     """Only-origin decision for the gradient system of a quasi-homogeneous polynomial.
 
     A dead direction j (the polynomial does not involve x_j) makes the j-th
@@ -288,7 +280,7 @@ def gradient_only_origin(
                 residuals=tuple(0.0 for _ in partials),
             )
         raise DegenerateDirectionError(j)
-    return certify_once(table, only_origin, partials, w, cfg)
+    return only_origin(partials, w, cfg)
 
 
 def properness_certificate(

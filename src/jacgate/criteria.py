@@ -6,7 +6,8 @@ that the map fixes the origin and its Jacobian determinant never vanishes:
   * MapHigherPart     — the map's higher part vanishes only at the origin;
   * HNormHigherPart   — the gradient of the norm function's higher part
                         vanishes only at the origin (equivalently, that
-                        higher part has the origin as unique zero);
+                        higher part has the origin as unique zero, the
+                        form decided here);
   * FieldHigherPart   — the higher part of the descent field vanishes only
                         at the origin.
 
@@ -25,15 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .certify import (
-    CertConfig,
-    CertOutcome,
-    OutcomeKind,
-    certify_once,
-    gradient_only_origin,
-    only_origin,
-    unique_zero_nonneg,
-)
+from .certify import CertConfig, CertOutcome, certify_once, only_origin
 from .dynamics import WitnessPair, injectivity_witness
 from .errors import (
     DegenerateDirectionError,
@@ -94,7 +87,6 @@ class CriterionResult:
     weight: Weight
     outcome: CertOutcome | None
     diagnostic: str | None = None
-    gradient_outcome: CertOutcome | None = None
     block: BlockStructure | None = None
 
     @property
@@ -254,11 +246,12 @@ def check_map_higher_part(
 def check_h_higher_part(
     fmap: PolyMap, w: Weight, cfg: AnalysisConfig | None = None, table: dict | None = None
 ) -> CriterionResult:
-    """Run both the unique-zero and the gradient form; they must agree.
+    """Certify that the norm function's higher part has the origin as its unique zero.
 
-    The two conditions are equivalent for non-negative quasi-homogeneous
-    polynomials, so a conclusive disagreement is an internal bug, never a
-    result.
+    That higher part is non-negative, the limit of lam^-d * H(lam^s * x)
+    with H a sum of squares, so its unique zero at the origin is the
+    paper's condition that its gradient vanishes only there; the tests
+    check that the gradient form agrees.
     """
     cfg = cfg or AnalysisConfig()
     h = _norm_function(fmap, table)
@@ -270,33 +263,8 @@ def check_h_higher_part(
             diagnostic="norm function is identically zero",
         )
     top = higher_part(h, w)
-    primary = unique_zero_nonneg(top, w, cfg.cert, table)
-    try:
-        secondary = gradient_only_origin(top, w, cfg.cert, table)
-    except DegenerateDirectionError as exc:
-        return CriterionResult(
-            criterion=Criterion.H_NORM_HIGHER_PART,
-            weight=w,
-            outcome=primary,
-            diagnostic=f"gradient cross-check unavailable: {exc}",
-        )
-    conclusive = (OutcomeKind.ONLY_ORIGIN, OutcomeKind.NONTRIVIAL_ZERO)
-    if (
-        primary.kind in conclusive
-        and secondary.kind in conclusive
-        and primary.kind is not secondary.kind
-    ):
-        raise InternalInconsistencyError(
-            f"unique-zero and gradient checks disagree at weight {tuple(w.s)}: "
-            f"{primary.kind.value} vs {secondary.kind.value}",
-            reason="disagreement",
-        )
-    return CriterionResult(
-        criterion=Criterion.H_NORM_HIGHER_PART,
-        weight=w,
-        outcome=primary,
-        gradient_outcome=secondary,
-    )
+    outcome = certify_once(table, only_origin, [top], w, cfg.cert)
+    return CriterionResult(criterion=Criterion.H_NORM_HIGHER_PART, weight=w, outcome=outcome)
 
 
 def check_field_higher_part(

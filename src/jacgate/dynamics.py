@@ -7,6 +7,7 @@ determinant has sign (-1)^n; both facts are used as numeric checks here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -18,6 +19,16 @@ from .errors import PreconditionError
 from .floatval import FloatSystem, gauss_newton, snap_exact
 from .poly import PolyMap, gradient_field, h_norm
 from .sampling import points_in_box
+
+
+RHO = 1e-10           # residual tolerance for zeros and witness pairs
+DEDUP_RADIUS = 1e-6   # Newton points closer than this count as one zero
+# descent flow: step length, escape box, convergence tolerance, and the
+# potential increase a step may make
+STEP_TARGET = 0.05
+FLOW_BOX = 1e6
+CONVERGE_TOL = 1e-9
+H_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,7 +81,7 @@ class IndexSumReport:
 
 
 def _newton_zeros(
-    fmap: PolyMap, starts: int, box: float, rho: float, dedup_radius: float, seed: int
+    fmap: PolyMap, starts: int, box: float, seed: int
 ) -> list[tuple[np.ndarray, float]]:
     """Deduped converged Newton points and their residuals, in lexicographic order."""
     if starts < 1:
@@ -78,28 +89,21 @@ def _newton_zeros(
     fsys = FloatSystem(list(fmap.components))
     found: list[tuple[np.ndarray, float]] = []
     for start in points_in_box(fmap.n, starts, box, seed):
-        point, residual, converged = gauss_newton(fsys, start, tol=rho)
-        if not converged or residual > rho:
+        point, residual, converged = gauss_newton(fsys, start, tol=RHO)
+        if not converged or residual > RHO:
             continue
-        if any(np.linalg.norm(point - q) <= dedup_radius for q, _ in found):
+        if any(np.linalg.norm(point - q) <= DEDUP_RADIUS for q, _ in found):
             continue
         found.append((point, residual))
     return sorted(found, key=lambda item: tuple(item[0].tolist()))
 
 
-def find_zeros(
-    fmap: PolyMap,
-    starts: int = 64,
-    box: float = 5.0,
-    rho: float = 1e-10,
-    dedup_radius: float = 1e-6,
-    seed: int = 0,
-) -> ZeroReport:
+def find_zeros(fmap: PolyMap, starts: int = 64, box: float = 5.0, seed: int = 0) -> ZeroReport:
     """Damped Newton from low-discrepancy starts; converged points deduped."""
     zeros: list[ZeroInfo] = []
-    for point, residual in _newton_zeros(fmap, starts, box, rho, dedup_radius, seed):
+    for point, residual in _newton_zeros(fmap, starts, box, seed):
         try:
-            index = index_at(fmap, point, rho=rho)
+            index = index_at(fmap, point)
             note = None
         except PreconditionError as exc:
             index = None
@@ -108,43 +112,39 @@ def find_zeros(
             ZeroInfo(point=tuple(point.tolist()), residual=residual, index=index, note=note)
         )
     return ZeroReport(
-        zeros=tuple(zeros), starts_used=starts, dedup_radius=dedup_radius, box=box, seed=seed
+        zeros=tuple(zeros), starts_used=starts, dedup_radius=DEDUP_RADIUS, box=box, seed=seed
     )
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def index_at(fmap: PolyMap, q: Sequence[float], rho: float = 1e-10) -> int:
+def index_at(fmap: PolyMap, q: Sequence[float]) -> int:
     """Sign of the descent field's Jacobian determinant at a zero of the map."""
     x = np.array(q, dtype=np.float64)
     fsys = FloatSystem(list(fmap.components))
     residual = float(np.max(np.abs(fsys.residual(x))))
-    if residual > rho:
+    if not residual <= RHO:  # a NaN residual fails too
         raise PreconditionError(
-            f"point is not a zero of the map: residual {residual:.3e} exceeds {rho:.3e}"
+            f"point is not a zero of the map: residual {residual:.3e} exceeds {RHO:.3e}"
         )
     det_df = float(np.linalg.det(fsys.jacobian(x)))
+    if not math.isfinite(det_df):
+        raise PreconditionError(f"Jacobian determinant at the zero is not finite: {det_df}")
     if abs(det_df) < 1e-8:
         raise PreconditionError(f"near-singular Jacobian at the zero: det {det_df:.3e}")
     descent = gradient_field(h_norm(fmap))
     det_dy = float(np.linalg.det(FloatSystem(list(descent.components)).jacobian(x)))
+    if not math.isfinite(det_dy):
+        raise PreconditionError(f"descent field Jacobian determinant is not finite: {det_dy}")
     if det_dy == 0.0:
         raise PreconditionError("descent field Jacobian is numerically singular")
     return 1 if det_dy > 0 else -1
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def flow_descent(
-    fmap: PolyMap,
-    start: Sequence[float],
-    step_target: float = 0.05,
-    max_steps: int = 5000,
-    box: float = 1e6,
-    converge_tol: float = 1e-9,
-    h_slack: float = 1e-12,
-) -> Trajectory:
+def flow_descent(fmap: PolyMap, start: Sequence[float], max_steps: int = 5000) -> Trajectory:
     """Integrate the descent field with adaptive explicit steps.
 
-    Each accepted step must not increase the potential (within ``h_slack``);
+    Each accepted step must not increase the potential (within ``H_SLACK``);
     a step that does gets halved until it fits or underflows.
     """
     h_sys = FloatSystem([h_norm(fmap)])
@@ -162,22 +162,22 @@ def flow_descent(
     t = 0.0
     samples = [(t, tuple(x.tolist()), h_value(x))]
     status = FlowStatus.STEP_LIMIT
-    basin_tol = max(converge_tol, 1e-5)
+    basin_tol = max(CONVERGE_TOL, 1e-5)
     for _ in range(max_steps):
         f_res = float(np.max(np.abs(f_sys.residual(x))))
-        if f_res <= converge_tol:
+        if f_res <= CONVERGE_TOL:
             status = FlowStatus.CONVERGED_TO_ZERO_OF_F
             break
         if f_res <= basin_tol:
             # close enough to a singular point: polish with Newton, which
             # also only ever decreases the potential
-            polished, residual, converged = gauss_newton(f_sys, x, tol=converge_tol)
+            polished, residual, converged = gauss_newton(f_sys, x, tol=CONVERGE_TOL)
             if converged:
                 x = polished
                 samples.append((t, tuple(x.tolist()), h_value(x)))
                 status = FlowStatus.CONVERGED_TO_ZERO_OF_F
                 break
-        if float(np.max(np.abs(x))) > box:
+        if float(np.max(np.abs(x))) > FLOW_BOX:
             status = FlowStatus.LEFT_BOX
             break
         v = velocity(x)
@@ -185,7 +185,7 @@ def flow_descent(
         if speed == 0.0:
             status = FlowStatus.CONVERGED_TO_ZERO_OF_F
             break
-        h = step_target / speed
+        h = STEP_TARGET / speed
         h_cur = h_value(x)
         accepted = False
         for _ in range(60):
@@ -195,7 +195,7 @@ def flow_descent(
             k3 = velocity(x + 0.5 * h * k2)
             k4 = velocity(x + h * k3)
             candidate = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if h_value(candidate) <= h_cur + h_slack:
+            if h_value(candidate) <= h_cur + H_SLACK:
                 x = candidate
                 t += h
                 samples.append((t, tuple(x.tolist()), h_value(x)))
@@ -216,7 +216,6 @@ def witness_from_probe(
     probe: Sequence[Fraction | int],
     starts: int = 32,
     box: float = 5.0,
-    rho: float = 1e-10,
     seed: int = 0,
 ) -> WitnessPair | None:
     """Look for a second preimage of F(probe) via zeros of the recentred map."""
@@ -231,7 +230,7 @@ def witness_from_probe(
     )
     b_float = np.array([float(v) for v in b])
     fsys: FloatSystem | None = None
-    for z, _ in _newton_zeros(recentred, starts, box, rho, dedup_radius=1e-6, seed=seed):
+    for z, _ in _newton_zeros(recentred, starts, box, seed):
         if float(np.linalg.norm(z)) <= 1e-5:
             continue  # the trivial zero at the probe itself
         # try to promote the pair to exact rationals
@@ -242,7 +241,7 @@ def witness_from_probe(
         fsys = fsys or FloatSystem(list(fmap.components))
         fa = fsys.residual(np.array(a_float))
         deviation = float(np.max(np.abs(fa - np.array([float(v) for v in c]))))
-        if deviation <= 2 * rho:
+        if deviation <= 2 * RHO:
             return WitnessPair(
                 a=a_float, b=tuple(float(v) for v in b), exact=False, deviation=deviation
             )
@@ -254,7 +253,6 @@ def injectivity_witness(
     probes: int = 8,
     starts: int = 32,
     box: float = 5.0,
-    rho: float = 1e-10,
     seed: int = 0,
 ) -> WitnessPair | None:
     """Search for two points with the same image; absence proves nothing."""
@@ -266,22 +264,13 @@ def injectivity_witness(
         if snapped not in probe_points:
             probe_points.append(snapped)
     for k, probe in enumerate(probe_points):
-        pair = witness_from_probe(
-            fmap, probe, starts=starts, box=box, rho=rho, seed=seed + k + 1
-        )
+        pair = witness_from_probe(fmap, probe, starts=starts, box=box, seed=seed + k + 1)
         if pair is not None:
             return pair
     return None
 
 
-def index_sum_check(
-    fmap: PolyMap,
-    properness_weight: tuple[int, ...] | None,
-    starts: int = 64,
-    box: float = 5.0,
-    rho: float = 1e-10,
-    seed: int = 0,
-) -> IndexSumReport:
+def index_sum_check(fmap: PolyMap, properness_weight: tuple[int, ...] | None) -> IndexSumReport:
     """Check that exactly one singular point exists and carries index (-1)^n.
 
     The unique-singular-point conclusion only has mathematical backing when
@@ -289,7 +278,7 @@ def index_sum_check(
     reported either way, but ``ok`` stays false without that backing.
     """
     expected = (-1) ** fmap.n
-    report = find_zeros(fmap, starts=starts, box=box, rho=rho, seed=seed)
+    report = find_zeros(fmap)
     indices = tuple(z.index for z in report.zeros)
     counts_match = len(report.zeros) == 1 and indices == (expected,)
     if properness_weight is None:

@@ -51,8 +51,8 @@ class InternalInconsistencyError(JacgateError):
     """Two results that are mathematically forced to agree did not.
 
     ``reason`` distinguishes a genuinely refuted identity ("refuted",
-    "disagreement", "sandwich") from a certificate that merely failed to
-    resolve ("inconclusive").
+    "sandwich") from a certificate that merely failed to resolve
+    ("inconclusive").
     """
 
     def __init__(self, message: str, reason: str = "refuted"):

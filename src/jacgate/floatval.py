@@ -49,13 +49,13 @@ class FloatSystem:
         return self._evaluate(self._jac_rows, len(self._exps), x).reshape(-1, self.n)
 
 
+MAX_ITER = 60        # Gauss-Newton steps
+MAX_BACKTRACKS = 40  # halvings of one step before it is given up
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def gauss_newton(
-    system: FloatSystem,
-    x0: Sequence[float],
-    tol: float = 1e-12,
-    max_iter: int = 60,
-    max_backtracks: int = 40,
+    system: FloatSystem, x0: Sequence[float], tol: float = 1e-12
 ) -> tuple[np.ndarray, float, bool]:
     """Damped Gauss-Newton on the least-squares residual.
 
@@ -68,7 +68,7 @@ def gauss_newton(
     if not np.all(np.isfinite(r)):
         return x, math.inf, False
     norm = float(np.dot(r, r))
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if np.max(np.abs(r)) <= tol:
             break
         try:
@@ -77,7 +77,7 @@ def gauss_newton(
             break
         if not np.all(np.isfinite(step)):
             break
-        for k in range(max_backtracks):
+        for k in range(MAX_BACKTRACKS):
             candidate = x + 0.5**k * step
             rc = system.residual(candidate)
             nc = float(np.dot(rc, rc))

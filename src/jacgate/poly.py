@@ -81,9 +81,6 @@ class Polynomial:
         """Terms in descending graded lexicographic order."""
         return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]), reverse=True)
 
-    def coefficient(self, exponent: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponent), Fraction(0))
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
             return self.n == other.n and self.terms == other.terms

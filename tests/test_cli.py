@@ -50,6 +50,20 @@ class TestCheck:
         assert code == 2
         assert "witness pair" in out
 
+    @pytest.mark.parametrize(
+        "text", ["vars: x, y\nf = 1\ng = 1\n", "vars: x\nf = 3\n"], ids=["plane", "line"]
+    )
+    def test_constant_map_not_injective(self, tmp_path, capsys, text):
+        # every point has the same image, and F(0) != 0 cancels the criterion that fires
+        path, report = tmp_path / "c.map", tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["check", str(path), "--json", str(report)]) == 2
+        assert "witness pair (exact)" in capsys.readouterr().out
+        data = json.loads(report.read_text())
+        (witness,) = data["witnesses"]
+        assert witness["exact"] and witness["a"] != witness["b"]
+        assert "hypothesis f_zero_at_origin is violated" in data["verdict"]["note"]
+
     def test_unknown_exit_three(self, tmp_path):
         path = tmp_path / "s.map"
         path.write_text(SHEAR_MAP)

@@ -29,12 +29,13 @@ from jacgate import (
     verdict,
     weight_search,
 )
-from jacgate.certify import certify_once, only_origin
+from jacgate.certify import certify_once, gradient_only_origin, only_origin
 from jacgate.criteria import PROBES, STARTS
 from jacgate.dynamics import injectivity_witness
-from jacgate.errors import PreconditionError
+from jacgate.errors import DegenerateDirectionError, PreconditionError
 from jacgate.intervals import IntervalPoly
 from jacgate.parsing import parse_expr
+from jacgate.sampling import points_on_sphere
 from jacgate.weights import enumerate_weights
 import oracle
 from oracle import hunt_first_check_assumptions, witness_first_verdict
@@ -215,12 +216,14 @@ class TestHNormCriterion:
     def test_cubic_fails_everywhere(self, cubic_map, s):
         result = check_h_higher_part(cubic_map, Weight(s))
         assert result.outcome.kind is OutcomeKind.NONTRIVIAL_ZERO
-        assert result.gradient_outcome.kind is OutcomeKind.NONTRIVIAL_ZERO
+        top = higher_part(h_norm(cubic_map), Weight(s))
+        assert gradient_only_origin(top, Weight(s)).kind is OutcomeKind.NONTRIVIAL_ZERO
 
     def test_identity(self):
         result = check_h_higher_part(PolyMap.identity(2), W11)
         assert result.succeeded
-        assert result.gradient_outcome.kind is OutcomeKind.ONLY_ORIGIN
+        top = higher_part(h_norm(PolyMap.identity(2)), W11)
+        assert gradient_only_origin(top, W11).kind is OutcomeKind.ONLY_ORIGIN
 
 
 class TestFieldCriterion:
@@ -510,3 +513,49 @@ class TestWitnessLast:
         assert all(best is None for best in report.search.best.values())
         assert (report.kind, report.witness) == (VerdictKind.UNKNOWN, None)
         assert witness_calls[0] == 1
+
+
+class TestHNormTops:
+    """The verdict decides HNormHigherPart by the unique-zero form of H's top alone."""
+
+    @pytest.mark.parametrize("name", sorted(VERDICT_MAPS))
+    def test_tops_nonnegative_and_gradient_form_agrees(self, name):
+        fmap = VERDICT_MAPS[name]
+        h = h_norm(fmap)
+        search = weight_search(fmap, [Criterion.H_NORM_HIGHER_PART])
+        for result in search.attempts[Criterion.H_NORM_HIGHER_PART]:
+            top = higher_part(h, result.weight)
+            # the points of unique_zero_nonneg's spot check, evaluated exactly
+            for point in points_on_sphere(fmap.n, 16, CertConfig().seed + 1):
+                assert top.evaluate([Fraction(c) for c in point]) >= 0, (result.weight, point)
+            try:
+                gradient = gradient_only_origin(top, result.weight)
+            except DegenerateDirectionError:
+                continue
+            if not (result.outcome.is_inconclusive or gradient.is_inconclusive):
+                assert gradient.kind is result.outcome.kind, result.weight
+
+    @pytest.mark.parametrize("name", ["cubic", "shear", "fold", "coupled3"])
+    def test_one_certification_per_weight(self, monkeypatch, name):
+        import jacgate.certify
+
+        calls = {"certify_once": 0, "gradient_only_origin": 0, "unique_zero_nonneg": 0}
+
+        def counting(module, attribute):
+            original = getattr(module, attribute)
+
+            def wrapper(*args, **kwargs):
+                calls[attribute] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, attribute, wrapper)
+
+        counting(jacgate.certify, "gradient_only_origin")
+        counting(jacgate.certify, "unique_zero_nonneg")
+        verdict(CORPUS_MAPS[name])
+        assert calls == {"certify_once": 0, "gradient_only_origin": 0, "unique_zero_nonneg": 0}
+        counting(jacgate.criteria, "certify_once")
+        for w in enumerate_weights(2, 4):
+            before = calls["certify_once"]
+            check_h_higher_part(CORPUS_MAPS[name], w)
+            assert calls["certify_once"] == before + 1, w

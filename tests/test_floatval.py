@@ -105,7 +105,12 @@ class TestCallersSilenceOverflow:
     def test_index_at(self):
         with pytest.raises(PreconditionError, match="residual inf"):
             self.call(index_at, self.CUBIC, (1e200, 0.0))
-        self.call(index_at, self.INF_TIMES_ZERO, (100.0, 0.01))
+        with pytest.raises(PreconditionError, match="residual nan"):
+            self.call(index_at, self.INF_TIMES_ZERO, (100.0, 0.01))
+        # an exact zero at the origin, where det DF = 10^400 overflows
+        big = PolyMap([Polynomial(2, {(1, 0): 10**200}), Polynomial(2, {(0, 1): 10**200})])
+        with pytest.raises(PreconditionError, match="not finite: inf"):
+            self.call(index_at, big, (0.0, 0.0))
 
     def test_flow_descent(self):
         trajectory = self.call(flow_descent, self.CUBIC, (1e120, 1.0))
