@@ -1,23 +1,31 @@
 """Certify whether a quasi-homogeneous system vanishes only at the origin.
 
 The zero set of a quasi-homogeneous system is invariant under the weighted
-scaling action, so any non-trivial real zero can be rescaled onto the unit
-Euclidean sphere.  The decision therefore reduces to: does the system have
-a common zero on the sphere?
+scaling action, so any non-trivial real zero can be rescaled onto a fixed
+set that meets every orbit.
 
-Strategy: the proof runs first.  Interval branch-and-bound covers
-[-1, 1]^n restricted to a shell around the sphere; a box is discarded when
-its norm-square bounds miss the shell or when some polynomial's interval
-bounds exclude zero, and surviving boxes are subdivided.  Exclusion of
-every box is a sound certificate.  The witness hunt (damped Gauss-Newton)
-starts only once a box survives to depth 16 or to a leaf: first from
-low-discrepancy sphere points, then from the centres of the shallower
-survivors at the refine depths 8 and 12, replayed in the order they were
-met and each reporting its own counts, then from that box and each later
-refine-depth survivor or leaf.  So a proof that closes before depth 16 is
-never overridden by a float Newton zero, while past depth 16 a hunt can
-still end the search first.  Witnesses are verified by residuals and, when
-the coordinates snap to small rationals, confirmed exactly.
+For n = 2 the decision is exact.  With positive weights a zero with y != 0
+scales onto the line y = 1 or y = -1, and a zero with y = 0 onto (1, 0) or
+(-1, 0).  So the system vanishes only at the origin exactly when, for each
+sign, the gcd in Q[t] of the g_i(t, +-1) has no real root, counted with a
+Sturm sequence, and not every g_i vanishes at (1, 0) or at (-1, 0).  A
+witness is a rational point when the gcd has a rational root and otherwise
+a rational interval of t, on y = +-1, that isolates one of its roots; either
+way it is exact, and it does not lie on the unit sphere.
+
+For n >= 3 every zero scales onto the unit sphere, and the proof runs first:
+interval branch-and-bound covers [-1, 1]^n restricted to a shell around the
+sphere; a box is discarded when its norm-square bounds miss the shell or
+when some polynomial's interval bounds exclude zero, and surviving boxes are
+subdivided.  Exclusion of every box is a sound certificate.  The witness
+hunt (damped Gauss-Newton) starts only once a box survives to depth 16 or
+to a leaf: first from low-discrepancy sphere points, then from the centres
+of the shallower survivors at the refine depths 8 and 12, replayed in the
+order they were met and each reporting its own counts, then from that box
+and each later refine-depth survivor or leaf.  So a proof that closes before
+depth 16 is never overridden by a float Newton zero, while past depth 16 a
+hunt can still end the search first.  Witnesses are verified by residuals
+and, when the coordinates snap to small rationals, confirmed exactly.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .floatval import FloatSystem, gauss_newton, snap_exact
 from .intervals import Bisection, Box, Interval, IntervalPoly
 from .poly import Polynomial
 from .sampling import points_on_sphere
+from .univariate import bivariate, fibre, gcd, isolate, refine_root, squarefree
 from .weights import Weight, euler_check, higher_part, raw_weighted_degree
 
 
@@ -61,9 +70,11 @@ class CertOutcome:
     """Result of an only-origin decision.
 
     For a witness outcome, ``witness`` holds floats (or exact Fractions when
-    ``exact`` is set) and ``residuals`` the per-polynomial values there.
-    For an inconclusive outcome, ``unresolved`` is the deepest box the
-    search failed to resolve.
+    ``exact`` is set) and ``residuals`` the per-polynomial values there.  An
+    exact planar witness may instead hold, for x, a ``(lo, hi)`` pair of
+    Fractions that isolates one root on its line y = +-1; its ``residuals``
+    are None.  For an inconclusive outcome, ``unresolved`` is the deepest box
+    the search failed to resolve.
     """
 
     kind: OutcomeKind
@@ -156,6 +167,57 @@ def only_origin(
     system: Sequence[Polynomial], w: Weight, cfg: CertConfig | None = None
 ) -> CertOutcome:
     """Decide whether the quasi-homogeneous system vanishes only at the origin.
+
+    For n = 2 the decision is exact and reads ``max_depth=0, boxes=0``; for
+    n >= 3 it is ``_only_origin_boxes``.
+    """
+    if system and system[0].n == 2:
+        _validate_system(system, w)
+        return _planar_only_origin(system)
+    return _only_origin_boxes(system, w, cfg)
+
+
+def _exact_zero(point: tuple, count: int) -> CertOutcome:
+    return CertOutcome(
+        kind=OutcomeKind.NONTRIVIAL_ZERO,
+        witness=point,
+        exact=True,
+        residuals=tuple(0.0 for _ in range(count)),
+    )
+
+
+def _planar_only_origin(system: Sequence[Polynomial]) -> CertOutcome:
+    """The exact decision for n = 2, by Sturm sequences on y = 1 and y = -1 and
+    exact values at (1, 0) and (-1, 0): a rational witness wherever there is
+    one, else an isolating interval."""
+    rows = [bivariate(g.terms) for g in system]
+    isolated = []
+    for sigma in (Fraction(1), Fraction(-1)):
+        common: list = []
+        for row in rows:
+            common = gcd(common, fibre(row, sigma))
+        roots = squarefree(common)
+        for interval in isolate(roots):
+            t = refine_root(roots, interval)
+            if isinstance(t, Fraction):
+                return _exact_zero((t, sigma), len(system))
+            isolated.append((t, sigma))
+    for sigma in (Fraction(1), Fraction(-1)):
+        point = (sigma, Fraction(0))
+        if all(g.evaluate(point) == 0 for g in system):
+            return _exact_zero(point, len(system))
+    if isolated:
+        return CertOutcome(kind=OutcomeKind.NONTRIVIAL_ZERO, witness=isolated[0], exact=True)
+    return CertOutcome(kind=OutcomeKind.ONLY_ORIGIN)
+
+
+def _only_origin_boxes(
+    system: Sequence[Polynomial], w: Weight, cfg: CertConfig | None = None
+) -> CertOutcome:
+    """``only_origin`` by branch-and-bound on the unit sphere, for any n.
+
+    ``only_origin`` takes this path for n >= 3; for n = 2 the tests compare
+    it with the exact decision and with the hunt-first oracle.
 
     Branch-and-bound runs first, and Newton only once a box survives to
     depth ``_HUNT_DEPTH`` or to a leaf: a system whose boxes are all excluded

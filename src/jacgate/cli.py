@@ -17,7 +17,16 @@ from pathlib import Path
 from . import __version__
 from .certify import RHO, SHELL, TAU, CertConfig, CertOutcome, gradient_only_origin, only_origin
 from .certify import unique_zero_nonneg
-from .criteria import PROBES, STARTS, AnalysisConfig, VerdictKind, VerdictReport, verdict
+from .criteria import (
+    PROBES,
+    STARTS,
+    AnalysisConfig,
+    Assumptions,
+    JacStatus,
+    VerdictKind,
+    VerdictReport,
+    verdict,
+)
 from .dynamics import find_zeros
 from .errors import JacgateError, ZeroPolynomialError
 from .parsing import parse_map_file, parse_poly_file, print_poly
@@ -47,6 +56,14 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
+
+
+def _format_point(point, names) -> str:
+    """``x = 1/2, y in (1/3, 3/8)``: a rational isolating interval is shown open."""
+    return ", ".join(
+        f"{name} in ({value[0]}, {value[1]})" if isinstance(value, tuple) else f"{name} = {value}"
+        for name, value in zip(names, point)
+    )
 
 
 def _outcome_dict(outcome: CertOutcome | None) -> dict | None:
@@ -168,7 +185,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     print(
         "assumptions: F(0)=0 "
         + ("holds" if report.assumptions.f_zero_at_origin else "FAILS")
-        + f"; det DF {report.assumptions.jac_status.value}"
+        + f"; det DF {_jacobian_text(report.assumptions, names, fmap.n)}"
     )
     for criterion, results in report.search.attempts.items():
         for result in results:
@@ -194,6 +211,18 @@ def cmd_check(args: argparse.Namespace) -> int:
             json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
     return _VERDICT_EXIT[report.kind]
+
+
+def _jacobian_text(assumptions: Assumptions, names, n: int) -> str:
+    status = assumptions.jac_status
+    if status is JacStatus.VERIFIED_EVERYWHERE:
+        return f"!= 0 proven on all of R^{n}"
+    if status is JacStatus.VERIFIED_ON_BOX:
+        return f"!= 0 proven on the box [-{assumptions.jac_box:g}, {assumptions.jac_box:g}]^{n}"
+    if status is JacStatus.VIOLATION_FOUND:
+        kind = "exact" if assumptions.jac_exact else "numeric"
+        return f"vanishes at {_format_point(assumptions.jac_point, names)} ({kind})"
+    return "!= 0 assumed, not proven"
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -247,8 +276,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
         outcome = checker(polys[0], w, cfg)
     print(f"outcome: {outcome.kind.value}")
     if outcome.witness is not None:
-        print(f"witness: {outcome.witness} (exact={outcome.exact})")
-        print(f"residuals: {list(outcome.residuals or ())}")
+        kind = "exact" if outcome.exact else "numeric"
+        print(f"witness ({kind}): {_format_point(outcome.witness, names)}")
+        if outcome.residuals is not None:
+            print(f"residuals: {list(outcome.residuals)}")
+    elif n == 2:
+        print("decided exactly: Sturm sequences on y = 1 and y = -1, values at (1, 0) and (-1, 0)")
     else:
         print(f"boxes processed: {outcome.boxes}, max depth: {outcome.max_depth}")
     return 0

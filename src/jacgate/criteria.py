@@ -14,6 +14,11 @@ that the map fixes the origin and its Jacobian determinant never vanishes:
 A success of the field criterion also yields a derived weight vector at
 which the map criterion is guaranteed to succeed; that derivation is
 re-verified here rather than trusted.
+
+The origin hypothesis is checked exactly.  The Jacobian hypothesis is
+proven on all of R^n when det DF is a non-zero constant, decided on all of
+R^2 by Sturm sequences and resultants when n = 2, and checked on the box
+[-R, R]^n by interval branch-and-bound and a Newton hunt when n >= 3.
 """
 
 from __future__ import annotations
@@ -38,6 +43,22 @@ from .floatval import FloatSystem, gauss_newton, snap_exact
 from .intervals import Bisection, Box, IntervalPoly
 from .poly import PolyMap, Polynomial, h_norm, jacobian_det
 from .sampling import points_in_box
+from .univariate import (
+    bivariate,
+    content,
+    d_dx,
+    d_dy,
+    exact_div,
+    fibre,
+    gcd,
+    isolate,
+    mul,
+    refine_root,
+    resultant,
+    squarefree,
+    squarefree_x,
+    swap,
+)
 from .weights import (
     BlockStructure,
     Weight,
@@ -51,6 +72,7 @@ from .weights import (
 
 
 class JacStatus(Enum):
+    VERIFIED_EVERYWHERE = "verified_everywhere"  # det DF != 0 proven on all of R^n
     VERIFIED_ON_BOX = "verified_on_box"
     VIOLATION_FOUND = "violation_found"
     ASSUMED = "assumed"
@@ -132,7 +154,121 @@ class VerdictReport:
 
 
 def check_assumptions(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> Assumptions:
-    """Verify the origin condition exactly and the Jacobian condition on a box.
+    """Verify the origin condition exactly, and the Jacobian condition on all of
+    R^n when det DF is constant or n = 2, or else on the box.
+
+    For n = 2 the decision is exact (``_planar_zero``), and it is left
+    assumed only when every zero it cannot rule out is a critical point of
+    det DF on an irrational line y = c.  For n >= 3 it is
+    ``_check_assumptions_on_box``.
+    """
+    if fmap.n != 2:
+        return _check_assumptions_on_box(fmap, cfg)
+    f_zero, det, settled = _settled_assumptions(fmap)
+    if settled is not None:
+        return settled
+    point = _planar_zero(det)
+    if point is _UNDECIDED:
+        return Assumptions(f_zero_at_origin=f_zero, jac_status=JacStatus.ASSUMED)
+    if point is None:
+        return Assumptions(f_zero_at_origin=f_zero, jac_status=JacStatus.VERIFIED_EVERYWHERE)
+    return Assumptions(
+        f_zero_at_origin=f_zero,
+        jac_status=JacStatus.VIOLATION_FOUND,
+        jac_point=point,
+        jac_exact=True,
+    )
+
+
+def _settled_assumptions(fmap: PolyMap) -> tuple[bool, Polynomial, Assumptions | None]:
+    """Whether F(0) = 0, det DF, and the assumptions when det DF is zero or constant."""
+    f_zero = all(value == 0 for value in fmap.evaluate((Fraction(0),) * fmap.n))
+    det = jacobian_det(fmap)
+    settled = None
+    if det.is_zero:
+        settled = Assumptions(
+            f_zero_at_origin=f_zero,
+            jac_status=JacStatus.VIOLATION_FOUND,
+            jac_point=(0.0,) * fmap.n,
+            jac_exact=True,
+        )
+    elif set(det.terms) == {(0,) * fmap.n}:
+        settled = Assumptions(f_zero_at_origin=f_zero, jac_status=JacStatus.VERIFIED_EVERYWHERE)
+    return f_zero, det, settled
+
+
+_UNDECIDED = object()
+
+
+def _planar_zero(det: Polynomial):
+    """A real zero of the non-constant det(x, y), None when it has none, or
+    ``_UNDECIDED``.
+
+    A zero is proven on a rational line y = c where det(., c) has a real root
+    by its Sturm count; its x is a rational root or an isolating interval.
+    The line y = 0 is tried first, so that an obvious zero never costs a
+    resultant.  Otherwise det loses the factors in y alone and in x alone
+    (those with a real root vanish on a whole line) and its repeated factors.
+    On each cell between the real roots of lc_x(p) Res_x(p, p_x) the real
+    roots of p(., y) keep their count, so one rational sample per cell shows
+    whether p vanishes off the cut lines.  If it does not, a zero on a cut
+    line is a critical point, and none exists when
+    gcd(Res_x(p, p_x), Res_x(p, p_y)) has no real root; a rational root of
+    that gcd is decided on its line.
+    """
+    p = bivariate(det.terms)
+    zero = _line_zero(p, Fraction(0))
+    if zero is not None:
+        return zero
+    c = content(p)
+    roots = squarefree(c)
+    lines = isolate(roots)
+    if lines:
+        return (Fraction(0), refine_root(roots, lines[0]))
+    p = [exact_div(row, c) for row in p]
+    # a factor in x alone has no real root, as it divides p(x, 0); dropping it
+    # keeps Res_x(p, p_y) non-zero
+    swapped = swap(p)
+    d = content(swapped)
+    p = swap([exact_div(row, d) for row in swapped])
+    if len(p) == 1:  # only a constant is left
+        return None
+    p = squarefree_x(p)
+    discriminant = resultant(p, d_dx(p))
+    cuts = isolate(squarefree(mul(p[-1], discriminant)))
+    samples = [cuts[0][0] - 1] if cuts else []
+    samples += [(a[1] + b[0]) / 2 for a, b in zip(cuts, cuts[1:])]
+    samples += [cuts[-1][1] + 1] if cuts else []
+    for y in samples:
+        zero = _line_zero(p, y)
+        if zero is not None:
+            return zero
+    critical = squarefree(gcd(discriminant, resultant(p, d_dy(p))))
+    for interval in isolate(critical):
+        y = refine_root(critical, interval)
+        if not isinstance(y, Fraction):
+            return _UNDECIDED
+        zero = _line_zero(p, y)
+        if zero is not None:
+            return zero
+    return None
+
+
+def _line_zero(p: list, y: Fraction) -> tuple | None:
+    """A zero of ``p`` on the line at rational ``y``, or None when its Sturm count is 0."""
+    line = fibre(p, y)
+    if not line:
+        return (Fraction(0), y)
+    roots = squarefree(line)
+    intervals = isolate(roots)
+    return (refine_root(roots, intervals[0]), y) if intervals else None
+
+
+def _check_assumptions_on_box(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> Assumptions:
+    """``check_assumptions`` on the box [-R, R]^n, for any n.
+
+    ``check_assumptions`` takes this path for n >= 3; for n = 2 the tests
+    compare it with the exact decision and with the hunt-first oracle.
 
     Interval branch-and-bound first tries to exclude zero from the
     determinant over the whole box; a float Newton zero never overrides that
@@ -143,25 +279,9 @@ def check_assumptions(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> Assum
     and a full exclusion leaves the status assumed.
     """
     cfg = cfg or AnalysisConfig()
-    origin = (Fraction(0),) * fmap.n
-    f_zero = all(value == 0 for value in fmap.evaluate(origin))
-
-    det = jacobian_det(fmap)
-    if det.is_zero:
-        return Assumptions(
-            f_zero_at_origin=f_zero,
-            jac_status=JacStatus.VIOLATION_FOUND,
-            jac_point=(0.0,) * fmap.n,
-            jac_exact=True,
-        )
-    if set(det.terms) == {(0,) * fmap.n}:
-        # non-zero constant determinant
-        return Assumptions(
-            f_zero_at_origin=f_zero,
-            jac_status=JacStatus.VERIFIED_ON_BOX,
-            jac_box=cfg.box_radius,
-            jac_depth=0,
-        )
+    f_zero, det, settled = _settled_assumptions(fmap)
+    if settled is not None:
+        return settled
 
     # interval exclusion over the box
     ipoly = IntervalPoly(det)
@@ -388,7 +508,8 @@ def weight_search(
 def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
     """Aggregate assumptions, criteria and, when no criterion holds, a witness search.
 
-    In order: the standing hypotheses are checked; the weight search runs,
+    In order: every coefficient of F and H is checked to be within float
+    range; the standing hypotheses are checked; the weight search runs,
     and a field-criterion success has its derived weights re-verified; a
     success is demoted when a hypothesis is violated; and only when no
     success is left does the Newton witness search look for two points with
@@ -396,9 +517,14 @@ def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
     the tests check that the search finds no pair on certified maps.
     """
     cfg = cfg or AnalysisConfig()
-    assumptions = check_assumptions(fmap, cfg)
     # one table of certified systems per map; no outcome outlives this verdict
     table: dict = {}
+    # the witness search and the n >= 3 certificates evaluate F and the tops
+    # of H in floats: refuse a coefficient beyond float range on every path
+    for p in (*fmap.components, _norm_function(fmap, table)):
+        for c in p.terms.values():
+            float(c)
+    assumptions = check_assumptions(fmap, cfg)
     search = weight_search(fmap, None, cfg, table)
 
     # the first criterion to succeed, in the order of _CHECKERS

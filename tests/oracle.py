@@ -1,7 +1,9 @@
 """Oracles that tests check the library against: a grid scan for the
 only-origin certifier, term-by-term interval bounds for ``IntervalPoly``,
-hunt-first references for ``only_origin`` and ``check_assumptions``, and a
-witness-first reference for ``verdict``."""
+hunt-first references for the box paths ``_only_origin_boxes`` and
+``_check_assumptions_on_box`` (which ``only_origin`` and
+``check_assumptions`` take for n >= 3), and a witness-first reference for
+``verdict``."""
 
 import math
 from dataclasses import replace
@@ -120,7 +122,7 @@ def reference_bounds(p: Polynomial, coords: Sequence[Interval]) -> Interval:
 def hunt_first_only_origin(
     system: Sequence[Polynomial], w: Weight, cfg: CertConfig | None = None
 ) -> CertOutcome:
-    """``only_origin`` with the witness hunt from sphere points run before any box.
+    """``_only_origin_boxes`` with the witness hunt from sphere points run before any box.
 
     The library runs branch-and-bound first and hunts only once a box reaches
     depth 16 or a leaf, replaying the shallower refine-depth boxes in order;
@@ -180,7 +182,8 @@ def hunt_first_only_origin(
 def hunt_first_check_assumptions(
     fmap: PolyMap, cfg: AnalysisConfig | None = None
 ) -> Assumptions:
-    """``check_assumptions`` with the Newton hunt and the sign test run before the boxes.
+    """``_check_assumptions_on_box`` with the Newton hunt and the sign test run before
+    the boxes.
 
     The library runs the interval exclusion first; the two agree except where
     a float Newton zero of det DF lies in a box that the exclusion proves
@@ -199,12 +202,7 @@ def hunt_first_check_assumptions(
             jac_exact=True,
         )
     if set(det.terms) == {(0,) * fmap.n}:
-        return Assumptions(
-            f_zero_at_origin=f_zero,
-            jac_status=JacStatus.VERIFIED_ON_BOX,
-            jac_box=cfg.box_radius,
-            jac_depth=0,
-        )
+        return Assumptions(f_zero_at_origin=f_zero, jac_status=JacStatus.VERIFIED_EVERYWHERE)
 
     det_sys = FloatSystem([det])
     starts = points_in_box(fmap.n, 4 * PROBES, cfg.box_radius, cfg.cert.seed)

@@ -22,7 +22,7 @@ from jacgate import (
     unique_zero_nonneg,
 )
 import jacgate.certify
-from jacgate.certify import RHO
+from jacgate.certify import RHO, _only_origin_boxes
 from jacgate.errors import ZeroPolynomialError
 from jacgate.floatval import FloatSystem
 from jacgate.intervals import Box, Interval
@@ -47,12 +47,17 @@ class TestOnlyOrigin:
     def test_cubic_system_only_origin(self):
         outcome = only_origin([p2("x^3 + y^3"), p2("y")], W11)
         assert outcome.kind is OutcomeKind.ONLY_ORIGIN
-        assert outcome.boxes > 0
+        # decided exactly for n = 2; the box search needs boxes for the same proof
+        assert (outcome.boxes, outcome.max_depth) == (0, 0)
+        assert _only_origin_boxes([p2("x^3 + y^3"), p2("y")], W11).boxes > 0
 
     def test_cubic_square_single(self):
-        outcome = only_origin([p2("1/2*x^6 + x^3*y^3 + 1/2*y^6")], W11)
+        system = [p2("1/2*x^6 + x^3*y^3 + 1/2*y^6")]
+        outcome = only_origin(system, W11)
         assert outcome.kind is OutcomeKind.NONTRIVIAL_ZERO
-        check_witness_on_line(outcome)
+        # the exact witness is the rational zero on the line y = 1, off the sphere
+        assert (outcome.witness, outcome.exact) == ((Fraction(-1), Fraction(1)), True)
+        check_witness_on_line(_only_origin_boxes(system, W11))
 
     def test_linear_system(self):
         outcome = only_origin([p2("x"), p2("y")], W11)
@@ -106,7 +111,7 @@ class TestOnlyOrigin:
         ids=["certified", "depth_limit", "box_budget"],
     )
     def test_branch_and_bound_contract(self, cfg, kind, boxes, max_depth, unresolved):
-        outcome = only_origin([p2("x^3 + y^3"), p2("y")], W11, cfg)
+        outcome = _only_origin_boxes([p2("x^3 + y^3"), p2("y")], W11, cfg)
         assert outcome.kind is kind
         assert (outcome.boxes, outcome.max_depth) == (boxes, max_depth)
         assert outcome.unresolved == unresolved
@@ -128,7 +133,11 @@ class TestOnlyOrigin:
 
 
 class TestProveFirst:
-    """Branch-and-bound runs before the witness hunt and decides as hunting first did."""
+    """Branch-and-bound runs before the witness hunt and decides as hunting first did.
+
+    ``only_origin`` is exact for n = 2, so these tests call the box search,
+    ``_only_origin_boxes``, on the same planar systems.
+    """
 
     @pytest.mark.parametrize(
         "cfg",
@@ -145,7 +154,7 @@ class TestProveFirst:
     def test_same_outcomes_as_hunting_first_on_seeded_systems(self, cfg):
         kinds = set()
         for system, w in qh_system_instances(30, seed=307):
-            outcome = only_origin(system, w, cfg)
+            outcome = _only_origin_boxes(system, w, cfg)
             # repr compares every float of a witness and its residuals
             assert repr(outcome) == repr(hunt_first_only_origin(system, w, cfg)), system
             kinds.add(outcome.kind)
@@ -153,12 +162,12 @@ class TestProveFirst:
 
     def test_same_outcomes_as_hunting_first_on_nonneg_polynomials(self):
         for p, w in nonneg_qh_instances(20, seed=211):
-            assert repr(only_origin([p], w)) == repr(hunt_first_only_origin([p], w)), p
+            assert repr(_only_origin_boxes([p], w)) == repr(hunt_first_only_origin([p], w)), p
 
     def test_same_outcomes_on_contract_configs(self):
         system = [p2("x^3 + y^3"), p2("y")]
         for cfg in (CertConfig(depth=4), CertConfig(max_boxes=7)):
-            outcome = only_origin(system, W11, cfg)
+            outcome = _only_origin_boxes(system, W11, cfg)
             assert outcome.is_inconclusive
             assert repr(outcome) == repr(hunt_first_only_origin(system, W11, cfg))
 
@@ -195,7 +204,7 @@ class TestProveFirst:
 
     def test_no_float_work_when_boxes_close_above_refine_depth(self, float_work):
         system = [p2("x^3 + y^3"), p2("y")]
-        outcome = only_origin(system, W11)
+        outcome = _only_origin_boxes(system, W11)
         # every box is excluded by depth 5, before the first refine depth (8)
         assert (outcome.kind, outcome.max_depth, outcome.boxes) == (OutcomeKind.ONLY_ORIGIN, 5, 31)
         assert (float_work["newton"], float_work["systems"]) == (0, 0)
@@ -207,7 +216,7 @@ class TestProveFirst:
         # coupled3's MapHigherPart top at (1, 1): boxes survive to depth 9,
         # past the refine depth 8, yet all close before the hunt depth 16
         system = [p2("x^3 + y^3"), p2("y^3 + 1/3*x^3")]
-        outcome = only_origin(system, W11)
+        outcome = _only_origin_boxes(system, W11)
         assert (outcome.kind, outcome.max_depth, outcome.boxes) == (OutcomeKind.ONLY_ORIGIN, 9, 63)
         assert (float_work["newton"], float_work["systems"]) == (0, 0)
         assert repr(hunt_first_only_origin(system, W11)) == repr(outcome)
@@ -219,7 +228,7 @@ class TestProveFirst:
         # centre of the first depth-8 survivor, hunted only after depth 16
         fmap = PolyMap([p2("1/50*x^3 - 3/25*x^2*y + 6/25*x*y^2 - 4/25*y^3 + x"), p2("y")])
         system = [higher_part(h_norm(fmap), W11)]
-        outcome = only_origin(system, W11)
+        outcome = _only_origin_boxes(system, W11)
         assert (outcome.kind, outcome.max_depth, outcome.boxes) == (
             OutcomeKind.NONTRIVIAL_ZERO, 8, 11
         )

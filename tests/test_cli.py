@@ -125,6 +125,35 @@ class TestCheck:
         assert payload["config"]["seed"] == 0
 
 
+    @pytest.mark.parametrize(
+        "text, line, status, point",
+        [
+            (EX_MAP, "det DF != 0 proven on all of R^2", "verified_everywhere", None),
+            (
+                "vars: x, y\nf = x^3 - 2*x + y\ng = y\n",
+                "det DF vanishes at x in (-5/6, -25/32), y = 0 (exact)",
+                "violation_found",
+                [["-5/6", "-25/32"], "0"],
+            ),
+            (
+                "vars: x, y, z\nf = x + x^3\ng = y\nh = z\n",
+                "det DF != 0 proven on the box [-10, 10]^3",
+                "verified_on_box",
+                None,
+            ),
+        ],
+        ids=["plane", "plane_violation", "box"],
+    )
+    def test_det_line_and_report(self, tmp_path, capsys, text, line, status, point):
+        path, report = tmp_path / "m.map", tmp_path / "m.json"
+        path.write_text(text)
+        main(["check", str(path), "--json", str(report)])
+        assert f"; {line}\n" in capsys.readouterr().out
+        jac = json.loads(report.read_text())["assumptions"]["jac_nonvanishing"]
+        assert (jac["status"], jac["point"]) == (status, point)
+        assert jac["exact"] is (status == "violation_found")
+
+
 class TestDecompose:
     def test_h_parts(self, ex_file, capsys):
         assert main(["decompose", ex_file, "--weights", "1,1", "--target", "H"]) == 0
@@ -163,6 +192,35 @@ class TestCertify:
         assert main(["certify", str(path), "--weights", "1,1", "--mode", "nonneg"]) == 0
         out = capsys.readouterr().out
         assert "nontrivial_zero" in out and "witness" in out
+
+    @pytest.mark.parametrize(
+        "text, weights, lines",
+        [
+            (
+                "vars: x, y\ng1 = x^3 + y^3\ng2 = y\n",
+                "1,1",
+                ["outcome: only_origin", "decided exactly: Sturm sequences on y = 1 and y = -1"],
+            ),
+            (
+                "vars: x, y\np = 1/2*x^6 + x^3*y^3 + 1/2*y^6\n",
+                "1,1",
+                ["witness (exact): x = -1, y = 1", "residuals: [0.0]"],
+            ),
+            # the root -sqrt(2) of t^2 - 2 on the line y = 1, as an isolating interval
+            ("vars: u, v\np = u^2 - 2*v^2\n", "1,1", ["witness (exact): u in (-3/2, -9/8), v = 1"]),
+            ("vars: x, y, z\ng1 = x\ng2 = y\ng3 = z\n", "1,1,1", ["boxes processed: "]),
+        ],
+        ids=["only_origin", "rational_witness", "interval_witness", "three_variables"],
+    )
+    def test_exact_planar_text(self, tmp_path, capsys, text, weights, lines):
+        path = tmp_path / "s.map"
+        path.write_text(text)
+        assert main(["certify", str(path), "--weights", weights]) == 0
+        out = capsys.readouterr().out
+        for line in lines:
+            assert line in out
+        # box counts are printed only where branch-and-bound ran
+        assert ("boxes processed" in out) is (weights == "1,1,1")
 
     def test_gradient_mode(self, tmp_path, capsys):
         path = tmp_path / "q.map"

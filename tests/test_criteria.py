@@ -29,8 +29,8 @@ from jacgate import (
     verdict,
     weight_search,
 )
-from jacgate.certify import certify_once, gradient_only_origin, only_origin
-from jacgate.criteria import PROBES, STARTS
+from jacgate.certify import _only_origin_boxes, certify_once, gradient_only_origin, only_origin
+from jacgate.criteria import PROBES, STARTS, _check_assumptions_on_box
 from jacgate.dynamics import injectivity_witness
 from jacgate.errors import DegenerateDirectionError, PreconditionError
 from jacgate.intervals import IntervalPoly
@@ -73,9 +73,13 @@ def counting_newton(monkeypatch):
 
 class TestAssumptions:
     def test_cubic_verified(self, cubic_map):
+        # det DF = 3x^2 + 1 is proven non-zero on all of R^2, and on the box by the box path
         assumptions = check_assumptions(cubic_map, AnalysisConfig(box_radius=10.0))
         assert assumptions.f_zero_at_origin
-        assert assumptions.jac_status is JacStatus.VERIFIED_ON_BOX
+        assert assumptions.jac_status is JacStatus.VERIFIED_EVERYWHERE
+        assert (assumptions.jac_box, assumptions.jac_depth) == (None, None)
+        on_box = _check_assumptions_on_box(cubic_map, AnalysisConfig(box_radius=10.0))
+        assert on_box.jac_status is JacStatus.VERIFIED_ON_BOX
 
     def test_parabola_violation(self):
         assumptions = check_assumptions(PolyMap([p2("x^2 - 1"), p2("y")]))
@@ -86,9 +90,11 @@ class TestAssumptions:
         assert assumptions.jac_point[0] == 0
 
     def test_identity_trivial(self):
-        assumptions = check_assumptions(PolyMap.identity(2))
-        assert assumptions.f_zero_at_origin
-        assert assumptions.jac_status is JacStatus.VERIFIED_ON_BOX
+        # a constant det DF is non-zero everywhere, on either path and for any n
+        for fmap in (PolyMap.identity(2), PolyMap.identity(3)):
+            for assumptions in (check_assumptions(fmap), _check_assumptions_on_box(fmap)):
+                assert assumptions.f_zero_at_origin
+                assert assumptions.jac_status is JacStatus.VERIFIED_EVERYWHERE
 
     @pytest.mark.parametrize(
         "cert, status, depth",
@@ -102,7 +108,7 @@ class TestAssumptions:
     def test_branch_and_bound_contract(self, cert, status, depth):
         # det DF = 1 + 3x^2 + 1/20*(x+y)^4 > 0 needs bisection to depth 15
         fmap = PolyMap([p2("x + x^3 + 1/100*(x+y)^5"), p2("y")])
-        assumptions = check_assumptions(fmap, AnalysisConfig(box_radius=10.0, cert=cert))
+        assumptions = _check_assumptions_on_box(fmap, AnalysisConfig(box_radius=10.0, cert=cert))
         assert (assumptions.jac_status, assumptions.jac_depth) == (status, depth)
 
     def test_jacbox_branch_and_bound(self, monkeypatch):
@@ -118,7 +124,7 @@ class TestAssumptions:
 
         monkeypatch.setattr(IntervalPoly, "bounds", counting)
         fmap = PolyMap([p2("x + 1/3*(x - 1/2*y)^3 + 1/50*(x + y)^5"), p2("y")])
-        assumptions = check_assumptions(fmap)
+        assumptions = _check_assumptions_on_box(fmap)
         assert (assumptions.jac_status, assumptions.jac_depth, calls) == (
             JacStatus.VERIFIED_ON_BOX, 17, 25519
         )
@@ -126,7 +132,7 @@ class TestAssumptions:
     def test_sign_change_proves_violation(self):
         # det DF = 30*(x+y)^29 + 1 vanishes on the line x + y = -(1/30)^(1/29),
         # where Newton does not converge; the exact signs at the starts differ
-        assumptions = check_assumptions(PolyMap([p2("(x+y)^30 + x"), p2("y")]))
+        assumptions = _check_assumptions_on_box(PolyMap([p2("(x+y)^30 + x"), p2("y")]))
         assert assumptions.jac_status is JacStatus.VIOLATION_FOUND
         assert not assumptions.jac_exact
         x, y = assumptions.jac_point
@@ -134,7 +140,11 @@ class TestAssumptions:
 
 
 class TestProveFirst:
-    """The box exclusion runs before the Newton hunt and decides as hunting first did."""
+    """The box exclusion runs before the Newton hunt and decides as hunting first did.
+
+    For n = 2 the library decides exactly, so these tests call the box paths,
+    ``_check_assumptions_on_box`` and ``_only_origin_boxes``, on the same maps.
+    """
 
     @pytest.mark.parametrize(
         "cfg",
@@ -149,26 +159,27 @@ class TestProveFirst:
     def test_same_assumptions_as_hunting_first(self, name, cfg):
         fmap = NAMED_MAPS[name]
         # repr compares every float of a violation point
-        assert repr(check_assumptions(fmap, cfg)) == repr(hunt_first_check_assumptions(fmap, cfg))
+        on_box = _check_assumptions_on_box(fmap, cfg)
+        assert repr(on_box) == repr(hunt_first_check_assumptions(fmap, cfg))
 
     def test_same_assumptions_on_seeded_maps(self):
         rng = Random(5)
         maps = [random_map(rng, rng.choice((2, 2, 3)), 3, 3) for _ in range(20)]
         maps += [fmap for fmap, _ in field_pass_instances(10, seed=19)]
         for fmap in maps:
-            assert repr(check_assumptions(fmap)) == repr(hunt_first_check_assumptions(fmap)), fmap
+            on_box = _check_assumptions_on_box(fmap)
+            assert repr(on_box) == repr(hunt_first_check_assumptions(fmap)), fmap
 
     def test_same_map_criterion_outcomes_as_hunting_first(self):
         for name, fmap in NAMED_MAPS.items():
             for w in enumerate_weights(2, 2):
                 top = higher_part_map(fmap, w).components
-                assert repr(only_origin(top, w)) == repr(oracle.hunt_first_only_origin(top, w)), (
-                    name, w
-                )
+                on_boxes = _only_origin_boxes(top, w)
+                assert repr(on_boxes) == repr(oracle.hunt_first_only_origin(top, w)), (name, w)
 
     def test_no_newton_when_box_proves_det(self, monkeypatch, cubic_map):
         calls = counting_newton(monkeypatch)
-        assumptions = check_assumptions(cubic_map)
+        assumptions = _check_assumptions_on_box(cubic_map)
         assert assumptions.jac_status is JacStatus.VERIFIED_ON_BOX
         assert calls[0] == 0
         # hunting first runs Newton from all 32 starts on the same map
@@ -178,12 +189,12 @@ class TestProveFirst:
     def test_newton_runs_when_the_box_proof_fails(self, monkeypatch):
         calls = counting_newton(monkeypatch)
         cfg = AnalysisConfig(cert=CertConfig(depth=10))
-        assumptions = check_assumptions(NAMED_MAPS["depth15"], cfg)
+        assumptions = _check_assumptions_on_box(NAMED_MAPS["depth15"], cfg)
         assert assumptions.jac_status is JacStatus.ASSUMED
         assert calls[0] == 32
 
     def test_float_zero_does_not_override_box_proof(self):
-        assumptions = check_assumptions(TINYDET)
+        assumptions = _check_assumptions_on_box(TINYDET)
         assert (assumptions.jac_status, assumptions.jac_depth) == (JacStatus.VERIFIED_ON_BOX, 0)
         # hunting first reports the float "zero" that the depth-0 box refutes
         refuted = hunt_first_check_assumptions(TINYDET)
