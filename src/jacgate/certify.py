@@ -73,8 +73,10 @@ class CertOutcome:
     ``exact`` is set) and ``residuals`` the per-polynomial values there.  An
     exact planar witness may instead hold, for x, a ``(lo, hi)`` pair of
     Fractions that isolates one root on its line y = +-1; its ``residuals``
-    are None.  For an inconclusive outcome, ``unresolved`` is the deepest box
-    the search failed to resolve.
+    are None.  An ``only_origin`` outcome has ``exact`` set when it was
+    decided in exact arithmetic rather than by branch-and-bound.  For an
+    inconclusive outcome, ``unresolved`` is the deepest box the search failed
+    to resolve.
     """
 
     kind: OutcomeKind
@@ -208,7 +210,7 @@ def _planar_only_origin(system: Sequence[Polynomial]) -> CertOutcome:
             return _exact_zero(point, len(system))
     if isolated:
         return CertOutcome(kind=OutcomeKind.NONTRIVIAL_ZERO, witness=isolated[0], exact=True)
-    return CertOutcome(kind=OutcomeKind.ONLY_ORIGIN)
+    return CertOutcome(kind=OutcomeKind.ONLY_ORIGIN, exact=True)
 
 
 def _only_origin_boxes(

@@ -280,8 +280,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         print(f"witness ({kind}): {_format_point(outcome.witness, names)}")
         if outcome.residuals is not None:
             print(f"residuals: {list(outcome.residuals)}")
-    elif n == 2:
-        print("decided exactly: Sturm sequences on y = 1 and y = -1, values at (1, 0) and (-1, 0)")
+    elif outcome.exact:
+        print("decided exactly, with no box search")
     else:
         print(f"boxes processed: {outcome.boxes}, max depth: {outcome.max_depth}")
     return 0

@@ -18,7 +18,9 @@ re-verified here rather than trusted.
 The origin hypothesis is checked exactly.  The Jacobian hypothesis is
 proven on all of R^n when det DF is a non-zero constant, decided on all of
 R^2 by Sturm sequences and resultants when n = 2, and checked on the box
-[-R, R]^n by interval branch-and-bound and a Newton hunt when n >= 3.
+[-R, R]^n by interval branch-and-bound and a Newton hunt when n >= 3 and
+for the planar dets the exact decision does not take on (a critical zero
+on an irrational line, or resultants of too high a degree).
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .univariate import (
     mul,
     refine_root,
     resultant,
+    resultant_degree,
     squarefree,
     squarefree_x,
     swap,
@@ -157,9 +160,10 @@ def check_assumptions(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> Assum
     """Verify the origin condition exactly, and the Jacobian condition on all of
     R^n when det DF is constant or n = 2, or else on the box.
 
-    For n = 2 the decision is exact (``_planar_zero``), and it is left
-    assumed only when every zero it cannot rule out is a critical point of
-    det DF on an irrational line y = c.  For n >= 3 it is
+    For n = 2 the decision is exact (``_planar_zero``).  Where it cannot
+    finish, because a zero it cannot rule out is a critical point of det DF
+    on an irrational line y = c or because its resultants would exceed
+    ``_MAX_RESULTANT_DEGREE``, and for every n >= 3, it is
     ``_check_assumptions_on_box``.
     """
     if fmap.n != 2:
@@ -169,7 +173,7 @@ def check_assumptions(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> Assum
         return settled
     point = _planar_zero(det)
     if point is _UNDECIDED:
-        return Assumptions(f_zero_at_origin=f_zero, jac_status=JacStatus.ASSUMED)
+        return _check_assumptions_on_box(fmap, cfg)
     if point is None:
         return Assumptions(f_zero_at_origin=f_zero, jac_status=JacStatus.VERIFIED_EVERYWHERE)
     return Assumptions(
@@ -199,6 +203,13 @@ def _settled_assumptions(fmap: PolyMap) -> tuple[bool, Polynomial, Assumptions |
 
 _UNDECIDED = object()
 
+# y-degree bound on Res_x(p, p_x) and Res_x(p, p_y) above which the planar
+# det decision is not attempted.  Its cost grows with the degree and the
+# digits of these resultants: 0.1 s at 12, the largest in the check
+# benchmarks; 0.7-1.3 s at 56, for dense degree-8 dets with small integer
+# coefficients; 11 s at 90 for a degree-10 one
+_MAX_RESULTANT_DEGREE = 60
+
 
 def _planar_zero(det: Polynomial):
     """A real zero of the non-constant det(x, y), None when it has none, or
@@ -208,13 +219,16 @@ def _planar_zero(det: Polynomial):
     by its Sturm count; its x is a rational root or an isolating interval.
     The line y = 0 is tried first, so that an obvious zero never costs a
     resultant.  Otherwise det loses the factors in y alone and in x alone
-    (those with a real root vanish on a whole line) and its repeated factors.
+    (those with a real root vanish on a whole line) and, when Res_x(p, p_x)
+    vanishes, its repeated factors.
     On each cell between the real roots of lc_x(p) Res_x(p, p_x) the real
     roots of p(., y) keep their count, so one rational sample per cell shows
     whether p vanishes off the cut lines.  If it does not, a zero on a cut
     line is a critical point, and none exists when
-    gcd(Res_x(p, p_x), Res_x(p, p_y)) has no real root; a rational root of
-    that gcd is decided on its line.
+    gcd(Res_x(p, p_x), Res_x(p, p_y)) has no real root; each rational root of
+    that gcd is decided on its line.  It is ``_UNDECIDED`` when that leaves
+    only irrational roots, or when a resultant's degree bound exceeds
+    ``_MAX_RESULTANT_DEGREE``.
     """
     p = bivariate(det.terms)
     zero = _line_zero(p, Fraction(0))
@@ -233,8 +247,12 @@ def _planar_zero(det: Polynomial):
     p = swap([exact_div(row, d) for row in swapped])
     if len(p) == 1:  # only a constant is left
         return None
-    p = squarefree_x(p)
+    if max(resultant_degree(p, d_dx(p)), resultant_degree(p, d_dy(p))) > _MAX_RESULTANT_DEGREE:
+        return _UNDECIDED
     discriminant = resultant(p, d_dx(p))
+    if not discriminant:  # a factor divides p twice
+        p = squarefree_x(p)
+        discriminant = resultant(p, d_dx(p))
     cuts = isolate(squarefree(mul(p[-1], discriminant)))
     samples = [cuts[0][0] - 1] if cuts else []
     samples += [(a[1] + b[0]) / 2 for a, b in zip(cuts, cuts[1:])]
@@ -244,14 +262,16 @@ def _planar_zero(det: Polynomial):
         if zero is not None:
             return zero
     critical = squarefree(gcd(discriminant, resultant(p, d_dy(p))))
+    irrational = False
     for interval in isolate(critical):
         y = refine_root(critical, interval)
         if not isinstance(y, Fraction):
-            return _UNDECIDED
+            irrational = True
+            continue
         zero = _line_zero(p, y)
         if zero is not None:
             return zero
-    return None
+    return _UNDECIDED if irrational else None
 
 
 def _line_zero(p: list, y: Fraction) -> tuple | None:

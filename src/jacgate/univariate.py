@@ -79,10 +79,19 @@ def exact_div(a: Poly, b: Poly) -> Poly:
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; ``[]`` when both are zero."""
+    """Monic greatest common divisor; ``[]`` when both are zero.
+
+    The remainders are taken in integers and made primitive at each step
+    (Collins 1967): Euclid over Q lets the digits of the coefficients grow
+    exponentially with the degree."""
+    if not a or not b:
+        a = a or b
+        return [c / a[-1] for c in a]
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, divide(a, b)[1]
-    return [c / a[-1] for c in a] if a else []
+        r = _pseudo_remainder(a, b)[0]
+        a, b = b, (_primitive(r) if r else [])
+    return [Fraction(c, a[-1]) for c in a]
 
 
 def squarefree(p: Poly) -> Poly:
@@ -90,23 +99,40 @@ def squarefree(p: Poly) -> Poly:
     return exact_div(p, gcd(p, derivative(p)))
 
 
-def _primitive(p: Poly) -> list[int]:
-    """The positive multiple of ``p`` with coprime integer coefficients."""
+def _primitive(p: Sequence) -> list[int]:
+    """The positive multiple of the non-zero ``p`` (Fractions or integers) with
+    coprime integer coefficients."""
     den = math.lcm(*(c.denominator for c in p))
     ints = [c.numerator * (den // c.denominator) for c in p]
     g = math.gcd(*ints)
     return [i // g for i in ints]
 
 
+def _pseudo_remainder(a: list[int], b: list[int]) -> tuple[list[int], int]:
+    """``(r, k)`` with ``lc(b)^k a = q b + r`` and deg r < deg b, in integers."""
+    r, lead, k = list(a), b[-1], 0
+    while len(r) >= len(b):
+        c, shift = r[-1], len(r) - len(b)
+        r = [x * lead for x in r]
+        for i, d in enumerate(b):
+            r[shift + i] -= c * d
+        k += 1
+        while r and not r[-1]:
+            r.pop()
+    return r, k
+
+
 def sturm(p: Poly) -> list[list[int]]:
     """The Sturm sequence of the non-constant ``p``: p, p', then negated remainders,
     each scaled by a positive constant to coprime integers."""
-    seq = [p, derivative(p)]
+    seq = [_primitive(p), _primitive(derivative(p))]
     while True:
-        r = divide(seq[-2], seq[-1])[1]
+        r, k = _pseudo_remainder(seq[-2], seq[-1])
         if not r:
-            return [_primitive(q) for q in seq]
-        seq.append([Fraction(-c) for c in _primitive(r)])
+            return seq
+        # r is lc^k times the remainder: keep the sign of minus the remainder
+        sign = -1 if seq[-1][-1] > 0 or k % 2 == 0 else 1
+        seq.append([sign * c for c in _primitive(r)])
 
 
 def _sign(ints: list[int], x: Fraction) -> int:
@@ -314,17 +340,22 @@ def _total_degree(p: list[Poly]) -> int:
     return max(i + len(c) - 1 for i, c in enumerate(p) if c)
 
 
+def resultant_degree(p: list[Poly], q: list[Poly]) -> int:
+    """A bound on the y-degree of Res_x(p, q), the Sylvester determinant:
+    ``deg_x(p) deg_y(q) + deg_x(q) deg_y(p)`` and the product of the total
+    degrees, whichever is smaller."""
+    m, n = len(p) - 1, len(q) - 1
+    return min(m * _degree_y(q) + n * _degree_y(p), _total_degree(p) * _total_degree(q))
+
+
 def resultant(p: list[Poly], q: list[Poly]) -> Poly:
     """Res_x(p, q) in Q[y] of two non-zero polynomials in x over Q[y].
 
-    It is the Sylvester determinant, of y-degree at most
-    ``deg_x(p) deg_y(q) + deg_x(q) deg_y(p)`` and at most the product of the
-    total degrees; it is interpolated from its values at that many integer
+    It is interpolated from its values at ``resultant_degree(p, q)`` integer
     points plus one where neither leading coefficient vanishes, where the
     resultant over Q is the value.
     """
-    m, n = len(p) - 1, len(q) - 1
-    bound = min(m * _degree_y(q) + n * _degree_y(p), _total_degree(p) * _total_degree(q))
+    bound = resultant_degree(p, q)
     xs: list[int] = []
     ys: list[Fraction] = []
     y = 0

@@ -199,7 +199,7 @@ class TestCertify:
             (
                 "vars: x, y\ng1 = x^3 + y^3\ng2 = y\n",
                 "1,1",
-                ["outcome: only_origin", "decided exactly: Sturm sequences on y = 1 and y = -1"],
+                ["outcome: only_origin", "decided exactly, with no box search"],
             ),
             (
                 "vars: x, y\np = 1/2*x^6 + x^3*y^3 + 1/2*y^6\n",

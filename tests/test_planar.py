@@ -373,9 +373,46 @@ class TestHostileInput:
         assert assumptions.jac_status is JacStatus.VIOLATION_FOUND
         assert assumptions.jac_point == (Fraction(0), Fraction(1, 3))
 
-    def test_critical_zero_on_an_irrational_line_stays_assumed(self):
+    def test_critical_zero_on_an_irrational_line_takes_the_box_path(self):
         # det DF = x^2 + (y^2 - 2)^2 vanishes only at (0, +-sqrt 2): a critical
         # point on an irrational line, which no rational line shows
         det = X * X + (Y * Y - 2) ** 2
         fmap = map_with_det(det)
-        assert check_assumptions(fmap).jac_status is JacStatus.ASSUMED
+        assert jacgate.criteria._planar_zero(det) is jacgate.criteria._UNDECIDED
+        assert check_assumptions(fmap) == _check_assumptions_on_box(fmap)
+
+    def test_rational_critical_line_after_an_irrational_one(self):
+        # the critical zeros (0, -sqrt 2), (0, sqrt 2) and (0, 1) lie on no
+        # sampled line; the gcd's root -sqrt 2 comes before its root 1, which
+        # is still decided on its line
+        det = (X * X + (Y * Y - 2) ** 2) * (X * X + (Y - 1) ** 2)
+        assumptions = check_assumptions(map_with_det(det))
+        assert assumptions.jac_status is JacStatus.VIOLATION_FOUND and assumptions.jac_exact
+        assert assumptions.jac_point == (Fraction(0), Fraction(1))
+
+    @pytest.mark.parametrize(
+        "last, status",
+        [(Y ** 31, JacStatus.VIOLATION_FOUND), (Y ** 30, JacStatus.ASSUMED)],
+        ids=["zero_off_y0", "positive"],
+    )
+    def test_high_degree_det_takes_the_box_path(self, monkeypatch, last, status):
+        # det DF = 1 + x^2 + (x + y)^30 + y^31 (or + y^30) has no zero on y = 0,
+        # and Res_x(p, p_x) would have y-degree up to 900: the box path decides
+        # instead, as it does for n >= 3, with no resultant built
+        calls = Counter()
+        resultant = jacgate.criteria.resultant
+        on_box = jacgate.criteria._check_assumptions_on_box
+
+        def counting_resultant(*args):
+            calls["resultant"] += 1
+            return resultant(*args)
+
+        def counting_on_box(*args):
+            calls["on_box"] += 1
+            return on_box(*args)
+
+        monkeypatch.setattr(jacgate.criteria, "resultant", counting_resultant)
+        monkeypatch.setattr(jacgate.criteria, "_check_assumptions_on_box", counting_on_box)
+        det = X * X + 1 + (X + Y) ** 30 + last
+        assert check_assumptions(map_with_det(det)).jac_status is status
+        assert calls == Counter(on_box=1)
