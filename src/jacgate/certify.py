@@ -50,12 +50,12 @@ SHELL = 0.0625  # half-width of the norm-square shell around the sphere
 RHO = 1e-10     # residual tolerance for witnesses
 TAU = 1e-8      # allowed distance of a witness norm from 1
 _PROBES = 16    # sphere points the witness hunt starts from
+MAX_BOXES = 200_000  # box budget of one branch-and-bound search
 
 
 @dataclass(frozen=True)
 class CertConfig:
     depth: int = 24
-    max_boxes: int = 200_000
     seed: int = 0
 
 
@@ -248,7 +248,7 @@ def _only_origin_boxes(
             return True
         return any(p.excludes_zero(box.coords) for p in ipolys)
 
-    search = Bisection(Box.cube(n, 1.0), cfg.depth, cfg.max_boxes)
+    search = Bisection(Box.cube(n, 1.0), cfg.depth, MAX_BOXES)
     deepest_unresolved: Box | None = None
     fsys: FloatSystem | None = None
     # boxes to hunt from, in the order met, with the counts each would report

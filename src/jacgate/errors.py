@@ -50,9 +50,8 @@ class PreconditionError(JacgateError):
 class InternalInconsistencyError(JacgateError):
     """Two results that are mathematically forced to agree did not.
 
-    ``reason`` distinguishes a genuinely refuted identity ("refuted",
-    "sandwich") from a certificate that merely failed to resolve
-    ("inconclusive").
+    ``reason`` distinguishes a genuinely refuted identity ("refuted") from a
+    certificate that merely failed to resolve ("inconclusive").
     """
 
     def __init__(self, message: str, reason: str = "refuted"):

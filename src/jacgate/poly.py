@@ -8,6 +8,7 @@ no floating point enters any computation here.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError
@@ -217,31 +218,30 @@ class Polynomial:
         return Polynomial(self.n, kept)
 
     def translate(self, offsets: RationalPoint) -> "Polynomial":
-        """Substitute ``x_i -> x_i + b_i`` exactly."""
+        """Substitute ``x_i -> x_i + b_i`` exactly.
+
+        One Taylor shift per non-zero ``b_i``: c * x_i^k becomes the sum over
+        j <= k of C(k, j) * b_i^(k-j) * c * x_i^j.
+        """
         if len(offsets) != self.n:
             raise DimensionMismatchError("offset length does not match variable count")
-        shifts = [Fraction(b) for b in offsets]
-        # cache (x_i + b_i)^k per variable
-        cache: list[dict[int, Polynomial]] = [{} for _ in range(self.n)]
-
-        def shifted_power(i: int, k: int) -> Polynomial:
-            if k not in cache[i]:
-                base = Polynomial.variable(self.n, i) + shifts[i]
-                cache[i][k] = base ** k
-            return cache[i][k]
-
-        total = Polynomial.zero(self.n)
-        for exponent, coefficient in self.terms.items():
-            term = Polynomial.constant(self.n, coefficient)
-            for i, k in enumerate(exponent):
-                if k == 0:
-                    continue
-                if shifts[i] == 0:
-                    term = term * Polynomial.monomial(self.n, tuple(k if j == i else 0 for j in range(self.n)))
-                else:
-                    term = term * shifted_power(i, k)
-            total = total + term
-        return total
+        terms = self.terms
+        for i, b in enumerate(offsets):
+            b = Fraction(b)
+            if not b:
+                continue
+            powers = [Fraction(1)]  # b^0, b^1, ...
+            shifted: dict[Exponent, Fraction] = {}
+            for exponent, coefficient in terms.items():
+                k = exponent[i]
+                while len(powers) <= k:
+                    powers.append(powers[-1] * b)
+                for j in range(k + 1):
+                    key = exponent[:i] + (j,) + exponent[i + 1:]
+                    value = comb(k, j) * powers[k - j] * coefficient
+                    shifted[key] = shifted.get(key, 0) + value
+            terms = shifted
+        return Polynomial(self.n, terms)
 
 
 class PolyMap:

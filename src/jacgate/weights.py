@@ -168,13 +168,15 @@ def higher_part_map(fmap: PolyMap, w: Weight) -> PolyMap:
 
 
 def euler_check(p: Polynomial, w: Weight, degree: int) -> bool:
-    """Exact generalized Euler identity: sum of s_i * x_i * dp/dx_i == degree * p."""
+    """Exact generalized Euler identity: sum of s_i * x_i * dp/dx_i == degree * p.
+
+    The left side multiplies each term by its weighted degree, and stored
+    coefficients are non-zero, so the identity holds exactly when every
+    term has weighted degree ``degree``.
+    """
     if w.n != p.n:
         raise DimensionMismatchError("weight length does not match variable count")
-    lhs = Polynomial.zero(p.n)
-    for i, s_i in enumerate(w.s):
-        lhs = lhs + (Polynomial.variable(p.n, i) * p.partial(i)).scale(s_i)
-    return lhs == p.scale(degree)
+    return all(sum(s * k for s, k in zip(w.s, exponent)) == degree for exponent in p.terms)
 
 
 def higher_part_field(h: Polynomial, w: Weight) -> FieldHigherPart:

@@ -2,17 +2,19 @@
 only-origin certifier, term-by-term interval bounds for ``IntervalPoly``,
 hunt-first references for the box paths ``_only_origin_boxes`` and
 ``_check_assumptions_on_box`` (which ``only_origin`` and
-``check_assumptions`` take for n >= 3), and a witness-first reference for
-``verdict``."""
+``check_assumptions`` take for n >= 3), a witness-first reference for
+``verdict``, the Euler identity as a polynomial identity for
+``euler_check``, and the squeeze at derived weights."""
 
 import math
 from dataclasses import replace
 from fractions import Fraction
+from random import Random
 from typing import Sequence
 
 import numpy as np
 
-from jacgate import Polynomial
+from jacgate import Polynomial, certify
 from jacgate.certify import (
     _PROBES,
     _REFINE_DEPTHS,
@@ -42,9 +44,9 @@ from jacgate.dynamics import injectivity_witness
 from jacgate.errors import InternalInconsistencyError
 from jacgate.floatval import FloatSystem, gauss_newton, snap_exact
 from jacgate.intervals import Bisection, Box, Interval, IntervalPoly
-from jacgate.poly import PolyMap, jacobian_det
+from jacgate.poly import PolyMap, h_norm, jacobian_det
 from jacgate.sampling import points_in_box, points_on_sphere
-from jacgate.weights import Weight
+from jacgate.weights import Weight, higher_part, higher_part_map
 
 
 def _values(p: Polynomial, points: np.ndarray) -> np.ndarray:
@@ -150,7 +152,7 @@ def hunt_first_only_origin(
             return True
         return any(p.excludes_zero(box.coords) for p in ipolys)
 
-    search = Bisection(Box.cube(n, 1.0), cfg.depth, cfg.max_boxes)
+    search = Bisection(Box.cube(n, 1.0), cfg.depth, certify.MAX_BOXES)
     deepest_unresolved: Box | None = None
     for box in search.survivors(excluded):
         leaf = search.is_leaf(box)
@@ -224,7 +226,7 @@ def hunt_first_check_assumptions(
 
     ipoly = IntervalPoly(det)
     search = Bisection(
-        Box.cube(fmap.n, cfg.box_radius), min(cfg.cert.depth, 20), cfg.cert.max_boxes
+        Box.cube(fmap.n, cfg.box_radius), min(cfg.cert.depth, 20), certify.MAX_BOXES
     )
     for box in search.survivors(lambda box: ipoly.excludes_zero(box.coords)):
         if search.is_leaf(box):
@@ -308,3 +310,33 @@ def witness_first_verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> V
         tilde=tilde,
         conflict_note=conflict_note,
     )
+
+
+def euler_identity(p: Polynomial, w: Weight, degree: int) -> bool:
+    """The generalized Euler identity as a polynomial identity:
+    sum of s_i * x_i * dp/dx_i == degree * p, which ``euler_check`` decides
+    from the exponents."""
+    lhs = Polynomial.zero(p.n)
+    for i, s_i in enumerate(w.s):
+        lhs = lhs + (Polynomial.variable(p.n, i) * p.partial(i)).scale(s_i)
+    return lhs == p.scale(degree)
+
+
+def squeeze_holds(fmap: PolyMap, w: Weight) -> bool:
+    """Whether 0 <= H_top <= ||F_top||^2 / 2 holds exactly at 100 random rational
+    points, with H the norm function and the tops taken at ``w``.
+
+    The paper proves this squeeze at the weights derived from a field-criterion
+    success; ``derive_tilde_and_verify`` certifies the map criterion there and
+    leaves the squeeze to this check.
+    """
+    h_top = higher_part(h_norm(fmap), w)
+    f_top = higher_part_map(fmap, w)
+    rng = Random(97)
+    for _ in range(100):
+        x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(fmap.n))
+        middle = h_top.evaluate(x)
+        upper = sum((c.evaluate(x) ** 2 for c in f_top.components), Fraction(0)) / 2
+        if not 0 <= middle <= upper:
+            return False
+    return True

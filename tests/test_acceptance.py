@@ -49,7 +49,7 @@ from jacgate import (
 )
 from jacgate.cli import main
 from jacgate.errors import InternalInconsistencyError
-from oracle import brute_force_scan
+from oracle import brute_force_scan, euler_identity
 
 W11 = Weight((1, 1))
 
@@ -132,6 +132,7 @@ def test_03_euler_identity_suite():
             if p is None:
                 continue
             assert euler_check(p, w, degree), f"Euler identity failed: {p!r} at {w!r}"
+            assert euler_identity(p, w, degree), f"Euler identity failed: {p!r} at {w!r}"
             checked += 1
         assert checked == 1000
 

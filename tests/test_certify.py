@@ -22,7 +22,7 @@ from jacgate import (
     unique_zero_nonneg,
 )
 import jacgate.certify
-from jacgate.certify import RHO, _only_origin_boxes
+from jacgate.certify import MAX_BOXES, RHO, _only_origin_boxes
 from jacgate.errors import ZeroPolynomialError
 from jacgate.floatval import FloatSystem
 from jacgate.intervals import Box, Interval
@@ -88,11 +88,12 @@ class TestOnlyOrigin:
             assert np.max(np.abs(value)) <= bound
 
     @pytest.mark.parametrize(
-        "cfg, kind, boxes, max_depth, unresolved",
+        "cfg, budget, kind, boxes, max_depth, unresolved",
         [
-            (CertConfig(), OutcomeKind.ONLY_ORIGIN, 31, 5, None),
+            (CertConfig(), MAX_BOXES, OutcomeKind.ONLY_ORIGIN, 31, 5, None),
             (
                 CertConfig(depth=4),
+                MAX_BOXES,
                 OutcomeKind.INCONCLUSIVE,
                 27,
                 4,
@@ -101,7 +102,8 @@ class TestOnlyOrigin:
             # the budget stops the search only at a surviving box: box 8,
             # which is deeper than the box still pending
             (
-                CertConfig(max_boxes=7),
+                CertConfig(),
+                7,
                 OutcomeKind.INCONCLUSIVE,
                 8,
                 4,
@@ -110,7 +112,10 @@ class TestOnlyOrigin:
         ],
         ids=["certified", "depth_limit", "box_budget"],
     )
-    def test_branch_and_bound_contract(self, cfg, kind, boxes, max_depth, unresolved):
+    def test_branch_and_bound_contract(
+        self, monkeypatch, cfg, budget, kind, boxes, max_depth, unresolved
+    ):
+        monkeypatch.setattr(jacgate.certify, "MAX_BOXES", budget)
         outcome = _only_origin_boxes([p2("x^3 + y^3"), p2("y")], W11, cfg)
         assert outcome.kind is kind
         assert (outcome.boxes, outcome.max_depth) == (boxes, max_depth)
@@ -140,18 +145,19 @@ class TestProveFirst:
     """
 
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg, budget",
         [
-            CertConfig(),
-            CertConfig(depth=10),
-            CertConfig(max_boxes=50),
-            CertConfig(seed=3),
-            CertConfig(depth=14),
-            CertConfig(depth=16),
+            (CertConfig(), MAX_BOXES),
+            (CertConfig(depth=10), MAX_BOXES),
+            (CertConfig(), 50),
+            (CertConfig(seed=3), MAX_BOXES),
+            (CertConfig(depth=14), MAX_BOXES),
+            (CertConfig(depth=16), MAX_BOXES),
         ],
         ids=["default", "depth_limit", "box_budget", "seed", "leaf_before_hunt_depth", "hunt_depth"],
     )
-    def test_same_outcomes_as_hunting_first_on_seeded_systems(self, cfg):
+    def test_same_outcomes_as_hunting_first_on_seeded_systems(self, monkeypatch, cfg, budget):
+        monkeypatch.setattr(jacgate.certify, "MAX_BOXES", budget)
         kinds = set()
         for system, w in qh_system_instances(30, seed=307):
             outcome = _only_origin_boxes(system, w, cfg)
@@ -164,9 +170,10 @@ class TestProveFirst:
         for p, w in nonneg_qh_instances(20, seed=211):
             assert repr(_only_origin_boxes([p], w)) == repr(hunt_first_only_origin([p], w)), p
 
-    def test_same_outcomes_on_contract_configs(self):
+    def test_same_outcomes_on_contract_configs(self, monkeypatch):
         system = [p2("x^3 + y^3"), p2("y")]
-        for cfg in (CertConfig(depth=4), CertConfig(max_boxes=7)):
+        for cfg, budget in ((CertConfig(depth=4), MAX_BOXES), (CertConfig(), 7)):
+            monkeypatch.setattr(jacgate.certify, "MAX_BOXES", budget)
             outcome = _only_origin_boxes(system, W11, cfg)
             assert outcome.is_inconclusive
             assert repr(outcome) == repr(hunt_first_only_origin(system, W11, cfg))

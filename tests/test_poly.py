@@ -116,11 +116,15 @@ class TestPartialEvaluate:
 
     def test_translate_matches_evaluation(self):
         rng = Random(31)
-        for _ in range(20):
+        for trial in range(40):
             n = rng.choice((1, 2, 3))
             p = random_polynomial(rng, n)
             offset = random_point(rng, n)
+            if trial % 2:
+                # zero offsets are skipped, not shifted
+                offset = tuple(0 if rng.random() < 0.5 else b for b in offset)
             shifted = p.translate(offset)
+            assert p.translate((0,) * n) == p
             point = random_point(rng, n)
             moved = tuple(a + b for a, b in zip(point, offset))
             assert shifted.evaluate(point) == p.evaluate(moved)

@@ -4,7 +4,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from conftest import p2
 from corpus import (
     r2_block_instances,
@@ -38,6 +41,19 @@ from jacgate.errors import DegenerateDirectionError, ZeroPolynomialError
 
 
 W11 = Weight((1, 1))
+
+
+@st.composite
+def weighted_polynomials(draw):
+    """A non-zero polynomial and a weight; about half of them quasi-homogeneous."""
+    n = draw(st.integers(1, 3))
+    w = Weight(draw(st.tuples(*[st.integers(1, 3)] * n)))
+    exponents = st.tuples(*[st.integers(0, 5)] * n)
+    coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 5))
+    p = Polynomial(n, draw(st.dictionaries(exponents, coefficients, min_size=1, max_size=6)))
+    if draw(st.booleans()):
+        p = higher_part(p, w)
+    return p, w
 
 
 @pytest.fixture
@@ -165,6 +181,16 @@ class TestEulerCheck:
             if p is None:
                 continue
             assert euler_check(p, w, degree)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(weighted_polynomials(), st.integers(-1, 2))
+    def test_matches_the_polynomial_identity(self, case, shift):
+        # shift 0 is the right degree for a quasi-homogeneous polynomial
+        p, w = case
+        degree = weighted_degree(p, w) + shift
+        quasi_homogeneous = len(qh_decompose(p, w).parts) == 1
+        expected = quasi_homogeneous and shift == 0
+        assert euler_check(p, w, degree) == oracle.euler_identity(p, w, degree) == expected
 
 
 class TestFieldHigherPart:
