@@ -7,10 +7,10 @@ set that meets every orbit.
 For n = 2 the decision is exact.  With positive weights a zero with y != 0
 scales onto the line y = 1 or y = -1, and a zero with y = 0 onto (1, 0) or
 (-1, 0).  So the system vanishes only at the origin exactly when, for each
-sign, the gcd in Q[t] of the g_i(t, +-1) has no real root, counted with a
-Sturm sequence, and not every g_i vanishes at (1, 0) or at (-1, 0).  A
-witness is a rational point when the gcd has a rational root and otherwise
-a rational interval of t, on y = +-1, that isolates one of its roots; either
+sign, the g_i(t, +-1) have no common real root (``univariate.line_roots``,
+by a Sturm count of their gcd) and not every g_i vanishes at (1, 0) or at
+(-1, 0).  A witness is a rational point when a common root is rational and
+otherwise a rational interval of t, on y = +-1, that isolates one; either
 way it is exact, and it does not lie on the unit sphere.
 
 For n >= 3 every zero scales onto the unit sphere, and the proof runs first:
@@ -38,16 +38,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateDirectionError, ZeroPolynomialError
-from .floatval import FloatSystem, gauss_newton, snap_exact
+from .floatval import RHO, FloatSystem, gauss_newton, snap_exact
 from .intervals import Bisection, Box, Interval, IntervalPoly
 from .poly import Polynomial
 from .sampling import points_on_sphere
-from .univariate import bivariate, fibre, gcd, isolate, refine_root, squarefree
+from .univariate import bivariate, line_roots
 from .weights import Weight, euler_check, higher_part, raw_weighted_degree
 
 
 SHELL = 0.0625  # half-width of the norm-square shell around the sphere
-RHO = 1e-10     # residual tolerance for witnesses
 TAU = 1e-8      # allowed distance of a witness norm from 1
 _PROBES = 16    # sphere points the witness hunt starts from
 MAX_BOXES = 200_000  # box budget of one branch-and-bound search
@@ -195,12 +194,7 @@ def _planar_only_origin(system: Sequence[Polynomial]) -> CertOutcome:
     rows = [bivariate(g.terms) for g in system]
     isolated = []
     for sigma in (Fraction(1), Fraction(-1)):
-        common: list = []
-        for row in rows:
-            common = gcd(common, fibre(row, sigma))
-        roots = squarefree(common)
-        for interval in isolate(roots):
-            t = refine_root(roots, interval)
+        for t in line_roots(rows, sigma):
             if isinstance(t, Fraction):
                 return _exact_zero((t, sigma), len(system))
             isolated.append((t, sigma))

@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .certify import RHO, SHELL, TAU, CertConfig, CertOutcome, gradient_only_origin, only_origin
+from .certify import SHELL, TAU, CertConfig, CertOutcome, gradient_only_origin, only_origin
 from .certify import unique_zero_nonneg
 from .criteria import (
-    PROBES,
-    STARTS,
     AnalysisConfig,
     Assumptions,
     JacStatus,
@@ -27,8 +26,9 @@ from .criteria import (
     VerdictReport,
     verdict,
 )
-from .dynamics import find_zeros
+from .dynamics import PROBES, STARTS, find_zeros
 from .errors import JacgateError, ZeroPolynomialError
+from .floatval import RHO
 from .parsing import parse_map_file, parse_poly_file, print_poly
 from .poly import h_norm
 from .weights import (
@@ -168,6 +168,13 @@ def _parse_weights_flag(text: str, n: int) -> Weight:
     return Weight(entries)
 
 
+def _box(radius: float) -> float:
+    """The ``--box`` radius, refused unless positive and finite."""
+    if not 0 < radius < math.inf:
+        raise JacgateError(f"--box must be positive and finite, got {radius}")
+    return radius
+
+
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -176,7 +183,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     text = _read(args.mapfile)
     fmap, names = parse_map_file(text)
     cert = CertConfig(depth=args.depth, seed=args.seed)
-    cfg = AnalysisConfig(s_max=args.weights_max, box_radius=args.box, cert=cert)
+    cfg = AnalysisConfig(s_max=args.weights_max, box_radius=_box(args.box), cert=cert)
     started = time.perf_counter()
     report = verdict(fmap, cfg)
     elapsed = time.perf_counter() - started
@@ -290,7 +297,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_zeros(args: argparse.Namespace) -> int:
     text = _read(args.mapfile)
     fmap, names = parse_map_file(text)
-    report = find_zeros(fmap, starts=args.starts, box=args.box, seed=args.seed)
+    report = find_zeros(fmap, starts=args.starts, box=_box(args.box), seed=args.seed)
     print(f"starts: {report.starts_used}, dedup radius: {report.dedup_radius}")
     if not report.zeros:
         print("no zeros found")

@@ -17,10 +17,11 @@ certified again there rather than trusted.
 
 The origin hypothesis is checked exactly.  The Jacobian hypothesis is
 proven on all of R^n when det DF is a non-zero constant, decided on all of
-R^2 by Sturm sequences and resultants when n = 2, and checked on the box
-[-R, R]^n by interval branch-and-bound and a Newton hunt when n >= 3 and
-for the planar dets the exact decision does not take on (a critical zero
-on an irrational line, or resultants of too high a degree).
+R^2 when n = 2 by the exact real-zero algebra of ``jacgate.univariate``,
+and checked on the box [-R, R]^n by interval branch-and-bound and a Newton
+hunt when n >= 3 and for the planar dets the exact decision does not take
+on (a critical zero on an irrational line, or resultants of too high a
+degree).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import certify
 from .certify import CertConfig, CertOutcome, certify_once, only_origin
-from .dynamics import WitnessPair, injectivity_witness
+from .dynamics import STARTS, WitnessPair, injectivity_witness
 from .errors import (
     DegenerateDirectionError,
     InternalInconsistencyError,
@@ -45,23 +46,7 @@ from .floatval import FloatSystem, gauss_newton, snap_exact
 from .intervals import Bisection, Box, IntervalPoly
 from .poly import PolyMap, Polynomial, h_norm, jacobian_det
 from .sampling import points_in_box
-from .univariate import (
-    bivariate,
-    content,
-    d_dx,
-    d_dy,
-    exact_div,
-    fibre,
-    gcd,
-    isolate,
-    mul,
-    refine_root,
-    resultant,
-    resultant_degree,
-    squarefree,
-    squarefree_x,
-    swap,
-)
+from .univariate import UNDECIDED, planar_zero
 from .weights import (
     BlockStructure,
     Weight,
@@ -125,11 +110,6 @@ class VerdictKind(Enum):
     UNKNOWN = "unknown"
 
 
-# the witness search's probe points and Newton starts per probe
-PROBES = 8
-STARTS = 32
-
-
 @dataclass(frozen=True)
 class AnalysisConfig:
     s_max: int = 4
@@ -160,10 +140,10 @@ def check_assumptions(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> Assum
     """Verify the origin condition exactly, and the Jacobian condition on all of
     R^n when det DF is constant or n = 2, or else on the box.
 
-    For n = 2 the decision is exact (``_planar_zero``).  Where it cannot
-    finish, because a zero it cannot rule out is a critical point of det DF
-    on an irrational line y = c or because its resultants would exceed
-    ``_MAX_RESULTANT_DEGREE``, and for every n >= 3, it is
+    For n = 2 the decision is exact (``univariate.planar_zero``).  Where it
+    cannot finish, because a zero it cannot rule out is a critical point of
+    det DF on an irrational line y = c or because its resultants would exceed
+    ``univariate.MAX_RESULTANT_DEGREE``, and for every n >= 3, it is
     ``_check_assumptions_on_box``.
     """
     if fmap.n != 2:
@@ -171,8 +151,8 @@ def check_assumptions(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> Assum
     f_zero, det, settled = _settled_assumptions(fmap)
     if settled is not None:
         return settled
-    point = _planar_zero(det)
-    if point is _UNDECIDED:
+    point = planar_zero(det.terms)
+    if point is UNDECIDED:
         return _check_assumptions_on_box(fmap, cfg)
     if point is None:
         return Assumptions(f_zero_at_origin=f_zero, jac_status=JacStatus.VERIFIED_EVERYWHERE)
@@ -199,89 +179,6 @@ def _settled_assumptions(fmap: PolyMap) -> tuple[bool, Polynomial, Assumptions |
     elif set(det.terms) == {(0,) * fmap.n}:
         settled = Assumptions(f_zero_at_origin=f_zero, jac_status=JacStatus.VERIFIED_EVERYWHERE)
     return f_zero, det, settled
-
-
-_UNDECIDED = object()
-
-# y-degree bound on Res_x(p, p_x) and Res_x(p, p_y) above which the planar
-# det decision is not attempted.  Its cost grows with the degree and the
-# digits of these resultants: 0.1 s at 12, the largest in the check
-# benchmarks; 0.7-1.3 s at 56, for dense degree-8 dets with small integer
-# coefficients; 11 s at 90 for a degree-10 one
-_MAX_RESULTANT_DEGREE = 60
-
-
-def _planar_zero(det: Polynomial):
-    """A real zero of the non-constant det(x, y), None when it has none, or
-    ``_UNDECIDED``.
-
-    A zero is proven on a rational line y = c where det(., c) has a real root
-    by its Sturm count; its x is a rational root or an isolating interval.
-    The line y = 0 is tried first, so that an obvious zero never costs a
-    resultant.  Otherwise det loses the factors in y alone and in x alone
-    (those with a real root vanish on a whole line) and, when Res_x(p, p_x)
-    vanishes, its repeated factors.
-    On each cell between the real roots of lc_x(p) Res_x(p, p_x) the real
-    roots of p(., y) keep their count, so one rational sample per cell shows
-    whether p vanishes off the cut lines.  If it does not, a zero on a cut
-    line is a critical point, and none exists when
-    gcd(Res_x(p, p_x), Res_x(p, p_y)) has no real root; each rational root of
-    that gcd is decided on its line.  It is ``_UNDECIDED`` when that leaves
-    only irrational roots, or when a resultant's degree bound exceeds
-    ``_MAX_RESULTANT_DEGREE``.
-    """
-    p = bivariate(det.terms)
-    zero = _line_zero(p, Fraction(0))
-    if zero is not None:
-        return zero
-    c = content(p)
-    roots = squarefree(c)
-    lines = isolate(roots)
-    if lines:
-        return (Fraction(0), refine_root(roots, lines[0]))
-    p = [exact_div(row, c) for row in p]
-    # a factor in x alone has no real root, as it divides p(x, 0); dropping it
-    # keeps Res_x(p, p_y) non-zero
-    swapped = swap(p)
-    d = content(swapped)
-    p = swap([exact_div(row, d) for row in swapped])
-    if len(p) == 1:  # only a constant is left
-        return None
-    if max(resultant_degree(p, d_dx(p)), resultant_degree(p, d_dy(p))) > _MAX_RESULTANT_DEGREE:
-        return _UNDECIDED
-    discriminant = resultant(p, d_dx(p))
-    if not discriminant:  # a factor divides p twice
-        p = squarefree_x(p)
-        discriminant = resultant(p, d_dx(p))
-    cuts = isolate(squarefree(mul(p[-1], discriminant)))
-    samples = [cuts[0][0] - 1] if cuts else []
-    samples += [(a[1] + b[0]) / 2 for a, b in zip(cuts, cuts[1:])]
-    samples += [cuts[-1][1] + 1] if cuts else []
-    for y in samples:
-        zero = _line_zero(p, y)
-        if zero is not None:
-            return zero
-    critical = squarefree(gcd(discriminant, resultant(p, d_dy(p))))
-    irrational = False
-    for interval in isolate(critical):
-        y = refine_root(critical, interval)
-        if not isinstance(y, Fraction):
-            irrational = True
-            continue
-        zero = _line_zero(p, y)
-        if zero is not None:
-            return zero
-    return _UNDECIDED if irrational else None
-
-
-def _line_zero(p: list, y: Fraction) -> tuple | None:
-    """A zero of ``p`` on the line at rational ``y``, or None when its Sturm count is 0."""
-    line = fibre(p, y)
-    if not line:
-        return (Fraction(0), y)
-    roots = squarefree(line)
-    intervals = isolate(roots)
-    return (refine_root(roots, intervals[0]), y) if intervals else None
 
 
 def _check_assumptions_on_box(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> Assumptions:
@@ -319,10 +216,10 @@ def _check_assumptions_on_box(fmap: PolyMap, cfg: AnalysisConfig | None = None) 
 
     # witness hunt: roots of det inside the box
     det_sys = FloatSystem([det])
-    starts = points_in_box(fmap.n, 4 * PROBES, cfg.box_radius, cfg.cert.seed)
+    starts = points_in_box(fmap.n, STARTS, cfg.box_radius, cfg.cert.seed)
     for start in starts:
-        point, residual, converged = gauss_newton(det_sys, start, tol=1e-12)
-        if converged and residual <= 1e-10 and np.all(np.abs(point) <= cfg.box_radius):
+        point, _, converged = gauss_newton(det_sys, start, tol=1e-12)
+        if converged and np.all(np.abs(point) <= cfg.box_radius):
             snapped = snap_exact(point.tolist(), lambda q: det.evaluate(q) == 0)
             return Assumptions(
                 f_zero_at_origin=f_zero,
@@ -562,9 +459,7 @@ def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
     if success is not None:
         kind = VerdictKind.INJECTIVE
     else:
-        witness = injectivity_witness(
-            fmap, probes=PROBES, starts=STARTS, box=cfg.box_radius / 2.0, seed=cfg.cert.seed
-        )
+        witness = injectivity_witness(fmap, box=cfg.box_radius / 2.0, seed=cfg.cert.seed)
         kind = VerdictKind.NOT_INJECTIVE if witness is not None else VerdictKind.UNKNOWN
     return VerdictReport(
         kind=kind,

@@ -16,12 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .floatval import FloatSystem, gauss_newton, snap_exact
+from .floatval import RHO, FloatSystem, gauss_newton, snap_exact
 from .poly import PolyMap, gradient_field, h_norm
 from .sampling import points_in_box
 
 
-RHO = 1e-10           # residual tolerance for zeros and witness pairs
 DEDUP_RADIUS = 1e-6   # Newton points closer than this count as one zero
 # descent flow: step length, escape box, convergence tolerance, and the
 # potential increase a step may make
@@ -29,6 +28,9 @@ STEP_TARGET = 0.05
 FLOW_BOX = 1e6
 CONVERGE_TOL = 1e-9
 H_SLACK = 1e-12
+# the witness search's probe points and Newton starts per probe
+PROBES = 8
+STARTS = 32
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ def _newton_zeros(
     found: list[tuple[np.ndarray, float]] = []
     for start in points_in_box(fmap.n, starts, box, seed):
         point, residual, converged = gauss_newton(fsys, start, tol=RHO)
-        if not converged or residual > RHO:
+        if not converged:
             continue
         if any(np.linalg.norm(point - q) <= DEDUP_RADIUS for q, _ in found):
             continue
@@ -212,13 +214,10 @@ def flow_descent(fmap: PolyMap, start: Sequence[float], max_steps: int = 5000) -
 
 @np.errstate(over="ignore", invalid="ignore")
 def witness_from_probe(
-    fmap: PolyMap,
-    probe: Sequence[Fraction | int],
-    starts: int = 32,
-    box: float = 5.0,
-    seed: int = 0,
+    fmap: PolyMap, probe: Sequence[Fraction | int], box: float = 5.0, seed: int = 0
 ) -> WitnessPair | None:
-    """Look for a second preimage of F(probe) via zeros of the recentred map."""
+    """Look for a second preimage of F(probe) via zeros of the recentred map,
+    from ``STARTS`` Newton starts."""
     b = tuple(Fraction(v) for v in probe)
     c = fmap.evaluate(b)
 
@@ -230,7 +229,7 @@ def witness_from_probe(
     )
     b_float = np.array([float(v) for v in b])
     fsys: FloatSystem | None = None
-    for z, _ in _newton_zeros(recentred, starts, box, seed):
+    for z, _ in _newton_zeros(recentred, STARTS, box, seed):
         if float(np.linalg.norm(z)) <= 1e-5:
             continue  # the trivial zero at the probe itself
         # try to promote the pair to exact rationals
@@ -248,23 +247,16 @@ def witness_from_probe(
     return None
 
 
-def injectivity_witness(
-    fmap: PolyMap,
-    probes: int = 8,
-    starts: int = 32,
-    box: float = 5.0,
-    seed: int = 0,
-) -> WitnessPair | None:
-    """Search for two points with the same image; absence proves nothing."""
-    if probes < 1:
-        raise ValueError("need at least one probe")
+def injectivity_witness(fmap: PolyMap, box: float = 5.0, seed: int = 0) -> WitnessPair | None:
+    """Search for two points with the same image from ``PROBES`` probe points;
+    absence proves nothing."""
     probe_points: list[tuple[Fraction, ...]] = []
-    for raw in points_in_box(fmap.n, probes, box / 2.0, seed):
+    for raw in points_in_box(fmap.n, PROBES, box / 2.0, seed):
         snapped = tuple(Fraction(round(v * 8), 8) for v in raw)
         if snapped not in probe_points:
             probe_points.append(snapped)
     for k, probe in enumerate(probe_points):
-        pair = witness_from_probe(fmap, probe, starts=starts, box=box, seed=seed + k + 1)
+        pair = witness_from_probe(fmap, probe, box=box, seed=seed + k + 1)
         if pair is not None:
             return pair
     return None

@@ -1,4 +1,5 @@
-"""Dense univariate polynomials over the rationals, for exact real-root work.
+"""Dense univariate polynomials over the rationals, and the exact real-zero
+algebra of the planar decisions.
 
 A polynomial is a list of ``Fraction`` coefficients, lowest degree first,
 with no trailing zeros; ``[]`` is the zero polynomial.  A polynomial in x
@@ -7,13 +8,20 @@ x.  Real roots are counted with Sturm sequences (Sturm 1829) and isolated
 by bisection between rational points.  Resultants over Q[y] are resultants
 over Q at integer points y, interpolated in Newton form; the degree bound
 is that of the Sylvester determinant.
+
+``real_roots`` is the one path from a polynomial to its real roots: the
+roots of its square-free part are isolated, and each is refined to a
+``Fraction`` or an isolating interval.  ``line_roots`` takes the common
+roots of several polynomials in x and y on a rational line; the
+only-origin decision for n = 2 uses it on y = +-1, and ``planar_zero``,
+the det DF decision, on its sample and critical lines.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 Poly = list  # list[Fraction]
 Interval = tuple  # (lo, hi) with rational ends; lo == hi for a root met exactly
@@ -163,38 +171,37 @@ def count_roots(
     return _variations(seq, lo, -1) - _variations(seq, hi, 1)
 
 
-def isolate(p: Poly) -> list[Interval]:
-    """One rational interval per real root of the square-free ``p``, in increasing order.
+def isolate(p: Poly) -> Iterator[Interval]:
+    """One rational interval per real root of the square-free ``p``, in increasing
+    order, each found only when the one before it has been taken.
 
-    A root met exactly as a bisection point is returned as ``(r, r)``; every
+    A root met exactly as a bisection point is yielded as ``(r, r)``; every
     other interval ``(lo, hi)`` has ``lo < hi``, ends where ``p`` is non-zero
     with opposite signs, and holds exactly one root, strictly inside.
     """
     if len(p) < 2:
-        return []
+        return
     seq = sturm(p)
     # Cauchy: every root has |r| < 1 + max |a_i / a_n|
     bound = 1 + max(abs(c / p[-1]) for c in p[:-1])
-    out: list[Interval] = []
+    # the left part of each split is popped first, so the roots come in order
     stack = [(-bound, bound)]
     while stack:
         lo, hi = stack.pop()
-        count = count_roots(seq, lo, hi)
+        count = 1 if lo == hi else count_roots(seq, lo, hi)
         if count == 1:
-            out.append((lo, hi))
+            yield (lo, hi)
         elif count > 1:
             mid = (lo + hi) / 2
             if evaluate(p, mid):
-                stack += [(lo, mid), (mid, hi)]
+                stack += [(mid, hi), (lo, mid)]
                 continue
-            out.append((mid, mid))
             step = (hi - lo) / 4
             while evaluate(p, mid - step) == 0 or evaluate(p, mid + step) == 0 or (
                 count_roots(seq, mid - step, mid + step) != 1
             ):
                 step /= 2
-            stack += [(lo, mid - step), (mid + step, hi)]
-    return sorted(out)
+            stack += [(mid + step, hi), (mid, mid), (lo, mid - step)]
 
 
 def refine_root(p: Poly, interval: Interval) -> Fraction | Interval:
@@ -226,6 +233,15 @@ def refine_root(p: Poly, interval: Interval) -> Fraction | Interval:
     return (lo, hi)
 
 
+def real_roots(p: Poly) -> Iterator[Fraction | Interval]:
+    """Every real root of the non-zero ``p``, in increasing order and lazily: a
+    Fraction when it is rational, else a rational interval that isolates it
+    (``refine_root`` on the square-free part)."""
+    roots = squarefree(p)
+    for interval in isolate(roots):
+        yield refine_root(roots, interval)
+
+
 # -- polynomials in x with coefficients in Q[y] ---------------------------------
 
 
@@ -243,6 +259,15 @@ def bivariate(terms: Mapping[tuple[int, int], Fraction]) -> list[Poly]:
 def fibre(p: list[Poly], y) -> Poly:
     """``p`` at the given y, a polynomial in x."""
     return trim([evaluate(c, y) for c in p])
+
+
+def line_roots(rows: Sequence[list[Poly]], y) -> Iterator[Fraction | Interval]:
+    """The common real x-roots of ``rows`` on the line at the rational ``y``, as
+    ``real_roots`` gives them; 0 alone when every row vanishes on the whole line."""
+    common: Poly = []
+    for row in rows:
+        common = gcd(common, fibre(row, y))
+    return real_roots(common) if common else iter([Fraction(0)])
 
 
 def swap(p: list[Poly]) -> list[Poly]:
@@ -365,3 +390,82 @@ def resultant(p: list[Poly], q: list[Poly]) -> Poly:
             ys.append(_resultant_at(fibre(p, y), fibre(q, y)))
         y = -y if y > 0 else 1 - y  # 0, 1, -1, 2, -2, ...
     return _newton_interpolate(xs, ys)
+
+
+# -- real zeros of a polynomial in x and y --------------------------------------
+
+
+UNDECIDED = object()
+
+# y-degree bound on Res_x(p, p_x) and Res_x(p, p_y) above which the planar
+# decision is not attempted.  Its cost grows with the degree and the
+# digits of these resultants: 0.1 s at 12, the largest in the check
+# benchmarks; 0.7-1.3 s at 56, for dense degree-8 dets with small integer
+# coefficients; 11 s at 90 for a degree-10 one
+MAX_RESULTANT_DEGREE = 60
+
+
+def planar_zero(terms: Mapping[tuple[int, int], Fraction]):
+    """A real zero of the non-constant p(x, y) with ``terms``, None when it has
+    none, or ``UNDECIDED``.
+
+    A zero is proven on a rational line y = c where p(., c) has a real root
+    by its Sturm count; its x is a rational root or an isolating interval.
+    The line y = 0 is tried first, so that an obvious zero never costs a
+    resultant.  Otherwise p loses the factors in y alone and in x alone
+    (those with a real root vanish on a whole line) and, when Res_x(p, p_x)
+    vanishes, its repeated factors.
+    On each cell between the real roots of lc_x(p) Res_x(p, p_x) the real
+    roots of p(., y) keep their count, so one rational sample per cell shows
+    whether p vanishes off the cut lines.  If it does not, a zero on a cut
+    line is a critical point, and none exists when
+    gcd(Res_x(p, p_x), Res_x(p, p_y)) has no real root; each rational root of
+    that gcd is decided on its line.  It is ``UNDECIDED`` when that leaves
+    only irrational roots, or when a resultant's degree bound exceeds
+    ``MAX_RESULTANT_DEGREE``.
+    """
+    p = bivariate(terms)
+    zero = _line_zero(p, Fraction(0))
+    if zero is not None:
+        return zero
+    c = content(p)
+    y = next(real_roots(c), None)
+    if y is not None:
+        return (Fraction(0), y)
+    p = [exact_div(row, c) for row in p]
+    # a factor in x alone has no real root, as it divides p(x, 0); dropping it
+    # keeps Res_x(p, p_y) non-zero
+    swapped = swap(p)
+    d = content(swapped)
+    p = swap([exact_div(row, d) for row in swapped])
+    if len(p) == 1:  # only a constant is left
+        return None
+    if max(resultant_degree(p, d_dx(p)), resultant_degree(p, d_dy(p))) > MAX_RESULTANT_DEGREE:
+        return UNDECIDED
+    discriminant = resultant(p, d_dx(p))
+    if not discriminant:  # a factor divides p twice
+        p = squarefree_x(p)
+        discriminant = resultant(p, d_dx(p))
+    cuts = list(isolate(squarefree(mul(p[-1], discriminant))))
+    samples = [cuts[0][0] - 1] if cuts else []
+    samples += [(a[1] + b[0]) / 2 for a, b in zip(cuts, cuts[1:])]
+    samples += [cuts[-1][1] + 1] if cuts else []
+    for y in samples:
+        zero = _line_zero(p, y)
+        if zero is not None:
+            return zero
+    irrational = False
+    for y in real_roots(gcd(discriminant, resultant(p, d_dy(p)))):
+        if not isinstance(y, Fraction):
+            irrational = True
+            continue
+        zero = _line_zero(p, y)
+        if zero is not None:
+            return zero
+    return UNDECIDED if irrational else None
+
+
+def _line_zero(p: list[Poly], y: Fraction) -> tuple | None:
+    """A zero of ``p`` on the line at rational ``y``, or None when its Sturm count is 0."""
+    x = next(line_roots([p], y), None)
+    return None if x is None else (x, y)

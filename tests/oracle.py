@@ -27,8 +27,6 @@ from jacgate.certify import (
     _validate_system,
 )
 from jacgate.criteria import (
-    PROBES,
-    STARTS,
     AnalysisConfig,
     Assumptions,
     Criterion,
@@ -40,7 +38,7 @@ from jacgate.criteria import (
     derive_tilde_and_verify,
     weight_search,
 )
-from jacgate.dynamics import injectivity_witness
+from jacgate.dynamics import STARTS, injectivity_witness
 from jacgate.errors import InternalInconsistencyError
 from jacgate.floatval import FloatSystem, gauss_newton, snap_exact
 from jacgate.intervals import Bisection, Box, Interval, IntervalPoly
@@ -207,7 +205,7 @@ def hunt_first_check_assumptions(
         return Assumptions(f_zero_at_origin=f_zero, jac_status=JacStatus.VERIFIED_EVERYWHERE)
 
     det_sys = FloatSystem([det])
-    starts = points_in_box(fmap.n, 4 * PROBES, cfg.box_radius, cfg.cert.seed)
+    starts = points_in_box(fmap.n, STARTS, cfg.box_radius, cfg.cert.seed)
     for start in starts:
         point, residual, converged = gauss_newton(det_sys, start, tol=1e-12)
         if converged and residual <= 1e-10 and np.all(np.abs(point) <= cfg.box_radius):
@@ -250,9 +248,7 @@ def witness_first_verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> V
     """
     cfg = cfg or AnalysisConfig()
     assumptions = check_assumptions(fmap, cfg)
-    witness = injectivity_witness(
-        fmap, probes=PROBES, starts=STARTS, box=cfg.box_radius / 2.0, seed=cfg.cert.seed
-    )
+    witness = injectivity_witness(fmap, box=cfg.box_radius / 2.0, seed=cfg.cert.seed)
     table: dict = {}
     search = weight_search(fmap, None, cfg, table)
     success = next((best for best in search.best.values() if best is not None), None)

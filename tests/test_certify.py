@@ -22,9 +22,9 @@ from jacgate import (
     unique_zero_nonneg,
 )
 import jacgate.certify
-from jacgate.certify import MAX_BOXES, RHO, _only_origin_boxes
+from jacgate.certify import MAX_BOXES, _only_origin_boxes
 from jacgate.errors import ZeroPolynomialError
-from jacgate.floatval import FloatSystem
+from jacgate.floatval import RHO, FloatSystem
 from jacgate.intervals import Box, Interval
 from jacgate.sampling import points_on_sphere
 from jacgate.weights import scale_point

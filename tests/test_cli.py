@@ -103,6 +103,17 @@ class TestCheck:
         assert main([command, str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: a coefficient is beyond float range")
 
+    @pytest.mark.parametrize("command", ["check", "zeros"])
+    @pytest.mark.parametrize("box", ["-10", "0", "nan", "inf"])
+    def test_box_not_positive_and_finite_exit_one(self, tmp_path, capsys, command, box):
+        # for n = 3 the radius bounds the det DF proof: one that is not positive
+        # and finite would back a proof on no box at all
+        path = tmp_path / "odd.map"
+        path.write_text("vars: x, y, z\nf = x + x^3\ng = y + y^3\nh = z + z^3\n")
+        assert main([command, str(path), "--box", box]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --box must be positive and finite, got {float(box)}\n"
+
     def test_json_deterministic(self, ex_file, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

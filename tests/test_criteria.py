@@ -36,7 +36,7 @@ from jacgate.certify import (
     gradient_only_origin,
     only_origin,
 )
-from jacgate.criteria import PROBES, STARTS, _check_assumptions_on_box
+from jacgate.criteria import _check_assumptions_on_box
 from jacgate.dynamics import injectivity_witness
 from jacgate.errors import DegenerateDirectionError, PreconditionError
 from jacgate.intervals import IntervalPoly
@@ -481,9 +481,7 @@ class TestWitnessLast:
             # the guarantee an exact pair beside a certificate once raised for
             # at run time: on a certified map the search finds no pair at all
             cfg = AnalysisConfig()
-            assert injectivity_witness(
-                fmap, probes=PROBES, starts=STARTS, box=cfg.box_radius / 2.0, seed=cfg.cert.seed
-            ) is None
+            assert injectivity_witness(fmap, box=cfg.box_radius / 2.0, seed=cfg.cert.seed) is None
 
     @pytest.fixture
     def witness_calls(self, monkeypatch):

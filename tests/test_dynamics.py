@@ -6,6 +6,7 @@ from random import Random
 import numpy as np
 import pytest
 
+import jacgate.dynamics
 from conftest import p2
 from jacgate import (
     FlowStatus,
@@ -106,15 +107,19 @@ class TestWitnessSearch:
         assert pair.b == (Fraction(1), Fraction(0))
         assert fmap.evaluate(pair.a) == fmap.evaluate(pair.b)
 
-    def test_cubic_finds_nothing(self, cubic_map):
-        assert injectivity_witness(cubic_map, probes=12, starts=24) is None
+    def test_cubic_finds_nothing(self, cubic_map, monkeypatch):
+        monkeypatch.setattr(jacgate.dynamics, "PROBES", 12)
+        monkeypatch.setattr(jacgate.dynamics, "STARTS", 24)
+        assert injectivity_witness(cubic_map) is None
 
-    def test_identity_finds_nothing(self):
-        assert injectivity_witness(PolyMap.identity(2), probes=8, starts=16) is None
+    def test_identity_finds_nothing(self, monkeypatch):
+        monkeypatch.setattr(jacgate.dynamics, "STARTS", 16)
+        assert injectivity_witness(PolyMap.identity(2)) is None
 
-    def test_parabola_search_finds_some_pair(self):
+    def test_parabola_search_finds_some_pair(self, monkeypatch):
+        monkeypatch.setattr(jacgate.dynamics, "STARTS", 24)
         fmap = PolyMap([p2("x^2 - 1"), p2("y")])
-        pair = injectivity_witness(fmap, probes=8, starts=24)
+        pair = injectivity_witness(fmap)
         assert pair is not None
         if pair.exact:
             assert fmap.evaluate(pair.a) == fmap.evaluate(pair.b)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import jacgate.certify
 import jacgate.criteria
 import jacgate.dynamics
+import jacgate.univariate
 from conftest import p2
 from corpus import (
     exponents_of_weighted_degree,
@@ -350,13 +351,13 @@ class TestHostileInput:
         # det DF = 30 (x + y + 1)^29: its line y = 0 has the root x = -1, so
         # the violation is proven before any resultant is built
         calls = [0]
-        resultant = jacgate.criteria.resultant
+        resultant = jacgate.univariate.resultant
 
         def counting(*args):
             calls[0] += 1
             return resultant(*args)
 
-        monkeypatch.setattr(jacgate.criteria, "resultant", counting)
+        monkeypatch.setattr(jacgate.univariate, "resultant", counting)
         assumptions = check_assumptions(PolyMap([p2("(x+y+1)^30"), p2("y")]))
         assert assumptions.jac_status is JacStatus.VIOLATION_FOUND and assumptions.jac_exact
         assert assumptions.jac_point == (Fraction(-1), Fraction(0))
@@ -378,7 +379,7 @@ class TestHostileInput:
         # point on an irrational line, which no rational line shows
         det = X * X + (Y * Y - 2) ** 2
         fmap = map_with_det(det)
-        assert jacgate.criteria._planar_zero(det) is jacgate.criteria._UNDECIDED
+        assert jacgate.univariate.planar_zero(det.terms) is jacgate.univariate.UNDECIDED
         assert check_assumptions(fmap) == _check_assumptions_on_box(fmap)
 
     def test_rational_critical_line_after_an_irrational_one(self):
@@ -400,7 +401,7 @@ class TestHostileInput:
         # and Res_x(p, p_x) would have y-degree up to 900: the box path decides
         # instead, as it does for n >= 3, with no resultant built
         calls = Counter()
-        resultant = jacgate.criteria.resultant
+        resultant = jacgate.univariate.resultant
         on_box = jacgate.criteria._check_assumptions_on_box
 
         def counting_resultant(*args):
@@ -411,7 +412,7 @@ class TestHostileInput:
             calls["on_box"] += 1
             return on_box(*args)
 
-        monkeypatch.setattr(jacgate.criteria, "resultant", counting_resultant)
+        monkeypatch.setattr(jacgate.univariate, "resultant", counting_resultant)
         monkeypatch.setattr(jacgate.criteria, "_check_assumptions_on_box", counting_on_box)
         det = X * X + 1 + (X + Y) ** 30 + last
         assert check_assumptions(map_with_det(det)).jac_status is status

@@ -1,5 +1,6 @@
 """Property tests of the exact univariate algebra: Sturm counts against known
-roots, division and gcd identities, root isolation, and resultants that
+roots, division and gcd identities, root isolation, the real roots of one
+polynomial and the common roots of several on a line, and resultants that
 vanish exactly when two polynomials share a root."""
 
 import math
@@ -19,7 +20,9 @@ from jacgate.univariate import (
     evaluate,
     gcd,
     isolate,
+    line_roots,
     mul,
+    real_roots,
     refine_root,
     resultant,
     squarefree,
@@ -76,7 +79,7 @@ class TestSturm:
         if not rational_square:
             p = mul(p, [-square, Fraction(0), Fraction(1)])
         sqf = squarefree(p)
-        intervals = isolate(sqf)
+        intervals = list(isolate(sqf))
         rational, irrational = set(), []
         for (lo, hi), following in zip(intervals, intervals[1:] + [None]):
             if following is not None:
@@ -100,6 +103,41 @@ class TestSturm:
         assert len(irrational) == (0 if rational_square else 2)
         for lo, hi in irrational:
             assert lo * lo < square < hi * hi or hi * hi < square < lo * lo
+        assert list(real_roots(p)) == [refine_root(sqf, i) for i in intervals]
+
+
+class TestRealRoots:
+    def test_rational_roots_are_fractions_in_order(self):
+        # 3 (x - 1/3)^2 (x + 2) (x^2 + 1)
+        p = from_roots([Fraction(1, 3), Fraction(1, 3), Fraction(-2)], [Fraction(1)], Fraction(3))
+        roots = list(real_roots(p))
+        assert roots == [Fraction(-2), Fraction(1, 3)]
+        assert all(isinstance(r, Fraction) for r in roots)
+
+    def test_irrational_root_is_an_isolating_interval(self):
+        # (x^2 - 2)(x - 1): -sqrt 2, 1, sqrt 2
+        p = mul([Fraction(-2), Fraction(0), Fraction(1)], [Fraction(-1), Fraction(1)])
+        low, one, high = real_roots(p)
+        assert one == 1
+        for lo, hi in (low, high):
+            assert lo < hi
+            assert count_roots(sturm(p), lo, hi) == 1
+        assert low[1] < one < high[0]
+
+    def test_rows_vanishing_on_the_line_give_zero(self):
+        # y (x + 1) and y x^2 vanish on the whole line y = 0, and share no root on y = 1
+        one = Fraction(1)
+        rows = [bivariate({(1, 1): one, (0, 1): one}), bivariate({(2, 1): one})]
+        assert list(line_roots(rows, Fraction(0))) == [Fraction(0)]
+        assert list(line_roots(rows, Fraction(1))) == []
+
+    def test_common_roots_take_the_gcd_across_rows(self):
+        # x^2 - 3x + 2 has the roots 1, 2; (x - 2)(x^2 - 3y) at y = 1 has 2, +-sqrt 3
+        p = bivariate({(2, 0): Fraction(1), (1, 0): Fraction(-3), (0, 0): Fraction(2)})
+        q = bivariate({(3, 0): Fraction(1), (2, 0): Fraction(-2), (1, 1): Fraction(-3),
+                       (0, 1): Fraction(6)})
+        assert list(line_roots([p, q], Fraction(1))) == [Fraction(2)]
+        assert len(list(line_roots([q], Fraction(1)))) == 3
 
 
 class TestDivision:
