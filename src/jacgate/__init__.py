@@ -1,45 +1,14 @@
 """Exact analysis of polynomial maps: quasi-homogeneous injectivity criteria,
-only-origin certification, and numeric witness search."""
+only-origin certification, and numeric witness search.
+
+The exact layer loads with the package; the names from ``certify``,
+``criteria`` and ``dynamics``, which need numpy, load on first use.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .certify import (
-    CertConfig,
-    CertOutcome,
-    OutcomeKind,
-    gradient_only_origin,
-    only_origin,
-    properness_certificate,
-    unique_zero_nonneg,
-)
-from .criteria import (
-    AnalysisConfig,
-    Assumptions,
-    Criterion,
-    CriterionResult,
-    JacStatus,
-    VerdictKind,
-    VerdictReport,
-    check_assumptions,
-    check_field_higher_part,
-    check_h_higher_part,
-    check_map_higher_part,
-    derive_tilde_and_verify,
-    verdict,
-    weight_search,
-)
-from .dynamics import (
-    FlowStatus,
-    Trajectory,
-    WitnessPair,
-    ZeroReport,
-    find_zeros,
-    flow_descent,
-    index_at,
-    index_sum_check,
-    injectivity_witness,
-    witness_from_probe,
-)
 from .errors import (
     DegenerateDirectionError,
     DimensionMismatchError,
@@ -78,3 +47,29 @@ from .weights import (
     tilde_weights,
     weighted_degree,
 )
+
+# the float-layer names, by module, imported on first use by ``__getattr__``
+_LAZY = {
+    "certify": (
+        "CertConfig", "CertOutcome", "OutcomeKind", "gradient_only_origin", "only_origin",
+        "properness_certificate", "unique_zero_nonneg",
+    ),
+    "criteria": (
+        "AnalysisConfig", "Assumptions", "Criterion", "CriterionResult", "JacStatus",
+        "VerdictKind", "VerdictReport", "check_assumptions", "check_field_higher_part",
+        "check_h_higher_part", "check_map_higher_part", "derive_tilde_and_verify", "verdict",
+        "weight_search",
+    ),
+    "dynamics": (
+        "FlowStatus", "Trajectory", "WitnessPair", "ZeroReport", "find_zeros", "flow_descent",
+        "index_at", "index_sum_check", "injectivity_witness", "witness_from_probe",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

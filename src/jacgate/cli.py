@@ -14,21 +14,10 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .certify import SHELL, TAU, CertConfig, CertOutcome, gradient_only_origin, only_origin
-from .certify import unique_zero_nonneg
-from .criteria import (
-    AnalysisConfig,
-    Assumptions,
-    JacStatus,
-    VerdictKind,
-    VerdictReport,
-    verdict,
-)
-from .dynamics import PROBES, STARTS, find_zeros
 from .errors import JacgateError, ZeroPolynomialError
-from .floatval import RHO
 from .parsing import parse_map_file, parse_poly_file, print_poly
 from .poly import h_norm
 from .weights import (
@@ -38,15 +27,20 @@ from .weights import (
     qh_decompose,
 )
 
+if TYPE_CHECKING:
+    from .certify import CertOutcome
+    from .criteria import AnalysisConfig, Assumptions, VerdictReport
+
 EXIT_INJECTIVE = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NOT_INJECTIVE = 2
 EXIT_UNKNOWN = 3
 
+# keyed by ``VerdictKind`` value, so that commands other than check load no float layer
 _VERDICT_EXIT = {
-    VerdictKind.INJECTIVE: EXIT_INJECTIVE,
-    VerdictKind.NOT_INJECTIVE: EXIT_NOT_INJECTIVE,
-    VerdictKind.UNKNOWN: EXIT_UNKNOWN,
+    "injective": EXIT_INJECTIVE,
+    "not_injective": EXIT_NOT_INJECTIVE,
+    "unknown": EXIT_UNKNOWN,
 }
 
 
@@ -84,6 +78,10 @@ def _outcome_dict(outcome: CertOutcome | None) -> dict | None:
 def _build_report(
     report: VerdictReport, mapfile_text: str, names, cfg: AnalysisConfig, path: str
 ) -> dict:
+    from .certify import SHELL, TAU
+    from .dynamics import PROBES, STARTS
+    from .floatval import RHO
+
     attempts = []
     for criterion, results in report.search.attempts.items():
         for result in results:
@@ -180,6 +178,9 @@ def _read(path: str) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .certify import CertConfig
+    from .criteria import AnalysisConfig, verdict
+
     text = _read(args.mapfile)
     fmap, names = parse_map_file(text)
     cert = CertConfig(depth=args.depth, seed=args.seed)
@@ -217,10 +218,12 @@ def cmd_check(args: argparse.Namespace) -> int:
         Path(args.json).write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
-    return _VERDICT_EXIT[report.kind]
+    return _VERDICT_EXIT[report.kind.value]
 
 
 def _jacobian_text(assumptions: Assumptions, names, n: int) -> str:
+    from .criteria import JacStatus
+
     status = assumptions.jac_status
     if status is JacStatus.VERIFIED_EVERYWHERE:
         return f"!= 0 proven on all of R^{n}"
@@ -268,6 +271,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    from .certify import CertConfig, gradient_only_origin, only_origin, unique_zero_nonneg
+
     text = _read(args.polyfile)
     polys, names, _ = parse_poly_file(text)
     n = polys[0].n
@@ -295,16 +300,21 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_zeros(args: argparse.Namespace) -> int:
+    from .dynamics import find_zeros
+
     text = _read(args.mapfile)
     fmap, names = parse_map_file(text)
     report = find_zeros(fmap, starts=args.starts, box=_box(args.box), seed=args.seed)
     print(f"starts: {report.starts_used}, dedup radius: {report.dedup_radius}")
-    if not report.zeros:
-        print("no zeros found")
+    missed = f"{report.unconverged} of {report.starts_used} starts did not converge"
+    if not report.zeros:  # then no start converged
+        print(f"no zeros found; {missed}")
         return 0
     for zero in report.zeros:
         index = zero.index if zero.index is not None else f"unavailable ({zero.note})"
         print(f"  zero at {zero.point} residual {zero.residual:.3e} index {index}")
+    if report.unconverged:
+        print(missed)
     return 0
 
 

@@ -45,6 +45,7 @@ class ZeroInfo:
 class ZeroReport:
     zeros: tuple[ZeroInfo, ...]
     starts_used: int
+    unconverged: int  # starts whose Newton run stopped short of a zero
     dedup_radius: float
     box: float
     seed: int
@@ -84,26 +85,30 @@ class IndexSumReport:
 
 def _newton_zeros(
     fmap: PolyMap, starts: int, box: float, seed: int
-) -> list[tuple[np.ndarray, float]]:
-    """Deduped converged Newton points and their residuals, in lexicographic order."""
+) -> tuple[list[tuple[np.ndarray, float]], int]:
+    """Deduped converged Newton points and their residuals, in lexicographic
+    order, and the number of starts that did not converge."""
     if starts < 1:
         raise ValueError("need at least one start")
     fsys = FloatSystem(list(fmap.components))
     found: list[tuple[np.ndarray, float]] = []
+    unconverged = 0
     for start in points_in_box(fmap.n, starts, box, seed):
         point, residual, converged = gauss_newton(fsys, start, tol=RHO)
         if not converged:
+            unconverged += 1
             continue
         if any(np.linalg.norm(point - q) <= DEDUP_RADIUS for q, _ in found):
             continue
         found.append((point, residual))
-    return sorted(found, key=lambda item: tuple(item[0].tolist()))
+    return sorted(found, key=lambda item: tuple(item[0].tolist())), unconverged
 
 
 def find_zeros(fmap: PolyMap, starts: int = 64, box: float = 5.0, seed: int = 0) -> ZeroReport:
     """Damped Newton from low-discrepancy starts; converged points deduped."""
+    found, unconverged = _newton_zeros(fmap, starts, box, seed)
     zeros: list[ZeroInfo] = []
-    for point, residual in _newton_zeros(fmap, starts, box, seed):
+    for point, residual in found:
         try:
             index = index_at(fmap, point)
             note = None
@@ -114,7 +119,12 @@ def find_zeros(fmap: PolyMap, starts: int = 64, box: float = 5.0, seed: int = 0)
             ZeroInfo(point=tuple(point.tolist()), residual=residual, index=index, note=note)
         )
     return ZeroReport(
-        zeros=tuple(zeros), starts_used=starts, dedup_radius=DEDUP_RADIUS, box=box, seed=seed
+        zeros=tuple(zeros),
+        starts_used=starts,
+        unconverged=unconverged,
+        dedup_radius=DEDUP_RADIUS,
+        box=box,
+        seed=seed,
     )
 
 
@@ -229,7 +239,7 @@ def witness_from_probe(
     )
     b_float = np.array([float(v) for v in b])
     fsys: FloatSystem | None = None
-    for z, _ in _newton_zeros(recentred, STARTS, box, seed):
+    for z, _ in _newton_zeros(recentred, STARTS, box, seed)[0]:
         if float(np.linalg.norm(z)) <= 1e-5:
             continue  # the trivial zero at the probe itself
         # try to promote the pair to exact rationals

@@ -2,13 +2,25 @@
 
 Polynomials are stored as a finite map from exponent multi-indices to
 non-zero ``Fraction`` coefficients.  Everything in this module is exact:
-no floating point enters any computation here.
+no floating point enters any computation here, and nothing here imports
+numpy.
+
+The product works on integers.  Each operand is put over the common
+denominator of its coefficients, each exponent tuple is packed into one
+int (Kronecker substitution, base 1 + the two operands' largest exponents,
+so no digit carries), and the pair loop multiplies and adds plain ints; one
+``Fraction`` is built per result term.  A key whose running sum reaches 0
+is deleted and re-inserted if it comes back, as a ``Fraction`` sum would
+be: over a positive denominator the zero sums are the same events, so the
+result's term order, which float evaluation sums in, does not depend on
+the kernel.  Results of ring operations on valid polynomials skip the
+input checks of ``Polynomial(n, terms)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError
@@ -50,6 +62,14 @@ class Polynomial:
                 cleaned[key] = value
         self.n = n
         self.terms = cleaned
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[Exponent, Fraction]) -> "Polynomial":
+        """Wrap ``terms`` as is: length-n non-negative keys, non-zero ``Fraction`` values."""
+        poly = object.__new__(cls)
+        poly.n = n
+        poly.terms = terms
+        return poly
 
     # -- constructors -------------------------------------------------
 
@@ -121,12 +141,12 @@ class Polynomial:
                 result[exponent] = total
             else:
                 result.pop(exponent, None)
-        return Polynomial(self.n, result)
+        return Polynomial._trusted(self.n, result)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n, {k: -c for k, c in self.terms.items()})
+        return Polynomial._trusted(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial | Rational") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -142,16 +162,30 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_n(other)
-        result: dict[Exponent, Fraction] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ka, kb))
-                total = result.get(key, Fraction(0)) + ca * cb
+        if not self.terms or not other.terms:
+            return Polynomial._trusted(self.n, {})
+        base = 1 + _max_exponent(self.terms) + _max_exponent(other.terms)
+        a, da = _packed_numerators(self.terms, base)
+        b, db = _packed_numerators(other.terms, base)
+        result: dict[int, int] = {}
+        get = result.get
+        for ka, ca in a:
+            for kb, cb in b:
+                key = ka + kb
+                total = get(key, 0) + ca * cb
                 if total:
                     result[key] = total
                 else:
-                    result.pop(key, None)
-        return Polynomial(self.n, result)
+                    del result[key]
+        n, den = self.n, da * db
+        terms: dict[Exponent, Fraction] = {}
+        for key, value in result.items():
+            exponent = []
+            for _ in range(n):
+                key, k = divmod(key, base)
+                exponent.append(k)
+            terms[tuple(exponent)] = Fraction(value, den)
+        return Polynomial._trusted(n, terms)
 
     __rmul__ = __mul__
 
@@ -159,7 +193,7 @@ class Polynomial:
         factor = Fraction(factor)
         if not factor:
             return Polynomial.zero(self.n)
-        return Polynomial(self.n, {k: c * factor for k, c in self.terms.items()})
+        return Polynomial._trusted(self.n, {k: c * factor for k, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
@@ -186,8 +220,8 @@ class Polynomial:
             if k == 0:
                 continue
             lowered = exponent[:index] + (k - 1,) + exponent[index + 1:]
-            result[lowered] = result.get(lowered, Fraction(0)) + coefficient * k
-        return Polynomial(self.n, result)
+            result[lowered] = coefficient * k
+        return Polynomial._trusted(self.n, result)
 
     def evaluate(self, point: RationalPoint) -> Fraction:
         """Exact value at a rational point."""
@@ -242,6 +276,27 @@ class Polynomial:
                     shifted[key] = shifted.get(key, 0) + value
             terms = shifted
         return Polynomial(self.n, terms)
+
+
+def _max_exponent(terms: Mapping[Exponent, Fraction]) -> int:
+    return max(max(exponent) for exponent in terms)
+
+
+def _packed_numerators(
+    terms: Mapping[Exponent, Fraction], base: int
+) -> tuple[list[tuple[int, int]], int]:
+    """``(packed exponent, numerator)`` pairs over the common denominator, and that denominator.
+
+    Exponent ``(e_0, ..., e_{n-1})`` packs to ``e_0 + e_1 base + ... + e_{n-1} base^(n-1)``.
+    """
+    den = lcm(*(c.denominator for c in terms.values()))
+    packed = []
+    for exponent, c in terms.items():
+        key = 0
+        for k in reversed(exponent):
+            key = key * base + k
+        packed.append((key, c.numerator * (den // c.denominator)))
+    return packed, den
 
 
 class PolyMap:

@@ -1,4 +1,5 @@
-"""Oracles that tests check the library against: a grid scan for the
+"""Oracles that tests check the library against: term-by-term ``Fraction``
+products and sums for ``Polynomial``'s integer kernel, a grid scan for the
 only-origin certifier, term-by-term interval bounds for ``IntervalPoly``,
 hunt-first references for the box paths ``_only_origin_boxes`` and
 ``_check_assumptions_on_box`` (which ``only_origin`` and
@@ -45,6 +46,33 @@ from jacgate.intervals import Bisection, Box, Interval, IntervalPoly
 from jacgate.poly import PolyMap, h_norm, jacobian_det
 from jacgate.sampling import points_in_box, points_on_sphere
 from jacgate.weights import Weight, higher_part, higher_part_map
+
+
+def fraction_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    """``p * q`` one ``Fraction`` term pair at a time; a key whose running
+    sum reaches 0 is dropped, and re-inserted at the end if it comes back."""
+    result: dict[tuple[int, ...], Fraction] = {}
+    for ka, ca in p.terms.items():
+        for kb, cb in q.terms.items():
+            key = tuple(a + b for a, b in zip(ka, kb))
+            total = result.get(key, Fraction(0)) + ca * cb
+            if total:
+                result[key] = total
+            else:
+                result.pop(key, None)
+    return Polynomial(p.n, result)
+
+
+def fraction_add(p: Polynomial, q: Polynomial) -> Polynomial:
+    """``p + q`` term by term, under the same order rule as ``fraction_mul``."""
+    result = dict(p.terms)
+    for exponent, coefficient in q.terms.items():
+        total = result.get(exponent, Fraction(0)) + coefficient
+        if total:
+            result[exponent] = total
+        else:
+            result.pop(exponent, None)
+    return Polynomial(p.n, result)
 
 
 def _values(p: Polynomial, points: np.ndarray) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Command-line interface: exit codes, reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -264,3 +268,68 @@ class TestZeros:
         path.write_text("vars: x, y\nf = x\ng = y\n")
         assert main(["zeros", str(path), "--starts", "16"]) == 0
         assert capsys.readouterr().out.count("zero at") == 1
+
+    def test_unconverged_starts_reported(self, tmp_path, capsys):
+        # Newton shrinks a large x by about 2/3 a step, so no start from a box
+        # of radius 1e20 reaches the zero at the origin within MAX_ITER steps
+        path = tmp_path / "c.map"
+        path.write_text("vars: x, y\nf = x + x^3\ng = y\n")
+        assert main(["zeros", str(path), "--box", "1e20"]) == 0
+        out = capsys.readouterr().out
+        assert "no zeros found; 64 of 64 starts did not converge\n" in out
+        assert main(["zeros", str(path), "--box", "1e6"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("zero at") == 1 and "did not converge" not in out
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports jacgate from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+class TestExactPathWithoutNumpy:
+    def test_decompose_runs_with_numpy_blocked(self):
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+            "from jacgate.cli import main\n"
+            "for target in 'FHY':\n"
+            "    argv = ['decompose', 'perfbench/corpus/cubic.map', '--weights', '1,1']\n"
+            "    assert main(argv + ['--target', target]) == 0\n"
+        )
+        proc = _fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "f1:\n"
+            "  degree 1: x\n"
+            "  degree 3: x^3 + y^3\n"
+            "f2:\n"
+            "  degree 1: y\n"
+            "H = ||F||^2/2:\n"
+            "  degree 2: 1/2*x^2 + 1/2*y^2\n"
+            "  degree 4: x^4 + x*y^3\n"
+            "  degree 6: 1/2*x^6 + x^3*y^3 + 1/2*y^6\n"
+            "component degrees i = (6, 6)\n"
+            "  Y_s[1] = -3*x^5 - 3*x^2*y^3\n"
+            "  Y_s[2] = -3*x^3*y^2 - 3*y^5\n"
+            "blocks: r=1 sizes=(2,) degrees=(6,) m=6 tilde=(1, 1)\n"
+        )
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        code = (
+            "import sys\n"
+            "import jacgate.cli\n"
+            "print('numpy' in sys.modules)\n"
+            "from jacgate import find_zeros, only_origin, verdict\n"
+            "print(verdict.__module__, only_origin.__module__, find_zeros.__module__)\n"
+        )
+        proc = _fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\njacgate.criteria jacgate.certify jacgate.dynamics\n"

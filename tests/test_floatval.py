@@ -129,6 +129,6 @@ class TestCallersSilenceOverflow:
     def test_witness_from_probe(self, monkeypatch):
         # Newton "finds" second preimages of F(0, 0) where F overflows in floats
         zeros = [(np.array([1e200, 0.0]), 0.0), (np.array([1e200, 1e-200]), 0.0)]
-        monkeypatch.setattr(jacgate.dynamics, "_newton_zeros", lambda *args, **kwargs: zeros)
+        monkeypatch.setattr(jacgate.dynamics, "_newton_zeros", lambda *args, **kwargs: (zeros, 0))
         fmap = PolyMap([p2("x^3*y^2 + x^3 + x"), p2("y")])
         assert self.call(witness_from_probe, fmap, (0, 0)) is None

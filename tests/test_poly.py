@@ -5,6 +5,8 @@ from itertools import permutations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import p1, p2
 from corpus import random_map, random_point, random_polynomial
@@ -18,6 +20,18 @@ from jacgate import (
     matrix_det,
 )
 from jacgate.errors import DimensionMismatchError
+from oracle import fraction_add, fraction_mul
+
+# small exponents and coefficients, so that products collide and cancel often
+rationals = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 2, 3, 6)))
+
+
+def polynomials(n: int) -> st.SearchStrategy:
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * n), rationals, max_size=8)
+    return terms.map(lambda t: Polynomial(n, t))
+
+
+operand_pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(polynomials(n), polynomials(n)))
 
 
 def permutation_det(matrix):
@@ -76,6 +90,41 @@ class TestAddMul:
             assert (a + b) + c == a + (b + c)
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
+
+
+class TestIntegerKernel:
+    """``*`` and ``+`` against term-by-term ``Fraction`` loops: equal values and
+    the same term order, which float evaluation sums in."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(operand_pairs)
+    def test_matches_fraction_oracle_with_order(self, operands):
+        p, q = operands
+        for result, expected in ((p * q, fraction_mul(p, q)), (p + q, fraction_add(p, q))):
+            assert result == expected
+            assert list(result.terms) == list(expected.terms)
+
+    def test_cancelled_key_reinserted_at_end(self):
+        # x^2 and x^3 cancel on the second row; x^2 comes back on the third
+        p = Polynomial(1, {(2,): Fraction(1, 2), (1,): Fraction(-1, 2), (0,): Fraction(3, 4)})
+        q = Polynomial(1, {(0,): 1, (1,): 1, (2,): 1})
+        product = p * q
+        assert product == fraction_mul(p, q)
+        assert list(product.terms.items()) == [
+            ((4,), Fraction(1, 2)),
+            ((1,), Fraction(1, 4)),
+            ((0,), Fraction(3, 4)),
+            ((2,), Fraction(3, 4)),
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_zero_and_constant_operands(self, n):
+        rng = Random(n)
+        p = random_polynomial(rng, n)
+        for other in (Polynomial.zero(n), Polynomial.constant(n, Fraction(-2, 3))):
+            for a, b in ((p, other), (other, p)):
+                assert list((a * b).terms.items()) == list(fraction_mul(a, b).terms.items())
+        assert (p * Polynomial.zero(n)).is_zero
 
 
 class TestPartialEvaluate:
