@@ -2,7 +2,9 @@
 only-origin certification, and numeric witness search.
 
 The exact layer loads with the package; the names from ``certify``,
-``criteria`` and ``dynamics``, which need numpy, load on first use.
+``criteria`` and ``dynamics`` load on first use.  Of these only ``dynamics``
+imports numpy; ``certify`` and ``criteria`` import it where a float step
+runs.
 """
 
 import importlib
@@ -48,7 +50,7 @@ from .weights import (
     weighted_degree,
 )
 
-# the float-layer names, by module, imported on first use by ``__getattr__``
+# the names of the analysis modules, imported on first use by ``__getattr__``
 _LAZY = {
     "certify": (
         "CertConfig", "CertOutcome", "OutcomeKind", "gradient_only_origin", "only_origin",

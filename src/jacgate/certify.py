@@ -33,21 +33,22 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DegenerateDirectionError, ZeroPolynomialError
-from .floatval import RHO, FloatSystem, gauss_newton, snap_exact
 from .intervals import Bisection, Box, Interval, IntervalPoly
 from .poly import Polynomial
 from .sampling import points_on_sphere
 from .univariate import bivariate, line_roots
 from .weights import Weight, euler_check, higher_part, raw_weighted_degree
 
+if TYPE_CHECKING:
+    from .floatval import FloatSystem
+
 
 SHELL = 0.0625  # half-width of the norm-square shell around the sphere
 TAU = 1e-8      # allowed distance of a witness norm from 1
+RHO = 1e-10     # residual tolerance for zeros and witnesses
 _PROBES = 16    # sphere points the witness hunt starts from
 MAX_BOXES = 200_000  # box budget of one branch-and-bound search
 
@@ -123,21 +124,25 @@ def _validate_system(system: Sequence[Polynomial], w: Weight) -> list[int]:
     return degrees
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _newton_witness(
     system: Sequence[Polynomial], fsys: FloatSystem, start: Sequence[float]
 ) -> CertOutcome | None:
     """Newton-refine a start on ``fsys``, the system plus the unit sphere; accept the
     point as a witness if residuals and norm pass, exact if a rational snapping does."""
+    import numpy as np
+
+    from .floatval import gauss_newton, snap_exact
+
     point, _, _ = gauss_newton(fsys, start, tol=1e-12)
     if not np.all(np.isfinite(point)):
         return None
-    norm = float(np.linalg.norm(point))
-    if abs(norm - 1.0) > TAU:
-        return None
-    residuals = fsys.residual(point)[: len(system)]
-    if np.max(np.abs(residuals)) > RHO:
-        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(point))
+        if abs(norm - 1.0) > TAU:
+            return None
+        residuals = fsys.residual(point)[: len(system)]
+        if np.max(np.abs(residuals)) > RHO:
+            return None
     lo = (Fraction(1) - Fraction(TAU)) ** 2
     hi = (Fraction(1) + Fraction(TAU)) ** 2
     snapped = snap_exact(
@@ -253,6 +258,8 @@ def _only_origin_boxes(
             pending.append((box, search.max_depth, search.boxes))
             if fsys is None and (leaf or box.depth >= _HUNT_DEPTH):
                 # the hunt starts: low-discrepancy sphere points, each distinct one once
+                from .floatval import FloatSystem
+
                 fsys = FloatSystem(list(system) + [_sphere_poly(n)])
                 for start in dict.fromkeys(points_on_sphere(n, _PROBES, cfg.seed)):
                     outcome = _newton_witness(system, fsys, start)

@@ -78,9 +78,8 @@ def _outcome_dict(outcome: CertOutcome | None) -> dict | None:
 def _build_report(
     report: VerdictReport, mapfile_text: str, names, cfg: AnalysisConfig, path: str
 ) -> dict:
-    from .certify import SHELL, TAU
-    from .dynamics import PROBES, STARTS
-    from .floatval import RHO
+    from .certify import RHO, SHELL, TAU
+    from .sampling import PROBES, STARTS
 
     attempts = []
     for criterion, results in report.search.attempts.items():

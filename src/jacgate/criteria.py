@@ -29,23 +29,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import certify
 from .certify import CertConfig, CertOutcome, certify_once, only_origin
-from .dynamics import STARTS, WitnessPair, injectivity_witness
 from .errors import (
     DegenerateDirectionError,
     InternalInconsistencyError,
     PreconditionError,
     ZeroPolynomialError,
 )
-from .floatval import FloatSystem, gauss_newton, snap_exact
 from .intervals import Bisection, Box, IntervalPoly
 from .poly import PolyMap, Polynomial, h_norm, jacobian_det
-from .sampling import points_in_box
+from .sampling import STARTS, points_in_box
 from .univariate import UNDECIDED, planar_zero
 from .weights import (
     BlockStructure,
@@ -57,6 +53,9 @@ from .weights import (
     higher_part_map,
     tilde_weights,
 )
+
+if TYPE_CHECKING:
+    from .dynamics import WitnessPair
 
 
 class JacStatus(Enum):
@@ -215,6 +214,10 @@ def _check_assumptions_on_box(fmap: PolyMap, cfg: AnalysisConfig | None = None) 
         )
 
     # witness hunt: roots of det inside the box
+    import numpy as np
+
+    from .floatval import FloatSystem, gauss_newton, snap_exact
+
     det_sys = FloatSystem([det])
     starts = points_in_box(fmap.n, STARTS, cfg.box_radius, cfg.cert.seed)
     for start in starts:
@@ -459,6 +462,8 @@ def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
     if success is not None:
         kind = VerdictKind.INJECTIVE
     else:
+        from .dynamics import injectivity_witness
+
         witness = injectivity_witness(fmap, box=cfg.box_radius / 2.0, seed=cfg.cert.seed)
         kind = VerdictKind.NOT_INJECTIVE if witness is not None else VerdictKind.UNKNOWN
     return VerdictReport(

@@ -15,10 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .certify import RHO
 from .errors import PreconditionError
-from .floatval import RHO, FloatSystem, gauss_newton, snap_exact
+from .floatval import FloatSystem, gauss_newton, snap_exact
 from .poly import PolyMap, gradient_field, h_norm
-from .sampling import points_in_box
+from .sampling import PROBES, STARTS, points_in_box
 
 
 DEDUP_RADIUS = 1e-6   # Newton points closer than this count as one zero
@@ -28,9 +29,6 @@ STEP_TARGET = 0.05
 FLOW_BOX = 1e6
 CONVERGE_TOL = 1e-9
 H_SLACK = 1e-12
-# the witness search's probe points and Newton starts per probe
-PROBES = 8
-STARTS = 32
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,6 @@ class FloatSystem:
 
 MAX_ITER = 60        # Gauss-Newton steps
 MAX_BACKTRACKS = 40  # halvings of one step before it is given up
-RHO = 1e-10          # residual tolerance for zeros and witnesses
 
 
 @np.errstate(over="ignore", invalid="ignore")

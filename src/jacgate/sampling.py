@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import math
 
+# the witness search's probe points and Newton starts per probe
+PROBES = 8
+STARTS = 32
+
 
 def _phi(d: int) -> float:
     x = 2.0

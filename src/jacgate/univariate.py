@@ -5,9 +5,9 @@ A polynomial is a list of ``Fraction`` coefficients, lowest degree first,
 with no trailing zeros; ``[]`` is the zero polynomial.  A polynomial in x
 with coefficients in Q[y] is a list of such lists, indexed by the power of
 x.  Real roots are counted with Sturm sequences (Sturm 1829) and isolated
-by bisection between rational points.  Resultants over Q[y] are resultants
-over Q at integer points y, interpolated in Newton form; the degree bound
-is that of the Sylvester determinant.
+by bisection between rational points.  One subresultant sequence in Z[y][x]
+(Brown & Traub 1971; Cohen, *A Course in Computational Algebraic Number
+Theory*, 1993) gives Res_x of two polynomials and a multiple of their gcd in x.
 
 ``real_roots`` is the one path from a polynomial to its real roots: the
 roots of its square-free part are isolated, and each is refined to a
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import Iterator, Mapping, Sequence
 
 Poly = list  # list[Fraction]
@@ -54,7 +55,7 @@ def scale(p: Poly, factor) -> Poly:
 def mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
         for j, d in enumerate(b):
             out[i + j] += c * d
@@ -94,7 +95,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
     exponentially with the degree."""
     if not a or not b:
         a = a or b
-        return [c / a[-1] for c in a]
+        return [Fraction(c, a[-1]) for c in a]
     a, b = _primitive(a), _primitive(b)
     while b:
         r = _pseudo_remainder(a, b)[0]
@@ -304,21 +305,9 @@ def _step_x(r: list[Poly], b: list[Poly], quotient: Poly, shift: int) -> list[Po
     return trim(r)
 
 
-def _gcd_x(a: list[Poly], b: list[Poly]) -> list[Poly]:
-    """A gcd in Q[y][x] of two primitive polynomials, by the primitive
-    pseudo-remainder sequence (Collins 1967)."""
-    while b:
-        r = a
-        while len(r) >= len(b):
-            lead = r[-1]
-            r = _step_x([mul(row, b[-1]) for row in r], b, lead, len(r) - len(b))
-        a, b = b, _primitive_x(r) if r else []
-    return a
-
-
 def squarefree_x(p: list[Poly]) -> list[Poly]:
     """The primitive ``p`` divided by the factors that divide it twice in Q[y][x]."""
-    g = _gcd_x(p, _primitive_x(d_dx(p)))
+    g = _primitive_x(_subresultants(p, d_dx(p))[1])
     quotient: list[Poly] = [[] for _ in range(len(p) - len(g) + 1)]
     r = p
     for k in range(len(quotient) - 1, -1, -1):
@@ -331,30 +320,55 @@ def squarefree_x(p: list[Poly]) -> list[Poly]:
     return trim(quotient)
 
 
-def _resultant_at(a: Poly, b: Poly) -> Fraction:
-    """Res(a, b) over Q by the Euclidean remainder sequence."""
-    if not a or not b:
-        return Fraction(0)
-    res = Fraction(1)
+def _power(p: Poly, k: int) -> Poly:
+    return reduce(mul, [p] * k, [1])
+
+
+def _quotient(a: list[int], b: list[int]) -> list[int]:
+    """``a / b`` in Z[y], for a ``b`` that divides ``a``."""
+    r, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + len(b) - 1] // b[-1]
+        for i, d in enumerate(b):
+            r[k + i] -= c * d
+    if any(r):
+        raise ArithmeticError("polynomial division leaves a remainder")
+    return trim(q)
+
+
+def _integral(p: list[Poly]) -> tuple[list[list[int]], int]:
+    """``(c p, c)`` with c the least positive integer that makes ``c p`` integral."""
+    c = math.lcm(*(v.denominator for row in p for v in row))
+    return [[v.numerator * (c // v.denominator) for v in row] for row in p], c
+
+
+def _subresultants(p: list[Poly], q: list[Poly]) -> tuple[Poly, list[list[int]]]:
+    """Res_x(p, q) of two non-zero polynomials in x over Q[y], and the last
+    non-zero member of their subresultant sequence, a multiple of their gcd in x.
+
+    The sequence runs on integral multiples in Z[y][x], where every division is
+    exact (Cohen 1993, Alg. 3.3.7), and Res(c p, d q) = c^deg q d^deg p Res(p, q).
+    """
+    (a, c), (b, d) = _integral(p), _integral(q)
+    scale_back = c ** (len(q) - 1) * d ** (len(p) - 1)
+    sign = 1
+    if len(a) < len(b):
+        a, b, sign = b, a, (-1) ** ((len(a) - 1) * (len(b) - 1))
+    g = h = [1]
     while len(b) > 1:
-        m, n = len(a) - 1, len(b) - 1
-        r = divide(a, b)[1]
-        if not r:
-            return Fraction(0)
-        res *= (-1) ** (m * n) * b[-1] ** (m - len(r) + 1)
-        a, b = b, r
-    return res * b[0] ** (len(a) - 1)
-
-
-def _newton_interpolate(xs: list[int], ys: list[Fraction]) -> Poly:
-    coef = list(ys)
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    out: Poly = []
-    for x, c in zip(reversed(xs), reversed(coef)):
-        out = add(mul(out, [Fraction(-x), Fraction(1)]), [c])
-    return out
+        delta = len(a) - len(b)
+        sign *= (-1) ** ((len(a) - 1) * (len(b) - 1))
+        # the pseudo-remainder lc(b)^(delta + 1) a mod b (Cohen 1993, Alg. 3.1.2)
+        r, steps = a, delta + 1
+        while len(r) >= len(b):
+            r = _step_x([mul(row, b[-1]) for row in r], b, r[-1], len(r) - len(b))
+            steps -= 1
+        divisor = mul(g, _power(h, delta))
+        a, b = b, trim([_quotient(mul(row, _power(b[-1], steps)), divisor) for row in r])
+        g = a[-1]
+        h = _quotient(_power(g, delta), _power(h, delta - 1)) if delta else h
+    res = _quotient(_power(b[0], len(a) - 1), _power(h, len(a) - 2)) if b else []
+    return [Fraction(sign * v, scale_back) for v in res], b or a
 
 
 def _degree_y(p: list[Poly]) -> int:
@@ -374,22 +388,8 @@ def resultant_degree(p: list[Poly], q: list[Poly]) -> int:
 
 
 def resultant(p: list[Poly], q: list[Poly]) -> Poly:
-    """Res_x(p, q) in Q[y] of two non-zero polynomials in x over Q[y].
-
-    It is interpolated from its values at ``resultant_degree(p, q)`` integer
-    points plus one where neither leading coefficient vanishes, where the
-    resultant over Q is the value.
-    """
-    bound = resultant_degree(p, q)
-    xs: list[int] = []
-    ys: list[Fraction] = []
-    y = 0
-    while len(xs) <= bound:
-        if evaluate(p[-1], y) and evaluate(q[-1], y):
-            xs.append(y)
-            ys.append(_resultant_at(fibre(p, y), fibre(q, y)))
-        y = -y if y > 0 else 1 - y  # 0, 1, -1, 2, -2, ...
-    return _newton_interpolate(xs, ys)
+    """Res_x(p, q) in Q[y] of two non-zero polynomials in x over Q[y]."""
+    return _subresultants(p, q)[0]
 
 
 # -- real zeros of a polynomial in x and y --------------------------------------
@@ -398,10 +398,10 @@ def resultant(p: list[Poly], q: list[Poly]) -> Poly:
 UNDECIDED = object()
 
 # y-degree bound on Res_x(p, p_x) and Res_x(p, p_y) above which the planar
-# decision is not attempted.  Its cost grows with the degree and the
-# digits of these resultants: 0.1 s at 12, the largest in the check
-# benchmarks; 0.7-1.3 s at 56, for dense degree-8 dets with small integer
-# coefficients; 11 s at 90 for a degree-10 one
+# decision is not attempted.  Its cost grows with the degree: 1 ms at 12, the
+# largest in the check benchmarks; 0.25-0.4 s at 56, for dense degree-8 dets
+# with small integer coefficients; 2-3 s at 90 for a degree-10 one, nearly
+# all in the gcds and Sturm sequences after the two resultants (0.1 s)
 MAX_RESULTANT_DEGREE = 60
 
 

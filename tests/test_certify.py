@@ -22,9 +22,10 @@ from jacgate import (
     unique_zero_nonneg,
 )
 import jacgate.certify
-from jacgate.certify import MAX_BOXES, _only_origin_boxes
+import jacgate.floatval
+from jacgate.certify import MAX_BOXES, RHO, _only_origin_boxes
 from jacgate.errors import ZeroPolynomialError
-from jacgate.floatval import RHO, FloatSystem
+from jacgate.floatval import FloatSystem
 from jacgate.intervals import Box, Interval
 from jacgate.sampling import points_on_sphere
 from jacgate.weights import scale_point
@@ -184,8 +185,8 @@ class TestProveFirst:
         library and in the oracle, since the last reset, and the depth the
         library's branch-and-bound had reached at its first Newton run."""
         counts = {"newton": 0, "systems": 0, "first_newton_depth": None}
-        newton = jacgate.certify.gauss_newton
-        float_system = jacgate.certify.FloatSystem
+        newton = jacgate.floatval.gauss_newton
+        float_system = jacgate.floatval.FloatSystem
         searches = []
 
         class RecordedBisection(jacgate.certify.Bisection):
@@ -203,8 +204,9 @@ class TestProveFirst:
             counts["systems"] += 1
             return float_system(*args, **kwargs)
 
-        monkeypatch.setattr(jacgate.certify, "gauss_newton", counting_newton)
-        monkeypatch.setattr(jacgate.certify, "FloatSystem", counting_system)
+        # certify looks both names up in floatval when its hunt starts
+        monkeypatch.setattr(jacgate.floatval, "gauss_newton", counting_newton)
+        monkeypatch.setattr(jacgate.floatval, "FloatSystem", counting_system)
         monkeypatch.setattr(oracle, "FloatSystem", counting_system)
         monkeypatch.setattr(jacgate.certify, "Bisection", RecordedBisection)
         return counts

@@ -322,6 +322,22 @@ class TestExactPathWithoutNumpy:
             "blocks: r=1 sizes=(2,) degrees=(6,) m=6 tilde=(1, 1)\n"
         )
 
+    def test_exact_check_runs_with_numpy_blocked(self, tmp_path):
+        # coupled3 is decided by exact algebra alone: det DF on all of R^2 and
+        # the planar only-origin certificates take no float step
+        reports = []
+        for block in ("sys.modules['numpy'] = None\n", ""):
+            report = tmp_path / f"report{len(reports)}.json"
+            proc = _fresh_python(
+                "import sys\n" + block + "from jacgate.cli import main\n"
+                f"argv = ['check', 'perfbench/corpus/coupled3.map', '--json', {str(report)!r}]\n"
+                "print(main(argv), sys.modules.get('numpy') is not None)\n"
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == "0 False"
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_cli_import_leaves_numpy_unloaded(self):
         code = (
             "import sys\n"

@@ -7,6 +7,8 @@ import pytest
 from random import Random
 
 import jacgate.criteria
+import jacgate.dynamics
+import jacgate.floatval
 from conftest import p2
 from corpus import field_pass_instances, random_map
 from jacgate import (
@@ -66,13 +68,14 @@ TINYDET = PolyMap([p2("1/3*x^3 + 1/1000000000000*x"), p2("y")])
 def counting_newton(monkeypatch):
     """Count the ``gauss_newton`` calls of ``check_assumptions`` and its oracle."""
     calls = [0]
-    newton = jacgate.criteria.gauss_newton
+    newton = jacgate.floatval.gauss_newton
 
     def counting(*args, **kwargs):
         calls[0] += 1
         return newton(*args, **kwargs)
 
-    monkeypatch.setattr(jacgate.criteria, "gauss_newton", counting)
+    # criteria looks it up in floatval when its det hunt starts
+    monkeypatch.setattr(jacgate.floatval, "gauss_newton", counting)
     monkeypatch.setattr(oracle, "gauss_newton", counting)
     return calls
 
@@ -486,13 +489,14 @@ class TestWitnessLast:
     @pytest.fixture
     def witness_calls(self, monkeypatch):
         calls = [0]
-        search = jacgate.criteria.injectivity_witness
+        search = jacgate.dynamics.injectivity_witness
 
         def counting(*args, **kwargs):
             calls[0] += 1
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(jacgate.criteria, "injectivity_witness", counting)
+        # verdict looks it up in dynamics when its witness search starts
+        monkeypatch.setattr(jacgate.dynamics, "injectivity_witness", counting)
         return calls
 
     @pytest.mark.parametrize(

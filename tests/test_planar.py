@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import jacgate.certify
 import jacgate.criteria
 import jacgate.dynamics
+import jacgate.floatval
 import jacgate.univariate
 from conftest import p2
 from corpus import (
@@ -302,19 +303,23 @@ class TestRandomSystems:
 class TestWork:
     @pytest.fixture
     def work(self, monkeypatch):
-        """Calls of ``gauss_newton`` and ``Bisection`` made by each module."""
+        """Calls of ``gauss_newton`` and ``Bisection`` through the names the code
+        looks up: ``certify`` and ``criteria`` find ``gauss_newton`` in
+        ``floatval`` when a float step runs, and ``dynamics`` holds its own."""
         counts = Counter()
-        for module in (jacgate.certify, jacgate.criteria, jacgate.dynamics):
-            for name in ("gauss_newton", "Bisection"):
-                original = getattr(module, name, None)
-                if original is None:
-                    continue
+        for module, name in (
+            (jacgate.floatval, "gauss_newton"),
+            (jacgate.dynamics, "gauss_newton"),
+            (jacgate.certify, "Bisection"),
+            (jacgate.criteria, "Bisection"),
+        ):
+            original = getattr(module, name)
 
-                def counting(*args, _original=original, _key=(module.__name__, name), **kwargs):
-                    counts[_key] += 1
-                    return _original(*args, **kwargs)
+            def counting(*args, _original=original, _key=(module.__name__, name), **kwargs):
+                counts[_key] += 1
+                return _original(*args, **kwargs)
 
-                monkeypatch.setattr(module, name, counting)
+            monkeypatch.setattr(module, name, counting)
         return counts
 
     def test_planar_paths_make_no_float_or_box_work(self, work):

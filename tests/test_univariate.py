@@ -1,7 +1,8 @@
 """Property tests of the exact univariate algebra: Sturm counts against known
 roots, division and gcd identities, root isolation, the real roots of one
-polynomial and the common roots of several on a line, and resultants that
-vanish exactly when two polynomials share a root."""
+polynomial and the common roots of several on a line, and the subresultant
+sequence: resultants that equal the Sylvester determinant and vanish exactly
+when two polynomials share a root, and a last member that the gcd divides."""
 
 import math
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from jacgate import Polynomial
 from jacgate.poly import matrix_det
 from jacgate.univariate import (
+    _subresultants,
     add,
     bivariate,
     count_roots,
@@ -25,6 +27,7 @@ from jacgate.univariate import (
     real_roots,
     refine_root,
     resultant,
+    scale,
     squarefree,
     squarefree_x,
     sturm,
@@ -201,9 +204,22 @@ def sylvester(p, q):
     return trim([det.terms.get((j,), Fraction(0)) for j in range(degree + 1)])
 
 
+def pseudo_remainder(f, g):
+    """lc(g)^k f reduced modulo g in Q[y][x], for the k that brings it below g's degree."""
+    r = f
+    while len(r) >= len(g):
+        shift, top = len(r) - len(g), r[-1]
+        r = [mul(row, g[-1]) for row in r]
+        for i, row in enumerate(g):
+            r[shift + i] = add(r[shift + i], scale(mul(top, row), -1))
+        r = trim(r)
+    return r
+
+
 small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+# x-degree up to 5: the sequence meets degree drops of more than one
 bivariate_terms = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 2)), small, min_size=1, max_size=6
+    st.tuples(st.integers(0, 5), st.integers(0, 3)), small, min_size=1, max_size=6
 )
 
 
@@ -231,6 +247,21 @@ class TestResultant:
         # Res(a, b) = prod (r - s) over the roots of two monic polynomials
         assert res == trim([expected])
         assert (res == []) == bool(set(roots_a) & set(roots_b))
+
+    @SETTINGS
+    @given(bivariate_terms, bivariate_terms, bivariate_terms)
+    def test_last_member_is_divided_by_a_common_factor(self, a, b, c):
+        # the last non-zero member of the sequence of (a c, b c) is a multiple
+        # of their gcd in x: of x-degree at least that of c, and dividing both
+        factor = Polynomial(2, c)
+        p = trim(bivariate((Polynomial(2, a) * factor).terms))
+        q = trim(bivariate((Polynomial(2, b) * factor).terms))
+        width = len(trim(bivariate(factor.terms)))  # 1 + deg_x c
+        if not p or not q or width < 2:
+            return
+        last = _subresultants(p, q)[1]
+        assert len(last) >= width
+        assert pseudo_remainder(p, last) == [] and pseudo_remainder(q, last) == []
 
     def test_repeated_factor_in_x_is_removed(self):
         # (x + y)^2 (x - y^2 - 1): the discriminant in x vanishes identically
