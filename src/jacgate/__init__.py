@@ -2,9 +2,8 @@
 only-origin certification, and numeric witness search.
 
 The exact layer loads with the package; the names from ``certify``,
-``criteria`` and ``dynamics`` load on first use.  Of these only ``dynamics``
-imports numpy; ``certify`` and ``criteria`` import it where a float step
-runs.
+``criteria`` and ``dynamics`` load on first use.  The runtime needs only the
+standard library: the float layer runs on plain Python floats.
 """
 
 import importlib

@@ -30,20 +30,19 @@ and, when the coordinates snap to small rationals, confirmed exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import DegenerateDirectionError, ZeroPolynomialError
+from .floatval import FloatSystem, _norm, gauss_newton, max_abs, snap_exact
 from .intervals import Bisection, Box, Interval, IntervalPoly
 from .poly import Polynomial
 from .sampling import points_on_sphere
 from .univariate import bivariate, line_roots
 from .weights import Weight, euler_check, higher_part, raw_weighted_degree
-
-if TYPE_CHECKING:
-    from .floatval import FloatSystem
 
 
 SHELL = 0.0625  # half-width of the norm-square shell around the sphere
@@ -129,24 +128,16 @@ def _newton_witness(
 ) -> CertOutcome | None:
     """Newton-refine a start on ``fsys``, the system plus the unit sphere; accept the
     point as a witness if residuals and norm pass, exact if a rational snapping does."""
-    import numpy as np
-
-    from .floatval import gauss_newton, snap_exact
-
     point, _, _ = gauss_newton(fsys, start, tol=1e-12)
-    if not np.all(np.isfinite(point)):
+    if not all(map(math.isfinite, point)) or abs(_norm(point) - 1.0) > TAU:
         return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.linalg.norm(point))
-        if abs(norm - 1.0) > TAU:
-            return None
-        residuals = fsys.residual(point)[: len(system)]
-        if np.max(np.abs(residuals)) > RHO:
-            return None
+    residuals = fsys.residual(point)[: len(system)]
+    if not max_abs(residuals) <= RHO:
+        return None
     lo = (Fraction(1) - Fraction(TAU)) ** 2
     hi = (Fraction(1) + Fraction(TAU)) ** 2
     snapped = snap_exact(
-        point.tolist(),
+        point,
         lambda q: lo <= sum(c * c for c in q) <= hi and all(g.evaluate(q) == 0 for g in system),
     )
     if snapped is not None:
@@ -158,9 +149,9 @@ def _newton_witness(
         )
     return CertOutcome(
         kind=OutcomeKind.NONTRIVIAL_ZERO,
-        witness=tuple(float(c) for c in point),
+        witness=point,
         exact=False,
-        residuals=tuple(float(r) for r in residuals),
+        residuals=residuals,
     )
 
 
@@ -258,8 +249,6 @@ def _only_origin_boxes(
             pending.append((box, search.max_depth, search.boxes))
             if fsys is None and (leaf or box.depth >= _HUNT_DEPTH):
                 # the hunt starts: low-discrepancy sphere points, each distinct one once
-                from .floatval import FloatSystem
-
                 fsys = FloatSystem(list(system) + [_sphere_poly(n)])
                 for start in dict.fromkeys(points_on_sphere(n, _PROBES, cfg.seed)):
                     outcome = _newton_witness(system, fsys, start)

@@ -39,6 +39,7 @@ from .errors import (
     PreconditionError,
     ZeroPolynomialError,
 )
+from .floatval import FloatSystem, gauss_newton, snap_exact
 from .intervals import Bisection, Box, IntervalPoly
 from .poly import PolyMap, Polynomial, h_norm, jacobian_det
 from .sampling import STARTS, points_in_box
@@ -214,20 +215,16 @@ def _check_assumptions_on_box(fmap: PolyMap, cfg: AnalysisConfig | None = None) 
         )
 
     # witness hunt: roots of det inside the box
-    import numpy as np
-
-    from .floatval import FloatSystem, gauss_newton, snap_exact
-
     det_sys = FloatSystem([det])
     starts = points_in_box(fmap.n, STARTS, cfg.box_radius, cfg.cert.seed)
     for start in starts:
         point, _, converged = gauss_newton(det_sys, start, tol=1e-12)
-        if converged and np.all(np.abs(point) <= cfg.box_radius):
-            snapped = snap_exact(point.tolist(), lambda q: det.evaluate(q) == 0)
+        if converged and all(abs(c) <= cfg.box_radius for c in point):
+            snapped = snap_exact(point, lambda q: det.evaluate(q) == 0)
             return Assumptions(
                 f_zero_at_origin=f_zero,
                 jac_status=JacStatus.VIOLATION_FOUND,
-                jac_point=tuple(point.tolist()) if snapped is None else snapped,
+                jac_point=point if snapped is None else snapped,
                 jac_exact=snapped is not None,
             )
     zero = _sign_change_zero(det, starts)

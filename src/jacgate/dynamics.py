@@ -13,11 +13,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .certify import RHO
 from .errors import PreconditionError
-from .floatval import FloatSystem, gauss_newton, snap_exact
+from .floatval import FloatSystem, _norm, determinant, gauss_newton, max_abs, snap_exact
 from .poly import PolyMap, gradient_field, h_norm
 from .sampling import PROBES, STARTS, points_in_box
 
@@ -83,23 +81,23 @@ class IndexSumReport:
 
 def _newton_zeros(
     fmap: PolyMap, starts: int, box: float, seed: int
-) -> tuple[list[tuple[np.ndarray, float]], int]:
+) -> tuple[list[tuple[tuple[float, ...], float]], int]:
     """Deduped converged Newton points and their residuals, in lexicographic
     order, and the number of starts that did not converge."""
     if starts < 1:
         raise ValueError("need at least one start")
     fsys = FloatSystem(list(fmap.components))
-    found: list[tuple[np.ndarray, float]] = []
+    found: list[tuple[tuple[float, ...], float]] = []
     unconverged = 0
     for start in points_in_box(fmap.n, starts, box, seed):
         point, residual, converged = gauss_newton(fsys, start, tol=RHO)
         if not converged:
             unconverged += 1
             continue
-        if any(np.linalg.norm(point - q) <= DEDUP_RADIUS for q, _ in found):
+        if any(_norm([a - b for a, b in zip(point, q)]) <= DEDUP_RADIUS for q, _ in found):
             continue
         found.append((point, residual))
-    return sorted(found, key=lambda item: tuple(item[0].tolist())), unconverged
+    return sorted(found, key=lambda item: item[0]), unconverged
 
 
 def find_zeros(fmap: PolyMap, starts: int = 64, box: float = 5.0, seed: int = 0) -> ZeroReport:
@@ -113,9 +111,7 @@ def find_zeros(fmap: PolyMap, starts: int = 64, box: float = 5.0, seed: int = 0)
         except PreconditionError as exc:
             index = None
             note = str(exc)
-        zeros.append(
-            ZeroInfo(point=tuple(point.tolist()), residual=residual, index=index, note=note)
-        )
+        zeros.append(ZeroInfo(point=point, residual=residual, index=index, note=note))
     return ZeroReport(
         zeros=tuple(zeros),
         starts_used=starts,
@@ -126,23 +122,22 @@ def find_zeros(fmap: PolyMap, starts: int = 64, box: float = 5.0, seed: int = 0)
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def index_at(fmap: PolyMap, q: Sequence[float]) -> int:
     """Sign of the descent field's Jacobian determinant at a zero of the map."""
-    x = np.array(q, dtype=np.float64)
+    x = tuple(float(c) for c in q)
     fsys = FloatSystem(list(fmap.components))
-    residual = float(np.max(np.abs(fsys.residual(x))))
+    residual = max_abs(fsys.residual(x))
     if not residual <= RHO:  # a NaN residual fails too
         raise PreconditionError(
             f"point is not a zero of the map: residual {residual:.3e} exceeds {RHO:.3e}"
         )
-    det_df = float(np.linalg.det(fsys.jacobian(x)))
+    det_df = determinant(fsys.jacobian(x))
     if not math.isfinite(det_df):
         raise PreconditionError(f"Jacobian determinant at the zero is not finite: {det_df}")
     if abs(det_df) < 1e-8:
         raise PreconditionError(f"near-singular Jacobian at the zero: det {det_df:.3e}")
     descent = gradient_field(h_norm(fmap))
-    det_dy = float(np.linalg.det(FloatSystem(list(descent.components)).jacobian(x)))
+    det_dy = determinant(FloatSystem(list(descent.components)).jacobian(x))
     if not math.isfinite(det_dy):
         raise PreconditionError(f"descent field Jacobian determinant is not finite: {det_dy}")
     if det_dy == 0.0:
@@ -150,7 +145,6 @@ def index_at(fmap: PolyMap, q: Sequence[float]) -> int:
     return 1 if det_dy > 0 else -1
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def flow_descent(fmap: PolyMap, start: Sequence[float], max_steps: int = 5000) -> Trajectory:
     """Integrate the descent field with adaptive explicit steps.
 
@@ -160,21 +154,24 @@ def flow_descent(fmap: PolyMap, start: Sequence[float], max_steps: int = 5000) -
     h_sys = FloatSystem([h_norm(fmap)])
     f_sys = FloatSystem(list(fmap.components))
 
-    def h_value(x: np.ndarray) -> float:
-        return float(h_sys.residual(x)[0])
+    def h_value(x: tuple[float, ...]) -> float:
+        return h_sys.residual(x)[0]
 
-    def velocity(x: np.ndarray) -> np.ndarray:
+    def velocity(x: tuple[float, ...]) -> tuple[float, ...]:
         # the descent field negates the exact partials of H; subtracting from
         # 0.0 keeps exact zeros +0.0, as evaluating the negated partials does
-        return 0.0 - h_sys.jacobian(x)[0]
+        return tuple(0.0 - g for g in h_sys.jacobian(x)[0])
 
-    x = np.array(start, dtype=np.float64)
+    def along(x: tuple[float, ...], h: float, k: tuple[float, ...]) -> tuple[float, ...]:
+        return tuple(a + h * b for a, b in zip(x, k))
+
+    x = tuple(float(c) for c in start)
     t = 0.0
-    samples = [(t, tuple(x.tolist()), h_value(x))]
+    samples = [(t, x, h_value(x))]
     status = FlowStatus.STEP_LIMIT
     basin_tol = max(CONVERGE_TOL, 1e-5)
     for _ in range(max_steps):
-        f_res = float(np.max(np.abs(f_sys.residual(x))))
+        f_res = max_abs(f_sys.residual(x))
         if f_res <= CONVERGE_TOL:
             status = FlowStatus.CONVERGED_TO_ZERO_OF_F
             break
@@ -184,14 +181,14 @@ def flow_descent(fmap: PolyMap, start: Sequence[float], max_steps: int = 5000) -
             polished, residual, converged = gauss_newton(f_sys, x, tol=CONVERGE_TOL)
             if converged:
                 x = polished
-                samples.append((t, tuple(x.tolist()), h_value(x)))
+                samples.append((t, x, h_value(x)))
                 status = FlowStatus.CONVERGED_TO_ZERO_OF_F
                 break
-        if float(np.max(np.abs(x))) > FLOW_BOX:
+        if max_abs(x) > FLOW_BOX:
             status = FlowStatus.LEFT_BOX
             break
         v = velocity(x)
-        speed = float(np.linalg.norm(v))
+        speed = _norm(v)
         if speed == 0.0:
             status = FlowStatus.CONVERGED_TO_ZERO_OF_F
             break
@@ -201,14 +198,16 @@ def flow_descent(fmap: PolyMap, start: Sequence[float], max_steps: int = 5000) -
         for _ in range(60):
             # classical RK4 on x' = Y(x)
             k1 = v
-            k2 = velocity(x + 0.5 * h * k1)
-            k3 = velocity(x + 0.5 * h * k2)
-            k4 = velocity(x + h * k3)
-            candidate = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = velocity(along(x, 0.5 * h, k1))
+            k3 = velocity(along(x, 0.5 * h, k2))
+            k4 = velocity(along(x, h, k3))
+            candidate = along(
+                x, h / 6.0, [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)]
+            )
             if h_value(candidate) <= h_cur + H_SLACK:
                 x = candidate
                 t += h
-                samples.append((t, tuple(x.tolist()), h_value(x)))
+                samples.append((t, x, h_value(x)))
                 accepted = True
                 break
             h *= 0.5
@@ -220,7 +219,6 @@ def flow_descent(fmap: PolyMap, start: Sequence[float], max_steps: int = 5000) -
     return Trajectory(samples=tuple(samples), status=status)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def witness_from_probe(
     fmap: PolyMap, probe: Sequence[Fraction | int], box: float = 5.0, seed: int = 0
 ) -> WitnessPair | None:
@@ -235,23 +233,22 @@ def witness_from_probe(
     recentred = PolyMap(
         [component.translate(b) - value for component, value in zip(fmap.components, c)]
     )
-    b_float = np.array([float(v) for v in b])
+    b_float = tuple(float(v) for v in b)
+    c_float = [float(v) for v in c]
     fsys: FloatSystem | None = None
     for z, _ in _newton_zeros(recentred, STARTS, box, seed)[0]:
-        if float(np.linalg.norm(z)) <= 1e-5:
+        if _norm(z) <= 1e-5:
             continue  # the trivial zero at the probe itself
         # try to promote the pair to exact rationals
-        z_snap = snap_exact(z.tolist(), lambda z: any(z) and fmap.evaluate(shifted(z)) == c)
+        z_snap = snap_exact(z, lambda z: any(z) and fmap.evaluate(shifted(z)) == c)
         if z_snap is not None:
             return WitnessPair(a=shifted(z_snap), b=b, exact=True, deviation=0.0)
-        a_float = tuple((z + b_float).tolist())
+        a_float = tuple(zv + bv for zv, bv in zip(z, b_float))
         fsys = fsys or FloatSystem(list(fmap.components))
-        fa = fsys.residual(np.array(a_float))
-        deviation = float(np.max(np.abs(fa - np.array([float(v) for v in c]))))
+        fa = fsys.residual(a_float)
+        deviation = max_abs([v - w for v, w in zip(fa, c_float)])
         if deviation <= 2 * RHO:
-            return WitnessPair(
-                a=a_float, b=tuple(float(v) for v in b), exact=False, deviation=deviation
-            )
+            return WitnessPair(a=a_float, b=b_float, exact=False, deviation=deviation)
     return None
 
 

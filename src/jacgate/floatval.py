@@ -1,93 +1,273 @@
-"""Float-compiled polynomial systems, damped Gauss-Newton, rational snapping."""
+"""Float-compiled polynomial systems, damped Gauss-Newton, rational snapping.
+
+Everything here runs on plain Python floats.  Their products and sums give
+inf and nan on overflow and invalid values and raise nothing, while ``**``
+raises on overflow and division by zero raises: the compiled systems build
+powers by products, and the solvers divide only by non-zero pivots and
+singular values.  Sums run left to right in explicit loops, because the
+built-in ``sum`` over floats rounds differently from Python 3.12 on.
+"""
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .poly import Polynomial
 
 
 class FloatSystem:
-    """Polynomials and their first partials compiled onto one exponent table.
+    """Polynomials and their first partials compiled to straight-line Python.
 
-    A call evaluates each distinct monomial it needs once, and each row sums
-    its terms in ``sorted_terms`` order.  The polynomials' own monomials head the
-    table, and ``residual`` evaluates only that prefix.  Overflow and invalid
-    values are not silenced here: callers that can meet them enter
-    ``np.errstate`` once around their work.
+    ``residual(x)`` returns the values of the polynomials at the point ``x``
+    as a tuple, ``jacobian(x)`` the rows of first partials as a tuple of
+    tuples.  Each compiled function builds the powers it needs by repeated
+    products, computes each distinct monomial once, and sums each row one
+    term per statement in ``sorted_terms`` order.
     """
 
     def __init__(self, polys: Sequence[Polynomial]):
         if not polys:
             raise ValueError("empty system")
         self.n = polys[0].n
-        column: dict[tuple[int, ...], int] = {}
+        rows = [p.sorted_terms() for p in polys]
+        partials = [p.partial(j).sorted_terms() for p in polys for j in range(self.n)]
+        source = _source("residual", self.n, rows, 0)
+        source += _source("jacobian", self.n, partials, self.n)
+        namespace: dict = {}
+        exec(compile(source, "<FloatSystem>", "exec"), namespace)
+        self.residual = namespace["residual"]
+        self.jacobian = namespace["jacobian"]
 
-        def compile_row(p: Polynomial) -> tuple[np.ndarray, np.ndarray]:
-            items = p.sorted_terms()
-            cols = [column.setdefault(k, len(column)) for k, _ in items]
-            return np.array([float(c) for _, c in items]), np.array(cols, dtype=np.intp)
 
-        self._rows = [compile_row(p) for p in polys]
-        self._residual_width = len(column)
-        self._jac_rows = [compile_row(p.partial(j)) for p in polys for j in range(self.n)]
-        # float exponents: the power runs in float64 either way, with no cast per call
-        self._exps = np.array(list(column), dtype=np.float64).reshape(len(column), self.n)
+def _source(name: str, n: int, rows: list, width: int) -> str:
+    """Python source of ``def name(x)``, which evaluates ``rows`` (each a list of
+    (exponent, coefficient) terms) at x: a flat tuple when ``width`` is 0, else
+    a tuple of tuples of ``width`` rows each."""
+    lines = [f"def {name}(x):", f"    {''.join(f'x{j}, ' for j in range(n))}= x"]
+    top = [max((k[j] for row in rows for k, _ in row), default=0) for j in range(n)]
+    for j in range(n):
+        for e in range(2, top[j] + 1):
+            lines.append(f"    x{j}_{e} = {_power(j, e - 1)} * x{j}")
+    monomials: dict[tuple[int, ...], str] = {}
+    for row in rows:
+        for k, _ in row:
+            if k not in monomials:
+                factors = [_power(j, e) for j, e in enumerate(k) if e]
+                if len(factors) > 1:
+                    monomials[k] = f"m{len(monomials)}"
+                    lines.append(f"    {monomials[k]} = {' * '.join(factors)}")
+                else:
+                    monomials[k] = factors[0] if factors else ""
+    # one statement per term: one sum expression nests a level per term, and
+    # a few thousand terms exceed the compiler's recursion limit
+    for i, row in enumerate(rows):
+        lines.append(f"    r{i} = 0.0")
+        for k, c in row:
+            c = float(c)
+            if not monomials[k]:
+                lines.append(f"    r{i} += {c!r}")
+            elif c in (1.0, -1.0):
+                lines.append(f"    r{i} {'+' if c > 0 else '-'}= {monomials[k]}")
+            else:
+                lines.append(f"    r{i} += {c!r} * {monomials[k]}")
+    names = [f"r{i}, " for i in range(len(rows))]
+    if width:
+        names = [f"({''.join(names[i:i + width])}), " for i in range(0, len(names), width)]
+    lines.append(f"    return ({''.join(names)})")
+    return "\n".join(lines) + "\n"
 
-    def _evaluate(self, rows: list, width: int, x: np.ndarray) -> np.ndarray:
-        monomials = np.multiply.reduce(x ** self._exps[:width], axis=1)
-        return np.array([c @ monomials[cols] for c, cols in rows], dtype=np.float64)
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        return self._evaluate(self._rows, self._residual_width, x)
+def _power(j: int, e: int) -> str:
+    return f"x{j}" if e == 1 else f"x{j}_{e}"
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self._evaluate(self._jac_rows, len(self._exps), x).reshape(-1, self.n)
+
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
+def _norm(v: Sequence[float]) -> float:
+    """Euclidean norm, summed left to right.  ``certify`` and ``dynamics``
+    call it up to once per pair of Newton points; it stays private so that
+    ``perfbench/tracing.py``, which wraps every public function, records no
+    span for it."""
+    return math.sqrt(_dot(v, v))
+
+
+def max_abs(v: Sequence[float]) -> float:
+    """The largest magnitude in ``v``, nan when any entry is nan."""
+    out = 0.0
+    for c in v:
+        if not abs(c) <= out:  # larger, or nan
+            out = abs(c)
+            if out != out:
+                break
+    return out
+
+
+def _eliminate(rows: list[list[float]]) -> int:
+    """Gaussian elimination with partial pivoting, in place on the rows of a
+    square matrix, each row possibly extended by a right-hand side.
+
+    Returns the sign of the row permutation, or 0 when a pivot is exactly
+    zero: the matrix is singular, and the rows are left half eliminated.
+    """
+    n = len(rows)
+    sign = 1
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(rows[i][k]) > abs(rows[p][k]):
+                p = i
+        pivot_row = rows[p]
+        pivot = pivot_row[k]
+        if pivot == 0.0:
+            return 0
+        if p != k:
+            rows[p], rows[k] = rows[k], pivot_row
+            sign = -sign
+        for row in rows[k + 1:]:
+            f = row[k] / pivot
+            for j in range(k + 1, len(row)):
+                row[j] -= f * pivot_row[j]
+    return sign
+
+
+def _back_substitute(rows: list[list[float]]) -> list[float]:
+    """Solve an upper-triangular square system, each row extended by its
+    right-hand side."""
+    n = len(rows)
+    s = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        acc = row[n]
+        for j in range(k + 1, n):
+            acc -= row[j] * s[j]
+        s[k] = acc / row[k]
+    return s
+
+
+def determinant(matrix: Sequence[Sequence[float]]) -> float:
+    """Determinant of a square matrix by partial-pivot elimination."""
+    rows = [list(row) for row in matrix]
+    det = float(_eliminate(rows))
+    if det:
+        for k, row in enumerate(rows):
+            det *= row[k]
+    return det
+
+
+_EPS = sys.float_info.epsilon
+_MAX_SWEEPS = 30  # Jacobi sweeps; the 4 x 3 hunts on tri3 take 2 to 5
+
+
+def _svd_solve(a: Sequence[Sequence[float]], b: Sequence[float]) -> list[float] | None:
+    """The minimum-norm least-squares solution of a non-square a s = b, with
+    the rank cutoff of ``numpy.linalg.lstsq``: singular values at or below
+    eps * max(m, n) times the largest count as zero.  None when none is left.
+
+    One-sided Jacobi rotations orthogonalize the columns of the tall one of a
+    and a^T, turning them into sigma_j u_j while the identity turns into V.
+    Near a zero of high multiplicity the Jacobian is nearly rank-deficient,
+    and the cutoff keeps the step from following its noise.
+    """
+    m, n = len(a), len(a[0])
+    wide = m < n
+    cols = [list(row) for row in a] if wide else [list(col) for col in zip(*a)]
+    k = len(cols)
+    vs = [[float(i == j) for i in range(k)] for j in range(k)]
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for p in range(k - 1):
+            for q in range(p + 1, k):
+                alpha, beta = _dot(cols[p], cols[p]), _dot(cols[q], cols[q])
+                gamma = _dot(cols[p], cols[q])
+                if not abs(gamma) > _EPS * math.sqrt(alpha * beta):
+                    continue  # orthogonal to working precision
+                rotated = True
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = c * t
+                for u, w in ((cols[p], cols[q]), (vs[p], vs[q])):
+                    for i, (ui, wi) in enumerate(zip(u, w)):
+                        u[i], w[i] = c * ui - s * wi, s * ui + c * wi
+        if not rotated:
+            break
+    sigma = [_norm(col) for col in cols]
+    cutoff = _EPS * max(m, n) * max(sigma)
+    x = [0.0] * n
+    kept = False
+    for col, v, sig in zip(cols, vs, sigma):
+        if sig > cutoff:
+            kept = True
+            # tall: a = U S V^T and x += v_j (u_j . b) / sigma_j; wide: the
+            # same for a^T = U S V^T, so x += u_j (v_j . b) / sigma_j
+            onto, along = (v, col) if wide else (col, v)
+            coeff = _dot(onto, b) / sig / sig
+            for i in range(n):
+                x[i] += coeff * along[i]
+    return x if kept else None
+
+
+def _least_squares(a: Sequence[Sequence[float]], b: Sequence[float]) -> list[float] | None:
+    """The minimum-norm least-squares solution of a s = b: partial-pivot
+    elimination when a is square (None when it is exactly singular), else
+    ``_svd_solve``."""
+    if len(a) != len(a[0]):
+        return _svd_solve(a, b)
+    rows = [list(row) + [v] for row, v in zip(a, b)]
+    return _back_substitute(rows) if _eliminate(rows) else None
 
 
 MAX_ITER = 60        # Gauss-Newton steps
 MAX_BACKTRACKS = 40  # halvings of one step before it is given up
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def gauss_newton(
     system: FloatSystem, x0: Sequence[float], tol: float = 1e-12
-) -> tuple[np.ndarray, float, bool]:
+) -> tuple[tuple[float, ...], float, bool]:
     """Damped Gauss-Newton on the least-squares residual.
 
     Returns (point, max-abs residual, converged).  The step is the
-    least-squares solution of the linearized system, halved until the
-    residual norm decreases; square systems get the plain Newton step.
+    minimum-norm least-squares solution of the linearized system
+    (``_least_squares``), halved until the residual norm decreases; square
+    systems get the plain Newton step.  A Jacobian that leaves no step, exactly
+    singular when square, ends the run.
     """
-    x = np.array(x0, dtype=np.float64)
-    r = system.residual(x)
-    if not np.all(np.isfinite(r)):
+    residual, jacobian = system.residual, system.jacobian
+    x = tuple(float(c) for c in x0)
+    r = residual(x)
+    if not all(map(math.isfinite, r)):
         return x, math.inf, False
-    norm = float(np.dot(r, r))
+    norm_sq = _dot(r, r)
     for _ in range(MAX_ITER):
-        if np.max(np.abs(r)) <= tol:
+        # r is finite here: the start is checked, and a step is taken only
+        # when its residual norm is below a finite or infinite one
+        if max(map(abs, r)) <= tol:
             break
-        try:
-            step, *_ = np.linalg.lstsq(system.jacobian(x), -r, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
+        step = _least_squares(jacobian(x), [-v for v in r])
+        if step is None or not all(map(math.isfinite, step)):
             break
         for k in range(MAX_BACKTRACKS):
-            candidate = x + 0.5**k * step
-            rc = system.residual(candidate)
-            nc = float(np.dot(rc, rc))
-            if nc < norm:
-                x, r, norm = candidate, rc, nc
+            t = 0.5**k
+            candidate = [c + t * s for c, s in zip(x, step)]
+            rc = residual(candidate)
+            nc = 0.0  # _dot(rc, rc), inlined in the innermost loop
+            for v in rc:
+                nc += v * v
+            if nc < norm_sq:
+                x, r, norm_sq = candidate, rc, nc
                 break
         else:
             break
-    residual = float(np.max(np.abs(r)))
-    return x, residual, residual <= tol
+    res = max(map(abs, r))
+    return tuple(x), res, res <= tol
 
 
 _SNAP_DENOMINATORS = (1, 2, 3, 4, 6, 8, 12, 16, 100, 1000, 10**5, 10**7)

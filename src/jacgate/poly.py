@@ -2,8 +2,7 @@
 
 Polynomials are stored as a finite map from exponent multi-indices to
 non-zero ``Fraction`` coefficients.  Everything in this module is exact:
-no floating point enters any computation here, and nothing here imports
-numpy.
+no floating point enters any computation here.
 
 The product works on integers.  Each operand is put over the common
 denominator of its coefficients, each exponent tuple is packed into one

@@ -48,7 +48,11 @@ def points_on_sphere(n: int, count: int, seed: int = 0) -> list[tuple[float, ...
     raw = kronecker_unit(n, 3 * count + 8, seed)
     for point in raw:
         v = [2.0 * u - 1.0 for u in point]
-        norm = math.sqrt(sum(c * c for c in v))
+        # left to right: the built-in sum over floats rounds differently from 3.12 on
+        norm_sq = 0.0
+        for c in v:
+            norm_sq += c * c
+        norm = math.sqrt(norm_sq)
         if norm < 1e-6:
             continue
         out.append(tuple(c / norm for c in v))

@@ -236,12 +236,12 @@ def hunt_first_check_assumptions(
     starts = points_in_box(fmap.n, STARTS, cfg.box_radius, cfg.cert.seed)
     for start in starts:
         point, residual, converged = gauss_newton(det_sys, start, tol=1e-12)
-        if converged and residual <= 1e-10 and np.all(np.abs(point) <= cfg.box_radius):
-            snapped = snap_exact(point.tolist(), lambda q: det.evaluate(q) == 0)
+        if converged and residual <= 1e-10 and all(abs(c) <= cfg.box_radius for c in point):
+            snapped = snap_exact(point, lambda q: det.evaluate(q) == 0)
             return Assumptions(
                 f_zero_at_origin=f_zero,
                 jac_status=JacStatus.VIOLATION_FOUND,
-                jac_point=tuple(point.tolist()) if snapped is None else snapped,
+                jac_point=point if snapped is None else snapped,
                 jac_exact=snapped is not None,
             )
     zero = _sign_change_zero(det, starts)

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, reports, determinism."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -338,6 +340,35 @@ class TestExactPathWithoutNumpy:
             reports.append(report.read_bytes())
         assert reports[0] == reports[1]
 
+    def test_float_paths_run_with_numpy_blocked(self, tmp_path):
+        # cusp's witness pair comes from Newton; tri3 runs the n = 3 boxes, the
+        # det hunt and the sphere hunts; zeros runs Newton and index_at, and
+        # certify on the cone system the sphere hunt
+        cone = tmp_path / "cone.poly"
+        cone.write_text("vars: x, y, z\np = x^2 + y^2 - 2*z^2\nq = x*y - z^2\n")
+        runs = []
+        for block in ("sys.modules['numpy'] = None\n", ""):
+            proc = _fresh_python(
+                "import sys\n" + block + "from jacgate.cli import main\n"
+                "for name in ('cusp', 'tri3'):\n"
+                f"    argv = ['check', f'perfbench/corpus/{{name}}.map', '--json', "
+                f"f'{tmp_path}/{{name}}.json']\n"
+                "    print(main(argv))\n"
+                "print(main(['zeros', 'perfbench/corpus/tri3.map']))\n"
+                f"print(main(['certify', {str(cone)!r}, '--weights', '1,1,1']))\n"
+                "print(sys.modules.get('numpy') is not None)\n"
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports = [(tmp_path / f"{name}.json").read_bytes() for name in ("cusp", "tri3")]
+            # the verdict lines end in the elapsed time
+            runs.append((re.sub(r"\[\d+\.\d+s\]", "", proc.stdout), reports))
+        stdout, _ = runs[0]
+        assert [line for line in stdout.splitlines() if line in ("0", "2", "False")] == [
+            "2", "2", "0", "0", "False"
+        ]
+        assert "numeric" in stdout and "zero at" in stdout
+        assert runs[0] == runs[1]
+
     def test_cli_import_leaves_numpy_unloaded(self):
         code = (
             "import sys\n"
@@ -349,3 +380,22 @@ class TestExactPathWithoutNumpy:
         proc = _fresh_python(code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\njacgate.criteria jacgate.certify jacgate.dynamics\n"
+
+
+# sha256 of the `check --json` reports of three corpus maps. Float sums run
+# left to right in explicit loops, so the bytes are the same on every
+# supported Python; a change that moves a report on purpose updates its pin.
+REPORT_SHA256 = {
+    "tri3": "c45dc126225d79030149c339cf77503af43e658889da089cb8e5c01ef85fe698",
+    "cusp": "c4b5121bca44714110074d4ee309ec50f1cb3b7f059fc554f67a40350c28f208",
+    "fold": "9026436baa7f1a87b775519e1767bab60910d6d47a6bea89aead8399a7a5d386",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_check_report_pinned(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)  # the report names the map by the path given
+    report = tmp_path / f"{name}.json"
+    assert main(["check", f"perfbench/corpus/{name}.map", "--json", str(report)]) == 2
+    capsys.readouterr()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256[name]

@@ -8,7 +8,6 @@ from random import Random
 
 import jacgate.criteria
 import jacgate.dynamics
-import jacgate.floatval
 from conftest import p2
 from corpus import field_pass_instances, random_map
 from jacgate import (
@@ -68,14 +67,13 @@ TINYDET = PolyMap([p2("1/3*x^3 + 1/1000000000000*x"), p2("y")])
 def counting_newton(monkeypatch):
     """Count the ``gauss_newton`` calls of ``check_assumptions`` and its oracle."""
     calls = [0]
-    newton = jacgate.floatval.gauss_newton
+    newton = jacgate.criteria.gauss_newton
 
     def counting(*args, **kwargs):
         calls[0] += 1
         return newton(*args, **kwargs)
 
-    # criteria looks it up in floatval when its det hunt starts
-    monkeypatch.setattr(jacgate.floatval, "gauss_newton", counting)
+    monkeypatch.setattr(jacgate.criteria, "gauss_newton", counting)
     monkeypatch.setattr(oracle, "gauss_newton", counting)
     return calls
 

@@ -1,11 +1,15 @@
-"""The float-compiled system against exact rational evaluation."""
+"""The float-compiled system against exact rational evaluation, and the
+Gauss-Newton step against numpy."""
 
+import math
 import warnings
 from fractions import Fraction
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jacgate.dynamics
 from conftest import p2
@@ -14,7 +18,7 @@ from jacgate import PolyMap, Polynomial
 from jacgate.certify import _newton_witness, _sphere_poly
 from jacgate.dynamics import FlowStatus, flow_descent, index_at, witness_from_probe
 from jacgate.errors import PreconditionError
-from jacgate.floatval import FloatSystem, gauss_newton
+from jacgate.floatval import FloatSystem, _least_squares, determinant, gauss_newton
 
 
 def _exact(p: Polynomial, q: list[Fraction]) -> tuple[float, float]:
@@ -26,18 +30,18 @@ def _exact(p: Polynomial, q: list[Fraction]) -> tuple[float, float]:
 
 def assert_matches_exact(polys: list[Polynomial], point) -> None:
     n = polys[0].n
-    x = np.array([float(c) for c in point])
-    q = [Fraction(v) for v in x.tolist()]  # the float point, exactly
+    x = tuple(float(c) for c in point)
+    q = [Fraction(v) for v in x]  # the float point, exactly
     fsys = FloatSystem(polys)
     residual, jacobian = fsys.residual(x), fsys.jacobian(x)
     assert fsys.n == n
-    assert residual.shape == (len(polys),) and jacobian.shape == (len(polys), n)
+    assert len(residual) == len(polys) and [len(row) for row in jacobian] == [n] * len(polys)
     for i, p in enumerate(polys):
         value, allowance = _exact(p, q)
         assert abs(residual[i] - value) <= allowance
         for j in range(n):
             value, allowance = _exact(p.partial(j), q)
-            assert abs(jacobian[i, j] - value) <= allowance
+            assert abs(jacobian[i][j] - value) <= allowance
 
 
 def test_random_systems():
@@ -47,6 +51,24 @@ def test_random_systems():
         polys = [random_polynomial(rng, n) for _ in range(rng.randint(1, n + 1))]
         for _ in range(3):
             assert_matches_exact(polys, random_point(rng, n))
+
+
+rationals = st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 1000))
+
+
+@st.composite
+def systems_and_points(draw):
+    n = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 7)] * n)
+    terms = st.dictionaries(exponents, rationals, max_size=8)
+    polys = [Polynomial(n, t) for t in draw(st.lists(terms, min_size=1, max_size=n + 1))]
+    return polys, draw(st.tuples(*[rationals] * n))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(systems_and_points())
+def test_matches_exact_at_rational_points(system_and_point):
+    assert_matches_exact(*system_and_point)
 
 
 def test_sphere_augmented_non_square():
@@ -61,9 +83,31 @@ def test_zero_and_constant_rows():
     system = [p2("x^2*y - 3"), Polynomial.zero(2), Polynomial.constant(2, Fraction(-7, 3))]
     assert_matches_exact(system, (Fraction(1, 3), Fraction(-5, 2)))
     fsys = FloatSystem(system)
-    x = np.array([0.5, 2.0])
-    assert fsys.residual(x)[1:].tolist() == [0.0, -7 / 3]
-    assert fsys.jacobian(x)[1:].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    x = (0.5, 2.0)
+    assert fsys.residual(x)[1:] == (0.0, -7 / 3)
+    assert fsys.jacobian(x)[1:] == ((0.0, 0.0), (0.0, 0.0))
+
+
+def test_many_terms_compile():
+    # one statement per term: a single sum expression of 5,000 terms would
+    # nest 5,000 levels deep and exceed the compiler's limit
+    terms = {(i, j): Fraction((-1) ** (i + j), 1 + i + j) for i in range(100) for j in range(50)}
+    p = Polynomial(2, terms)
+    assert len(p.terms) == 5000
+    assert_matches_exact([p], (Fraction(1, 2), Fraction(-3, 4)))
+
+
+def test_overflow_gives_inf_or_nan_without_raising():
+    fsys = FloatSystem([Polynomial(2, {(200, 200): 1, (1, 0): 1}), p2("x^3 - y")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # x^200 overflows, y^200 underflows: inf * 0 is nan
+        residual = fsys.residual((100.0, 0.01))
+        jacobian = fsys.jacobian((100.0, 0.01))
+        huge = fsys.residual((1e200, 1.0))
+    assert math.isnan(residual[0]) and residual[1] == 100.0**3 - 0.01
+    assert math.isnan(jacobian[0][0]) and math.isnan(jacobian[0][1])
+    assert huge == (math.inf, math.inf)
 
 
 @pytest.mark.parametrize(
@@ -85,8 +129,50 @@ def test_overflow_does_not_converge_or_warn(poly, start):
     assert converged is False
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("shape", ["square", "tall", "wide"])
+def test_step_matches_numpy_lstsq(n, shape):
+    rows = {"square": n, "tall": n + 1, "wide": 1}[shape]
+    rng = Random(97 * n + rows)
+    for _ in range(50):
+        a = [[rng.uniform(-3.0, 3.0) for _ in range(n)] for _ in range(rows)]
+        b = [rng.uniform(-3.0, 3.0) for _ in range(rows)]
+        expected, *_ = np.linalg.lstsq(np.array(a), np.array(b), rcond=None)
+        step = _least_squares(a, b)
+        assert np.allclose(step, expected, rtol=1e-8, atol=1e-10)
+        if shape == "square":
+            assert math.isclose(determinant(a), np.linalg.det(np.array(a)), rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide"])
+def test_step_drops_singular_values_as_numpy_lstsq_does(shape):
+    # rank 2 in 4 x 3, up to a last singular value far below the cutoff
+    # eps * 4 * sigma_max: lstsq returns the minimum-norm step of the rank-2 part
+    rng = Random(101)
+    for _ in range(20):
+        u = [[rng.uniform(-1.0, 1.0) for _ in range(3)] for _ in range(2)]
+        a = [[u[0][j] * c0 + u[1][j] * c1 for j in range(3)]
+             for c0, c1 in ((1.0, 0.0), (0.0, 1.0), (2.0, -1.0), (0.5, 3.0))]
+        a[3][2] += 1e-18
+        b = [rng.uniform(-3.0, 3.0) for _ in range(4)]
+        if shape == "wide":
+            a = [list(column) for column in zip(*a)]
+            b = b[:3]
+        expected, *_ = np.linalg.lstsq(np.array(a), np.array(b), rcond=None)
+        assert np.allclose(_least_squares(a, b), expected, rtol=1e-8, atol=1e-10)
+
+
+def test_singular_square_jacobian_takes_no_step():
+    # the Jacobian ((1, 1), (2, 2)) is singular everywhere
+    fsys = FloatSystem([p2("x + y - 1"), p2("2*x + 2*y - 3")])
+    assert _least_squares(fsys.jacobian((0.5, 0.25)), [1.0, 1.0]) is None
+    assert determinant(fsys.jacobian((0.5, 0.25))) == 0.0
+    assert gauss_newton(fsys, (0.5, 0.25)) == ((0.5, 0.25), 1.5, False)
+
+
 class TestCallersSilenceOverflow:
-    """``FloatSystem`` leaves overflow and invalid values to each caller's ``np.errstate``.
+    """Callers of the float layer meet overflow and invalid values as inf and
+    nan: nothing raises or warns.
 
     Each point below overflows a power or a sum, or multiplies an overflowed
     power by an underflowed one (inf * 0, an invalid value).
@@ -128,7 +214,7 @@ class TestCallersSilenceOverflow:
 
     def test_witness_from_probe(self, monkeypatch):
         # Newton "finds" second preimages of F(0, 0) where F overflows in floats
-        zeros = [(np.array([1e200, 0.0]), 0.0), (np.array([1e200, 1e-200]), 0.0)]
+        zeros = [((1e200, 0.0), 0.0), ((1e200, 1e-200), 0.0)]
         monkeypatch.setattr(jacgate.dynamics, "_newton_zeros", lambda *args, **kwargs: (zeros, 0))
         fmap = PolyMap([p2("x^3*y^2 + x^3 + x"), p2("y")])
         assert self.call(witness_from_probe, fmap, (0, 0)) is None
