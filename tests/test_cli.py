@@ -382,20 +382,33 @@ class TestExactPathWithoutNumpy:
         assert proc.stdout == "False\njacgate.criteria jacgate.certify jacgate.dynamics\n"
 
 
-# sha256 of the `check --json` reports of three corpus maps. Float sums run
-# left to right in explicit loops, so the bytes are the same on every
-# supported Python; a change that moves a report on purpose updates its pin.
+# sha256 of the `check --json` reports of five maps: four of the corpus and
+# the `jacbox` map of tests/test_criteria.py, with the exit code of each.
+# coupled3 and jacbox take the exact planar path alone (det DF and the
+# higher parts decided by Sturm counts, witnesses on isolating intervals).
+# Float sums run left to right in explicit loops, so the bytes are the same
+# on every supported Python; a change that moves a report on purpose updates
+# its pin.
 REPORT_SHA256 = {
-    "tri3": "c45dc126225d79030149c339cf77503af43e658889da089cb8e5c01ef85fe698",
-    "cusp": "c4b5121bca44714110074d4ee309ec50f1cb3b7f059fc554f67a40350c28f208",
-    "fold": "9026436baa7f1a87b775519e1767bab60910d6d47a6bea89aead8399a7a5d386",
+    "tri3": (2, "c45dc126225d79030149c339cf77503af43e658889da089cb8e5c01ef85fe698"),
+    "cusp": (2, "c4b5121bca44714110074d4ee309ec50f1cb3b7f059fc554f67a40350c28f208"),
+    "fold": (2, "9026436baa7f1a87b775519e1767bab60910d6d47a6bea89aead8399a7a5d386"),
+    "coupled3": (0, "8aff1d264195c66d7a0fdac933626e0e809c3304a8059c114751dd9894cbb50a"),
+    "jacbox": (0, "23cdcc4fef9538b0f293235bc873db71d158b2712ad967ac13067166418a3415"),
 }
+JACBOX_MAP = "vars: x, y\nf = x + 1/3*(x - 1/2*y)^3 + 1/50*(x + y)^5\ng = y\n"
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_SHA256))
 def test_check_report_pinned(name, tmp_path, monkeypatch, capsys):
+    exit_code, digest = REPORT_SHA256[name]
+    path = f"perfbench/corpus/{name}.map"
     monkeypatch.chdir(ROOT)  # the report names the map by the path given
+    if name == "jacbox":
+        monkeypatch.chdir(tmp_path)
+        path = "jacbox.map"
+        Path(path).write_text(JACBOX_MAP)
     report = tmp_path / f"{name}.json"
-    assert main(["check", f"perfbench/corpus/{name}.map", "--json", str(report)]) == 2
+    assert main(["check", path, "--json", str(report)]) == exit_code
     capsys.readouterr()
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256[name]
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
