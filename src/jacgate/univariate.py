@@ -1,13 +1,21 @@
-"""Dense univariate polynomials over the rationals, and the exact real-zero
-algebra of the planar decisions.
+"""Dense univariate polynomials with integer coefficients, and the exact
+real-zero algebra of the planar decisions.
 
-A polynomial is a list of ``Fraction`` coefficients, lowest degree first,
-with no trailing zeros; ``[]`` is the zero polynomial.  A polynomial in x
-with coefficients in Q[y] is a list of such lists, indexed by the power of
-x.  Real roots are counted with Sturm sequences (Sturm 1829) and isolated
-by bisection between rational points.  One subresultant sequence in Z[y][x]
-(Brown & Traub 1971; Cohen, *A Course in Computational Algebraic Number
-Theory*, 1993) gives Res_x of two polynomials and a multiple of their gcd in x.
+A polynomial is a list of ``int`` coefficients, lowest degree first, with no
+trailing zeros; ``[]`` is the zero polynomial.  A polynomial over Q is
+represented by any non-zero integer multiple of itself, which has the same
+roots, Sturm counts, signs up to one constant factor, and gcd up to a
+constant: ``bivariate`` clears the denominators once, and nothing else meets
+a ``Fraction`` coefficient.  Division is exact division in Z[y], and ``gcd``
+and ``content`` are primitive with a positive leading coefficient.  A
+polynomial in x with coefficients in Z[y] is a list of such lists, indexed
+by the power of x.  Real roots are counted with Sturm sequences (Sturm 1829)
+and isolated by bisection between rational points, where signs come from
+homogeneous Horner in integers.  One subresultant sequence in Z[y][x] (Brown
+& Traub 1971; Cohen, *A Course in Computational Algebraic Number Theory*,
+1993) gives a multiple of Res_x of two polynomials and a multiple of their
+gcd in x.  Roots, the ends of isolating intervals and the Cauchy bound are
+the only ``Fraction`` values.
 
 ``real_roots`` is the one path from a polynomial to its real roots: the
 roots of its square-free part are isolated, and each is refined to a
@@ -24,7 +32,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterator, Mapping, Sequence
 
-Poly = list  # list[Fraction]
+Poly = list  # list[int]
 Interval = tuple  # (lo, hi) with rational ends; lo == hi for a root met exactly
 
 
@@ -33,13 +41,6 @@ def trim(p: Sequence) -> Poly:
     while p and not p[-1]:
         p.pop()
     return p
-
-
-def evaluate(p: Poly, x) -> Fraction:
-    value = Fraction(0)
-    for c in reversed(p):
-        value = value * x + c
-    return value
 
 
 def add(a: Poly, b: Poly) -> Poly:
@@ -66,41 +67,30 @@ def derivative(p: Poly) -> Poly:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def divide(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of ``a`` by the non-zero ``b``."""
-    r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + len(b) - 1] / lead
-        q[k] = c
-        if c:
-            for i, d in enumerate(b):
-                r[k + i] -= c * d
-    return trim(q), trim(r[: len(b) - 1])
-
-
 def exact_div(a: Poly, b: Poly) -> Poly:
-    q, r = divide(a, b)
-    if r:
+    """``a / b`` in Z[y], for a non-zero ``b`` that divides ``a`` there.  A
+    primitive ``b`` that divides ``a`` over Q divides it in Z[y] (Gauss)."""
+    r, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + len(b) - 1] // b[-1]
+        for i, d in enumerate(b):
+            r[k + i] -= c * d
+    if any(r):
         raise ArithmeticError("polynomial division leaves a remainder")
-    return q
+    return trim(q)
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; ``[]`` when both are zero.
+    """Greatest common divisor, primitive with a positive leading coefficient;
+    ``[]`` when both are zero.
 
-    The remainders are taken in integers and made primitive at each step
-    (Collins 1967): Euclid over Q lets the digits of the coefficients grow
-    exponentially with the degree."""
-    if not a or not b:
-        a = a or b
-        return [Fraction(c, a[-1]) for c in a]
-    a, b = _primitive(a), _primitive(b)
+    The remainders are made primitive at each step (Collins 1967): without
+    that the digits of the coefficients grow exponentially with the degree."""
+    a, b = (_primitive(a) if a else []), (_primitive(b) if b else [])
     while b:
         r = _pseudo_remainder(a, b)[0]
         a, b = b, (_primitive(r) if r else [])
-    return [Fraction(c, a[-1]) for c in a]
+    return [-c for c in a] if a and a[-1] < 0 else a
 
 
 def squarefree(p: Poly) -> Poly:
@@ -108,13 +98,10 @@ def squarefree(p: Poly) -> Poly:
     return exact_div(p, gcd(p, derivative(p)))
 
 
-def _primitive(p: Sequence) -> list[int]:
-    """The positive multiple of the non-zero ``p`` (Fractions or integers) with
-    coprime integer coefficients."""
-    den = math.lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (den // c.denominator) for c in p]
-    g = math.gcd(*ints)
-    return [i // g for i in ints]
+def _primitive(p: Poly) -> Poly:
+    """The positive multiple of the non-zero ``p`` with coprime coefficients."""
+    g = math.gcd(*p)
+    return [c // g for c in p]
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> tuple[list[int], int]:
@@ -144,14 +131,20 @@ def sturm(p: Poly) -> list[list[int]]:
         seq.append([sign * c for c in _primitive(r)])
 
 
-def _sign(ints: list[int], x: Fraction) -> int:
-    """Sign of an integer polynomial at the rational ``x``, in integers."""
+def _value(p: Poly, x: Fraction) -> int:
+    """v^deg(p) p(u/v) for x = u/v in lowest terms, by homogeneous Horner: with
+    v > 0, an integer of the sign of p(x)."""
     u, v = x.numerator, x.denominator
     value, power = 0, 1
-    for c in reversed(ints):
+    for c in reversed(p):
         value = value * u + c * power
         power *= v
-    # value = v^(deg) * p(u/v) with v > 0, computed by homogeneous Horner
+    return value
+
+
+def _sign(p: Poly, x: Fraction) -> int:
+    """Sign of ``p`` at the rational ``x``."""
+    value = _value(p, x)
     return (value > 0) - (value < 0)
 
 
@@ -168,7 +161,8 @@ def count_roots(
     seq: list[list[int]], lo: Fraction | None = None, hi: Fraction | None = None
 ) -> int:
     """Distinct real roots in (lo, hi] of the first polynomial of the Sturm sequence
-    ``seq``; a missing end is infinite."""
+    ``seq``; a missing end is infinite, and an end may be a root only when that
+    polynomial is square-free."""
     return _variations(seq, lo, -1) - _variations(seq, hi, 1)
 
 
@@ -184,7 +178,7 @@ def isolate(p: Poly) -> Iterator[Interval]:
         return
     seq = sturm(p)
     # Cauchy: every root has |r| < 1 + max |a_i / a_n|
-    bound = 1 + max(abs(c / p[-1]) for c in p[:-1])
+    bound = 1 + max(abs(Fraction(c, p[-1])) for c in p[:-1])
     # the left part of each split is popped first, so the roots come in order
     stack = [(-bound, bound)]
     while stack:
@@ -194,11 +188,11 @@ def isolate(p: Poly) -> Iterator[Interval]:
             yield (lo, hi)
         elif count > 1:
             mid = (lo + hi) / 2
-            if evaluate(p, mid):
+            if _sign(p, mid):
                 stack += [(mid, hi), (lo, mid)]
                 continue
             step = (hi - lo) / 4
-            while evaluate(p, mid - step) == 0 or evaluate(p, mid + step) == 0 or (
+            while not _sign(p, mid - step) or not _sign(p, mid + step) or (
                 count_roots(seq, mid - step, mid + step) != 1
             ):
                 step /= 2
@@ -213,15 +207,15 @@ def refine_root(p: Poly, interval: Interval) -> Fraction | Interval:
     if lo == hi:
         return lo
     if len(p) == 2:
-        return -p[0] / p[1]
-    ints = _primitive(p)
+        return Fraction(-p[0], p[1])
+    p = _primitive(p)
     # a root u/v in lowest terms has v | a_n, and two such fractions differ
     # by at least 1/a_n^2: narrow the interval until it can hold only one
-    den = abs(ints[-1])
-    low_sign = _sign(ints, lo)
+    den = abs(p[-1])
+    low_sign = _sign(p, lo)
     while hi - lo >= Fraction(1, 2 * den * den):
         mid = (lo + hi) / 2
-        s = _sign(ints, mid)
+        s = _sign(p, mid)
         if s == 0:
             return mid
         if s == low_sign:
@@ -229,7 +223,7 @@ def refine_root(p: Poly, interval: Interval) -> Fraction | Interval:
         else:
             hi = mid
     candidate = ((lo + hi) / 2).limit_denominator(den)
-    if lo < candidate < hi and not evaluate(p, candidate):
+    if lo < candidate < hi and not _sign(p, candidate):
         return candidate
     return (lo, hi)
 
@@ -243,23 +237,27 @@ def real_roots(p: Poly) -> Iterator[Fraction | Interval]:
         yield refine_root(roots, interval)
 
 
-# -- polynomials in x with coefficients in Q[y] ---------------------------------
+# -- polynomials in x with coefficients in Z[y] ---------------------------------
 
 
 def bivariate(terms: Mapping[tuple[int, int], Fraction]) -> list[Poly]:
-    """The polynomial with ``terms`` {(i, j): c} for c x^i y^j, as a list over i of Q[y]."""
+    """The polynomial with ``terms`` {(i, j): c} for c x^i y^j, rational or
+    integer, times the least common denominator of the c: a list over i of Z[y]."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
     width = 1 + max((i for i, _ in terms), default=-1)
     out: list[Poly] = [[] for _ in range(width)]
     for (i, j), c in terms.items():
         row = out[i]
-        row.extend([Fraction(0)] * (j + 1 - len(row)))
-        row[j] += c
+        row.extend([0] * (j + 1 - len(row)))
+        row[j] = c.numerator * (den // c.denominator)
     return [trim(row) for row in out]
 
 
-def fibre(p: list[Poly], y) -> Poly:
-    """``p`` at the given y, a polynomial in x."""
-    return trim([evaluate(c, y) for c in p])
+def fibre(p: list[Poly], y: Fraction) -> Poly:
+    """``p`` at the rational ``y`` = u/v, a polynomial in x, times v^deg_y(p):
+    every row is scaled by the same power of v."""
+    degree = _degree_y(p)
+    return trim([_value(row, y) * y.denominator ** (degree + 1 - len(row)) for row in p])
 
 
 def line_roots(rows: Sequence[list[Poly]], y) -> Iterator[Fraction | Interval]:
@@ -285,7 +283,8 @@ def d_dy(p: list[Poly]) -> list[Poly]:
 
 
 def content(p: list[Poly]) -> Poly:
-    """The monic gcd in Q[y] of the coefficients of ``p``."""
+    """The gcd of the coefficients of ``p``, primitive with a positive leading
+    coefficient."""
     out: Poly = []
     for row in p:
         out = gcd(out, row)
@@ -293,8 +292,12 @@ def content(p: list[Poly]) -> Poly:
 
 
 def _primitive_x(p: list[Poly]) -> list[Poly]:
+    """``p`` divided by its content and by the integer content that is left, so
+    that it divides exactly in Z[y][x] what it divides over Q."""
     c = content(p)
-    return [exact_div(row, c) for row in p]
+    p = [exact_div(row, c) for row in p]
+    g = math.gcd(*(v for row in p for v in row))
+    return [[v // g for v in row] for row in p]
 
 
 def _step_x(r: list[Poly], b: list[Poly], quotient: Poly, shift: int) -> list[Poly]:
@@ -306,7 +309,7 @@ def _step_x(r: list[Poly], b: list[Poly], quotient: Poly, shift: int) -> list[Po
 
 
 def squarefree_x(p: list[Poly]) -> list[Poly]:
-    """The primitive ``p`` divided by the factors that divide it twice in Q[y][x]."""
+    """The primitive ``p`` divided by the factors that divide it twice in Z[y][x]."""
     g = _primitive_x(_subresultants(p, d_dx(p))[1])
     quotient: list[Poly] = [[] for _ in range(len(p) - len(g) + 1)]
     r = p
@@ -324,34 +327,13 @@ def _power(p: Poly, k: int) -> Poly:
     return reduce(mul, [p] * k, [1])
 
 
-def _quotient(a: list[int], b: list[int]) -> list[int]:
-    """``a / b`` in Z[y], for a ``b`` that divides ``a``."""
-    r, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + len(b) - 1] // b[-1]
-        for i, d in enumerate(b):
-            r[k + i] -= c * d
-    if any(r):
-        raise ArithmeticError("polynomial division leaves a remainder")
-    return trim(q)
-
-
-def _integral(p: list[Poly]) -> tuple[list[list[int]], int]:
-    """``(c p, c)`` with c the least positive integer that makes ``c p`` integral."""
-    c = math.lcm(*(v.denominator for row in p for v in row))
-    return [[v.numerator * (c // v.denominator) for v in row] for row in p], c
-
-
-def _subresultants(p: list[Poly], q: list[Poly]) -> tuple[Poly, list[list[int]]]:
-    """Res_x(p, q) of two non-zero polynomials in x over Q[y], and the last
+def _subresultants(p: list[Poly], q: list[Poly]) -> tuple[Poly, list[Poly]]:
+    """Res_x(p, q) of two non-zero polynomials in x over Z[y], and the last
     non-zero member of their subresultant sequence, a multiple of their gcd in x.
 
-    The sequence runs on integral multiples in Z[y][x], where every division is
-    exact (Cohen 1993, Alg. 3.3.7), and Res(c p, d q) = c^deg q d^deg p Res(p, q).
+    Every division in the sequence is exact in Z[y] (Cohen 1993, Alg. 3.3.7).
     """
-    (a, c), (b, d) = _integral(p), _integral(q)
-    scale_back = c ** (len(q) - 1) * d ** (len(p) - 1)
-    sign = 1
+    a, b, sign = p, q, 1
     if len(a) < len(b):
         a, b, sign = b, a, (-1) ** ((len(a) - 1) * (len(b) - 1))
     g = h = [1]
@@ -364,11 +346,11 @@ def _subresultants(p: list[Poly], q: list[Poly]) -> tuple[Poly, list[list[int]]]
             r = _step_x([mul(row, b[-1]) for row in r], b, r[-1], len(r) - len(b))
             steps -= 1
         divisor = mul(g, _power(h, delta))
-        a, b = b, trim([_quotient(mul(row, _power(b[-1], steps)), divisor) for row in r])
+        a, b = b, trim([exact_div(mul(row, _power(b[-1], steps)), divisor) for row in r])
         g = a[-1]
-        h = _quotient(_power(g, delta), _power(h, delta - 1)) if delta else h
-    res = _quotient(_power(b[0], len(a) - 1), _power(h, len(a) - 2)) if b else []
-    return [Fraction(sign * v, scale_back) for v in res], b or a
+        h = exact_div(_power(g, delta), _power(h, delta - 1)) if delta else h
+    res = exact_div(_power(b[0], len(a) - 1), _power(h, len(a) - 2)) if b else []
+    return scale(res, sign), b or a
 
 
 def _degree_y(p: list[Poly]) -> int:
@@ -388,7 +370,7 @@ def resultant_degree(p: list[Poly], q: list[Poly]) -> int:
 
 
 def resultant(p: list[Poly], q: list[Poly]) -> Poly:
-    """Res_x(p, q) in Q[y] of two non-zero polynomials in x over Q[y]."""
+    """Res_x(p, q) in Z[y] of two non-zero polynomials in x over Z[y]."""
     return _subresultants(p, q)[0]
 
 

@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -38,3 +39,11 @@ def p2(src: str) -> Polynomial:
 
 def p1(src: str) -> Polynomial:
     return parse_expr(src, ("x",))
+
+
+def evaluate(p, x) -> Fraction:
+    """The dense polynomial ``p`` (coefficients lowest degree first) at ``x``."""
+    value = Fraction(0)
+    for c in reversed(p):
+        value = value * x + c
+    return value

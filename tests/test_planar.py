@@ -15,7 +15,7 @@ import jacgate.certify
 import jacgate.criteria
 import jacgate.dynamics
 import jacgate.univariate
-from conftest import p2
+from conftest import evaluate, p2
 from corpus import (
     exponents_of_weighted_degree,
     field_pass_instances,
@@ -47,7 +47,6 @@ from test_criteria import seeded_maps
 from jacgate.univariate import (
     bivariate,
     count_roots,
-    evaluate,
     fibre,
     gcd,
     squarefree,
@@ -297,6 +296,57 @@ class TestRandomSystems:
             det = det + (X ** k * Y + coefficient) ** 2 * abs(coefficient)
         assumptions = check_assumptions(map_with_det(det))
         assert assumptions.jac_status is JacStatus.VERIFIED_EVERYWHERE
+
+
+small_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients.filter(bool), min_size=1,
+    max_size=5,
+)
+
+
+class TestScaleInvariance:
+    """A polynomial over Q and any non-zero multiple of it have the same real
+    zeros: the exact planar decisions may not tell them apart."""
+
+    @staticmethod
+    def scaled(terms, factor):
+        return {e: c * factor for e, c in terms.items()}
+
+    @SETTINGS
+    @given(
+        small_terms, nonzero_small, nonzero_small, nonzero_small, st.integers(1, 2),
+        st.integers(0, 1),
+    )
+    def test_planar_zero(self, terms, factor, shift_x, shift_y, power, lift):
+        # a zero at (shift_x, shift_y) when lift = 0; none when lift = 1 and power = 2
+        p = (Polynomial(2, terms) * (X - shift_x)) ** power + (Y - shift_y) ** 2 + lift
+        assume(len(p.terms) > 1 or next(iter(p.terms)) != (0, 0))
+        zero = jacgate.univariate.planar_zero(p.terms)
+        assert jacgate.univariate.planar_zero(self.scaled(p.terms, factor)) == zero
+
+    @SETTINGS
+    @given(
+        st.lists(st.tuples(small_terms, nonzero_small), min_size=1, max_size=3),
+        coefficients,
+    )
+    def test_line_roots(self, rows, y):
+        plain = [bivariate(terms) for terms, _ in rows]
+        scaled = [bivariate(self.scaled(terms, factor)) for terms, factor in rows]
+        assert list(jacgate.univariate.line_roots(scaled, y)) == list(
+            jacgate.univariate.line_roots(plain, y)
+        )
+
+    @SETTINGS
+    @given(
+        weights,
+        st.lists(st.tuples(st.integers(1, 8), term_draws, nonzero_small), min_size=1, max_size=3),
+    )
+    def test_only_origin(self, s, parts):
+        system = [qh(draws, s, degree) for degree, draws, _ in parts]
+        assume(all(g is not None and not g.is_zero for g in system))
+        scaled = [g * factor for g, (_, _, factor) in zip(system, parts)]
+        # repr compares the kind, the witness and every count of the outcome
+        assert repr(only_origin(scaled, Weight(s))) == repr(only_origin(system, Weight(s)))
 
 
 class TestWork:

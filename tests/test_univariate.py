@@ -1,5 +1,5 @@
-"""Property tests of the exact univariate algebra: Sturm counts against known
-roots, division and gcd identities, root isolation, the real roots of one
+"""Property tests of the exact univariate algebra on integer polynomials: Sturm
+counts against known roots, exact division and gcd identities, root isolation, the real roots of one
 polynomial and the common roots of several on a line, and the subresultant
 sequence: resultants that equal the Sylvester determinant and vanish exactly
 when two polynomials share a root, and a last member that the gcd divides."""
@@ -7,9 +7,11 @@ when two polynomials share a root, and a last member that the gcd divides."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import evaluate
 from jacgate import Polynomial
 from jacgate.poly import matrix_det
 from jacgate.univariate import (
@@ -18,8 +20,7 @@ from jacgate.univariate import (
     bivariate,
     count_roots,
     d_dx,
-    divide,
-    evaluate,
+    exact_div,
     gcd,
     isolate,
     line_roots,
@@ -37,19 +38,27 @@ from jacgate.univariate import (
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
-nonzero = rationals.filter(bool)
+nonzero = st.integers(-30, 30).filter(bool)
 positive = st.builds(Fraction, st.integers(1, 40), st.integers(1, 12))
-polys = st.lists(rationals, max_size=7).map(trim)
+polys = st.lists(st.integers(-30, 30), max_size=7).map(trim)
 
 
-def from_roots(roots, quadratics=(), lead=Fraction(1)):
-    """lead * prod (x - r) * prod (x^2 + c): real roots ``roots``, no others when c > 0."""
+def from_roots(roots, quadratics=(), lead=1):
+    """An integer multiple of lead * prod (x - r) * prod (x^2 + c): real roots
+    ``roots``, no others when c > 0."""
     p = [lead]
     for r in roots:
-        p = mul(p, [-r, Fraction(1)])
+        p = mul(p, [-r.numerator, r.denominator])
     for c in quadratics:
-        p = mul(p, [c, Fraction(0), Fraction(1)])
+        p = mul(p, [c.numerator, 0, c.denominator])
     return p
+
+
+def primitive(p):
+    """The multiple of the non-zero ``p`` with coprime coefficients and a
+    positive leading one."""
+    k = math.gcd(*p) * (1 if p[-1] > 0 else -1)
+    return [v // k for v in p]
 
 
 class TestSturm:
@@ -68,6 +77,9 @@ class TestSturm:
         seq = sturm(p)
         assert count_roots(seq) == len(set(roots))
         lo, hi = min(a, b), max(a, b)
+        # at a repeated root every member of the sequence vanishes: no count there
+        if {lo, hi} & {r for r in roots if roots.count(r) > 1}:
+            return
         assert count_roots(seq, lo, hi) == len({r for r in roots if lo < r <= hi})
         assert count_roots(seq, None, hi) == len({r for r in roots if r <= hi})
 
@@ -80,7 +92,7 @@ class TestSturm:
             math.isqrt(v) ** 2 == v for v in (square.numerator, square.denominator)
         )
         if not rational_square:
-            p = mul(p, [-square, Fraction(0), Fraction(1)])
+            p = mul(p, [-square.numerator, 0, square.denominator])
         sqf = squarefree(p)
         intervals = list(isolate(sqf))
         rational, irrational = set(), []
@@ -112,14 +124,14 @@ class TestSturm:
 class TestRealRoots:
     def test_rational_roots_are_fractions_in_order(self):
         # 3 (x - 1/3)^2 (x + 2) (x^2 + 1)
-        p = from_roots([Fraction(1, 3), Fraction(1, 3), Fraction(-2)], [Fraction(1)], Fraction(3))
+        p = from_roots([Fraction(1, 3), Fraction(1, 3), Fraction(-2)], [Fraction(1)], 3)
         roots = list(real_roots(p))
         assert roots == [Fraction(-2), Fraction(1, 3)]
         assert all(isinstance(r, Fraction) for r in roots)
 
     def test_irrational_root_is_an_isolating_interval(self):
         # (x^2 - 2)(x - 1): -sqrt 2, 1, sqrt 2
-        p = mul([Fraction(-2), Fraction(0), Fraction(1)], [Fraction(-1), Fraction(1)])
+        p = mul([-2, 0, 1], [-1, 1])
         low, one, high = real_roots(p)
         assert one == 1
         for lo, hi in (low, high):
@@ -145,11 +157,16 @@ class TestRealRoots:
 
 class TestDivision:
     @SETTINGS
-    @given(polys, polys.filter(bool))
-    def test_quotient_and_remainder(self, a, b):
-        q, r = divide(a, b)
-        assert add(mul(q, b), r) == trim(a)
-        assert len(r) < len(b)
+    @given(polys, polys.filter(bool), polys)
+    def test_quotient_and_remainder(self, q, b, r):
+        # b q + r with deg r < deg b divides exactly when r = 0, and raises otherwise
+        r = trim(r[: len(b) - 1])
+        a = add(mul(q, b), r)
+        if r:
+            with pytest.raises(ArithmeticError):
+                exact_div(a, b)
+        else:
+            assert exact_div(a, b) == q
 
     @SETTINGS
     @given(polys, polys, polys.filter(bool))
@@ -158,11 +175,11 @@ class TestDivision:
         if not a and not b:
             assert g == []
             return
-        assert g[-1] == 1
-        assert divide(a, g)[1] == [] and divide(b, g)[1] == []
-        # gcd(ac, bc) = gcd(a, b) * c, made monic
-        scaled = mul(g, c)
-        assert gcd(mul(a, c), mul(b, c)) == [v / scaled[-1] for v in scaled]
+        assert g == primitive(g)
+        # a primitive divisor divides exactly in integers (Gauss's lemma)
+        assert mul(exact_div(a, g), g) == a and mul(exact_div(b, g), g) == b
+        # gcd(ac, bc) = gcd(a, b) * c, made primitive
+        assert gcd(mul(a, c), mul(b, c)) == primitive(mul(g, c))
 
     @SETTINGS
     @given(
@@ -170,10 +187,10 @@ class TestDivision:
         st.lists(st.integers(1, 3), min_size=4, max_size=4),
     )
     def test_squarefree_keeps_each_root_once(self, roots, powers):
-        p = [Fraction(1)]
+        p = [1]
         for r, k in zip(roots, powers):
             for _ in range(k):
-                p = mul(p, [-r, Fraction(1)])
+                p = mul(p, [-r.numerator, r.denominator])
         sqf = squarefree(p)
         assert len(sqf) - 1 == len(set(roots))
         assert all(evaluate(sqf, r) == 0 for r in roots)
@@ -239,12 +256,12 @@ class TestResultant:
     )
     def test_vanishes_exactly_with_a_common_root(self, roots_a, roots_b):
         p, q = from_roots(roots_a), from_roots(roots_b)
-        res = resultant([[c] for c in p], [[c] for c in q])
-        expected = Fraction(1)
+        res = resultant([trim([c]) for c in p], [trim([c]) for c in q])
+        # Res(a, b) = lc(a)^deg b lc(b)^deg a prod (r - s) over the roots r of a, s of b
+        expected = Fraction(p[-1] ** (len(q) - 1) * q[-1] ** (len(p) - 1))
         for r in roots_a:
             for s in roots_b:
                 expected *= r - s
-        # Res(a, b) = prod (r - s) over the roots of two monic polynomials
         assert res == trim([expected])
         assert (res == []) == bool(set(roots_a) & set(roots_b))
 
