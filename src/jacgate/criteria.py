@@ -17,7 +17,7 @@ certified again there rather than trusted.
 
 The origin hypothesis is checked exactly.  The Jacobian hypothesis is
 proven on all of R^n when det DF is a non-zero constant, decided on all of
-R^2 when n = 2 by the exact real-zero algebra of ``jacgate.univariate``,
+R^n when n <= 2 by the exact real-zero algebra of ``jacgate.univariate``,
 and checked on the box [-R, R]^n by interval branch-and-bound and a Newton
 hunt when n >= 3 and for the planar dets the exact decision does not take
 on (a critical zero on an irrational line, or resultants of too high a
@@ -138,20 +138,22 @@ class VerdictReport:
 
 def check_assumptions(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> Assumptions:
     """Verify the origin condition exactly, and the Jacobian condition on all of
-    R^n when det DF is constant or n = 2, or else on the box.
+    R^n when det DF is constant or n <= 2, or else on the box.
 
-    For n = 2 the decision is exact (``univariate.planar_zero``).  Where it
-    cannot finish, because a zero it cannot rule out is a critical point of
-    det DF on an irrational line y = c or because its resultants would exceed
-    ``univariate.MAX_RESULTANT_DEGREE``, and for every n >= 3, it is
-    ``_check_assumptions_on_box``.
+    For n <= 2 the decision is exact (``univariate.planar_zero``; for n = 1
+    it takes det DF as a polynomial in x and y, whose first zero is the first
+    real root of det DF).  Where it cannot finish, because a zero it cannot
+    rule out is a critical point of det DF on an irrational line y = c or
+    because its resultants would exceed ``univariate.MAX_RESULTANT_DEGREE``,
+    and for every n >= 3, it is ``_check_assumptions_on_box``.
     """
-    if fmap.n != 2:
+    if fmap.n > 2:
         return _check_assumptions_on_box(fmap, cfg)
     f_zero, det, settled = _settled_assumptions(fmap)
     if settled is not None:
         return settled
-    point = planar_zero(det.terms)
+    terms = det.terms if fmap.n == 2 else {(i, 0): c for (i,), c in det.terms.items()}
+    point = planar_zero(terms)
     if point is UNDECIDED:
         return _check_assumptions_on_box(fmap, cfg)
     if point is None:
@@ -159,7 +161,7 @@ def check_assumptions(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> Assum
     return Assumptions(
         f_zero_at_origin=f_zero,
         jac_status=JacStatus.VIOLATION_FOUND,
-        jac_point=point,
+        jac_point=point[: fmap.n],
         jac_exact=True,
     )
 

@@ -170,6 +170,29 @@ class TestCheck:
         assert (jac["status"], jac["point"]) == (status, point)
         assert jac["exact"] is (status == "violation_found")
 
+    @pytest.mark.parametrize("box, code", [(["--box", "0.4"], 3), ([], 2)], ids=["box_0.4", "default"])
+    def test_one_variable_det_decided_exactly(self, tmp_path, capsys, box, code):
+        # det DF = 1 + 2x vanishes at -1/2, outside [-0.4, 0.4]: never `injective`.
+        # F(7/8) = F(-15/8) is found at the default box; the search inside
+        # [-0.2, 0.2] meets no pair, as F is monotone on [-1/2, oo)
+        path, report = tmp_path / "m.map", tmp_path / "m.json"
+        path.write_text("vars: x\nf = x + x^2\n")
+        assert main(["check", str(path), *box, "--json", str(report)]) == code
+        assert "det DF vanishes at x = -1/2 (exact)" in capsys.readouterr().out
+        jac = json.loads(report.read_text())["assumptions"]["jac_nonvanishing"]
+        assert (jac["status"], jac["point"], jac["exact"]) == ("violation_found", ["-1/2"], True)
+
+    def test_power_pair_from_the_taylor_shift(self, tmp_path, capsys):
+        # Newton on F(b + z) - F(b) finds this exact pair; on F(x) - F(b) it finds none
+        path, report = tmp_path / "m.map", tmp_path / "m.json"
+        path.write_text("vars: x, y\nf = (x+y+1)^30\ng = y\n")
+        assert main(["check", str(path), "--json", str(report)]) == 2
+        capsys.readouterr()
+        (witness,) = json.loads(report.read_text())["witnesses"]
+        assert witness == {
+            "a": ["-1", "3/4"], "b": ["-5/2", "3/4"], "deviation": 0.0, "exact": True
+        }
+
 
 class TestDecompose:
     def test_h_parts(self, ex_file, capsys):
@@ -390,8 +413,8 @@ class TestExactPathWithoutNumpy:
 # on every supported Python; a change that moves a report on purpose updates
 # its pin.
 REPORT_SHA256 = {
-    "tri3": (2, "c45dc126225d79030149c339cf77503af43e658889da089cb8e5c01ef85fe698"),
-    "cusp": (2, "c4b5121bca44714110074d4ee309ec50f1cb3b7f059fc554f67a40350c28f208"),
+    "tri3": (2, "92a72b564ff361c0cfd9d3e6a365eb8d5e289eef30304458dcfbcb47fb52e4db"),
+    "cusp": (2, "7e690040af2c1bbbe6ff7635ef63c9b1d00f7398a82661b2a29a6a05d16f91f0"),
     "fold": (2, "9026436baa7f1a87b775519e1767bab60910d6d47a6bea89aead8399a7a5d386"),
     "coupled3": (0, "8aff1d264195c66d7a0fdac933626e0e809c3304a8059c114751dd9894cbb50a"),
     "jacbox": (0, "23cdcc4fef9538b0f293235bc873db71d158b2712ad967ac13067166418a3415"),

@@ -32,6 +32,7 @@ from jacgate import (
 )
 from jacgate.certify import (
     MAX_BOXES,
+    RHO,
     _only_origin_boxes,
     certify_once,
     gradient_only_origin,
@@ -416,6 +417,18 @@ class TestVerdict:
         assert (report.by, report.weight) == (Criterion.MAP_HIGHER_PART, W11)
         assert report.assumptions.violated is None
         assert report.conflict_note is None
+
+    def test_power30_numeric_pair_within_tolerance(self):
+        # float sums of (x+y)^30 + x at this pair lose about 1e-8 to
+        # cancellation; the exact deviation is about 2e-15
+        fmap = NAMED_MAPS["power30"]
+        report = verdict(fmap)
+        assert report.kind is VerdictKind.NOT_INJECTIVE
+        pair = report.witness
+        assert not pair.exact
+        a, b = (tuple(Fraction(v) for v in point) for point in (pair.a, pair.b))
+        gap = max(abs(u - v) for u, v in zip(fmap.evaluate(a), fmap.evaluate(b)))
+        assert gap <= 2 * RHO and pair.deviation == float(gap)
 
     def test_properness_recorded_when_h_succeeds(self):
         report = verdict(PolyMap.identity(2))
