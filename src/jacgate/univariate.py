@@ -13,8 +13,7 @@ by the power of x.  Real roots are counted with Sturm sequences (Sturm 1829)
 and isolated by bisection between rational points, where signs come from
 homogeneous Horner in integers.  One subresultant sequence in Z[y][x] (Brown
 & Traub 1971; Cohen, *A Course in Computational Algebraic Number Theory*,
-1993) gives a multiple of Res_x of two polynomials and a multiple of their
-gcd in x.  Roots, the ends of isolating intervals and the Cauchy bound are
+1993) gives Res_x of two polynomials and a multiple of their gcd in x.  Roots, the ends of isolating intervals and the Cauchy bound are
 the only ``Fraction`` values.
 
 ``real_roots`` is the one path from a polynomial to its real roots: the
@@ -22,7 +21,7 @@ roots of its square-free part are isolated, and each is refined to a
 ``Fraction`` or an isolating interval.  ``line_roots`` takes the common
 roots of several polynomials in x and y on a rational line; the
 only-origin decision for n = 2 uses it on y = +-1, and ``planar_zero``,
-the det DF decision, on its sample and critical lines.
+the det DF decision for n <= 2, on its sample and critical lines.
 """
 
 from __future__ import annotations
@@ -380,10 +379,11 @@ def resultant(p: list[Poly], q: list[Poly]) -> Poly:
 UNDECIDED = object()
 
 # y-degree bound on Res_x(p, p_x) and Res_x(p, p_y) above which the planar
-# decision is not attempted.  Its cost grows with the degree: 1 ms at 12, the
-# largest in the check benchmarks; 0.25-0.4 s at 56, for dense degree-8 dets
-# with small integer coefficients; 2-3 s at 90 for a degree-10 one, nearly
-# all in the gcds and Sturm sequences after the two resultants (0.1 s)
+# decision is not attempted.  Its cost grows with the degree (Python 3.11, one
+# shared core): 1 ms at 12, the largest in the check benchmarks; 0.5-0.8 s at
+# 56, for 1 + a^2 + b^2 with a, b dense quartics with integer coefficients in
+# [-3, 3]; 2.0-2.6 s at 90 for 1 + x^10 + y^10 + (x+y)^10 + 3(x - 2y + 1)^4 + xy,
+# nearly all in the gcds and Sturm sequences after the two resultants (0.2 s)
 MAX_RESULTANT_DEGREE = 60
 
 
