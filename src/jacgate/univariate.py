@@ -2,19 +2,18 @@
 real-zero algebra of the planar decisions.
 
 A polynomial is a list of ``int`` coefficients, lowest degree first, with no
-trailing zeros; ``[]`` is the zero polynomial.  A polynomial over Q is
-represented by any non-zero integer multiple of itself, which has the same
-roots, Sturm counts, signs up to one constant factor, and gcd up to a
-constant: ``bivariate`` clears the denominators once, and nothing else meets
-a ``Fraction`` coefficient.  Division is exact division in Z[y], and ``gcd``
-and ``content`` are primitive with a positive leading coefficient.  A
-polynomial in x with coefficients in Z[y] is a list of such lists, indexed
-by the power of x.  Real roots are counted with Sturm sequences (Sturm 1829)
-and isolated by bisection between rational points, where signs come from
-homogeneous Horner in integers.  One subresultant sequence in Z[y][x] (Brown
-& Traub 1971; Cohen, *A Course in Computational Algebraic Number Theory*,
-1993) gives Res_x of two polynomials and a multiple of their gcd in x.  Roots, the ends of isolating intervals and the Cauchy bound are
-the only ``Fraction`` values.
+trailing zeros; ``[]`` is the zero polynomial.  It stands for every non-zero
+rational multiple of itself, with the same roots and Sturm counts and, up to
+a constant, the same gcd: ``bivariate`` clears the denominators once,
+division is exact in integers, and ``gcd`` and ``content`` are primitive
+with a positive leading coefficient.  A polynomial in x with coefficients in
+Z[y] is a list of such lists, indexed by the power of x.  Real roots are
+counted with Sturm sequences (Sturm 1829) and isolated by bisection between
+rational points, with signs by homogeneous Horner in integers; roots,
+interval ends and the Cauchy bound are the only ``Fraction`` values.  One
+subresultant sequence in Z[y][x] (Brown & Traub 1971; Cohen, *A Course in
+Computational Algebraic Number Theory*, 1993) gives Res_x of two polynomials
+and a multiple of their gcd in x.
 
 ``real_roots`` is the one path from a polynomial to its real roots: the
 roots of its square-free part are isolated, and each is refined to a
@@ -67,8 +66,8 @@ def derivative(p: Poly) -> Poly:
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:
-    """``a / b`` in Z[y], for a non-zero ``b`` that divides ``a`` there.  A
-    primitive ``b`` that divides ``a`` over Q divides it in Z[y] (Gauss)."""
+    """``a / b`` for a non-zero ``b`` that divides ``a`` with an integer quotient;
+    a primitive ``b`` that divides ``a`` over Q does (Gauss's lemma)."""
     r, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
     for k in range(len(q) - 1, -1, -1):
         c = q[k] = r[k + len(b) - 1] // b[-1]

@@ -170,7 +170,9 @@ class TestCheck:
         assert (jac["status"], jac["point"]) == (status, point)
         assert jac["exact"] is (status == "violation_found")
 
-    @pytest.mark.parametrize("box, code", [(["--box", "0.4"], 3), ([], 2)], ids=["box_0.4", "default"])
+    @pytest.mark.parametrize(
+        "box, code", [(["--box", "0.4"], 3), ([], 2)], ids=["box_0.4", "default"]
+    )
     def test_one_variable_det_decided_exactly(self, tmp_path, capsys, box, code):
         # det DF = 1 + 2x vanishes at -1/2, outside [-0.4, 0.4]: never `injective`.
         # F(7/8) = F(-15/8) is found at the default box; the search inside
@@ -407,8 +409,8 @@ class TestExactPathWithoutNumpy:
 
 # sha256 of the `check --json` reports of five maps: four of the corpus and
 # the `jacbox` map of tests/test_criteria.py, with the exit code of each.
-# coupled3 and jacbox take the exact planar path alone (det DF and the
-# higher parts decided by Sturm counts, witnesses on isolating intervals).
+# coupled3 and jacbox take the exact planar path alone: det DF and every
+# planar higher part are decided by Sturm counts, with no float step.
 # Float sums run left to right in explicit loops, so the bytes are the same
 # on every supported Python; a change that moves a report on purpose updates
 # its pin.
