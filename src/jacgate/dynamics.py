@@ -16,8 +16,9 @@ from typing import Sequence
 from .certify import RHO
 from .errors import PreconditionError
 from .floatval import FloatSystem, _norm, determinant, gauss_newton, max_abs, snap_exact
-from .poly import PolyMap, gradient_field, h_norm
+from .poly import PolyMap, Polynomial, gradient_field, h_norm
 from .sampling import PROBES, STARTS, points_in_box
+from .univariate import bivariate, cell_samples, real_roots
 
 
 DEDUP_RADIUS = 1e-6   # Newton points closer than this count as one zero
@@ -253,9 +254,45 @@ def witness_from_probe(
     return None
 
 
+def line_witness(fmap: PolyMap) -> WitnessPair | None:
+    """Two points with one image of F in one variable, or None: F is injective
+    exactly when F' keeps its sign off its zeros.
+
+    Where F' changes sign at r between two rational samples s < r < t, F has
+    an extremum at r, and whichever of s and t has its image nearer F(r) has
+    a second preimage on the other side of r: a real root of F(x) - F(b),
+    a Fraction when one is rational, else a rational interval that isolates
+    it, so that the pair is exact either way.
+    """
+    (f,) = fmap.components
+    df = f.partial(0)
+    if df.is_zero:
+        return WitnessPair(a=(Fraction(1),), b=(Fraction(0),), exact=True, deviation=0.0)
+    samples = cell_samples(_integers(df))
+    for s, t in zip(samples, samples[1:]):
+        rising = df.evaluate((s,)) > 0
+        if rising == (df.evaluate((t,)) > 0):
+            continue
+        # a maximum at r when F rises into it: take the higher image, else the lower
+        fs, ft = f.evaluate((s,)), f.evaluate((t,))
+        b = s if (fs >= ft) == rising else t
+        others = [r for r in real_roots(_integers(f - f.evaluate((b,)))) if r != b]
+        a = next((r for r in others if isinstance(r, Fraction)), others[0])
+        return WitnessPair(a=(a,), b=(b,), exact=True, deviation=0.0)
+    return None
+
+
+def _integers(p: Polynomial) -> list[int]:
+    """The coefficients of ``p`` in one variable, as ``univariate`` takes them."""
+    return bivariate({(0, i): c for (i,), c in p.terms.items()})[0]
+
+
 def injectivity_witness(fmap: PolyMap, box: float = 5.0, seed: int = 0) -> WitnessPair | None:
-    """Search for two points with the same image from ``PROBES`` probe points;
-    absence proves nothing."""
+    """Search for two points with the same image: for n = 1 exactly
+    (``line_witness``), else from ``PROBES`` probe points, where absence proves
+    nothing."""
+    if fmap.n == 1:
+        return line_witness(fmap)
     probe_points: list[tuple[Fraction, ...]] = []
     for raw in points_in_box(fmap.n, PROBES, box / 2.0, seed):
         snapped = tuple(Fraction(round(v * 8), 8) for v in raw)

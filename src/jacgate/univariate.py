@@ -147,10 +147,16 @@ def _sign(p: Poly, x: Fraction) -> int:
 
 
 def _variations(seq: list[list[int]], x: Fraction | None, side: int) -> int:
-    """Sign changes of the sequence at ``x``, or at ``side`` * infinity when ``x`` is None."""
+    """Sign changes of the sequence at ``x``, or at ``side`` * infinity when ``x`` is None.
+
+    At a repeated root of the first member every member vanishes, with the
+    last one, a multiple of the gcd: the signs are then those of the members
+    divided by it, a Sturm sequence of the square-free part."""
     if x is None:
         signs = [(1 if q[-1] > 0 else -1) * side ** (len(q) - 1) for q in seq]
     else:
+        if not _sign(seq[-1], x):
+            seq = [exact_div(q, seq[-1]) for q in seq]
         signs = [s for s in (_sign(q, x) for q in seq) if s]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
@@ -159,8 +165,7 @@ def count_roots(
     seq: list[list[int]], lo: Fraction | None = None, hi: Fraction | None = None
 ) -> int:
     """Distinct real roots in (lo, hi] of the first polynomial of the Sturm sequence
-    ``seq``; a missing end is infinite, and an end may be a root only when that
-    polynomial is square-free."""
+    ``seq``; a missing end is infinite."""
     return _variations(seq, lo, -1) - _variations(seq, hi, 1)
 
 
@@ -233,6 +238,16 @@ def real_roots(p: Poly) -> Iterator[Fraction | Interval]:
     roots = squarefree(p)
     for interval in isolate(roots):
         yield refine_root(roots, interval)
+
+
+def cell_samples(p: Poly) -> list[Fraction]:
+    """One rational point in each open interval that the real roots of the
+    non-zero ``p`` cut the line into, in increasing order; none when ``p`` has
+    no real root."""
+    cuts = list(isolate(squarefree(p)))
+    samples = [cuts[0][0] - 1] if cuts else []
+    samples += [(a[1] + b[0]) / 2 for a, b in zip(cuts, cuts[1:])]
+    return samples + ([cuts[-1][1] + 1] if cuts else [])
 
 
 # -- polynomials in x with coefficients in Z[y] ---------------------------------
@@ -427,11 +442,7 @@ def planar_zero(terms: Mapping[tuple[int, int], Fraction]):
     if not discriminant:  # a factor divides p twice
         p = squarefree_x(p)
         discriminant = resultant(p, d_dx(p))
-    cuts = list(isolate(squarefree(mul(p[-1], discriminant))))
-    samples = [cuts[0][0] - 1] if cuts else []
-    samples += [(a[1] + b[0]) / 2 for a, b in zip(cuts, cuts[1:])]
-    samples += [cuts[-1][1] + 1] if cuts else []
-    for y in samples:
+    for y in cell_samples(mul(p[-1], discriminant)):
         zero = _line_zero(p, y)
         if zero is not None:
             return zero

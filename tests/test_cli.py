@@ -170,19 +170,20 @@ class TestCheck:
         assert (jac["status"], jac["point"]) == (status, point)
         assert jac["exact"] is (status == "violation_found")
 
-    @pytest.mark.parametrize(
-        "box, code", [(["--box", "0.4"], 3), ([], 2)], ids=["box_0.4", "default"]
-    )
-    def test_one_variable_det_decided_exactly(self, tmp_path, capsys, box, code):
-        # det DF = 1 + 2x vanishes at -1/2, outside [-0.4, 0.4]: never `injective`.
-        # F(7/8) = F(-15/8) is found at the default box; the search inside
-        # [-0.2, 0.2] meets no pair, as F is monotone on [-1/2, oo)
+    @pytest.mark.parametrize("box", [["--box", "0.4"], []], ids=["box_0.4", "default"])
+    def test_one_variable_det_decided_exactly(self, tmp_path, capsys, box):
+        # det DF = 1 + 2x vanishes at -1/2, outside [-0.4, 0.4], and changes sign
+        # there: F(3/2) = F(-5/2) whatever the box
         path, report = tmp_path / "m.map", tmp_path / "m.json"
         path.write_text("vars: x\nf = x + x^2\n")
-        assert main(["check", str(path), *box, "--json", str(report)]) == code
+        assert main(["check", str(path), *box, "--json", str(report)]) == 2
         assert "det DF vanishes at x = -1/2 (exact)" in capsys.readouterr().out
-        jac = json.loads(report.read_text())["assumptions"]["jac_nonvanishing"]
+        payload = json.loads(report.read_text())
+        jac = payload["assumptions"]["jac_nonvanishing"]
         assert (jac["status"], jac["point"], jac["exact"]) == ("violation_found", ["-1/2"], True)
+        assert payload["witnesses"] == [
+            {"a": ["3/2"], "b": ["-5/2"], "deviation": 0.0, "exact": True}
+        ]
 
     def test_power_pair_from_the_taylor_shift(self, tmp_path, capsys):
         # Newton on F(b + z) - F(b) finds this exact pair; on F(x) - F(b) it finds none

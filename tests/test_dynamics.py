@@ -5,9 +5,11 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jacgate.dynamics
-from conftest import p2
+from conftest import p1, p2
 from jacgate import (
     FlowStatus,
     PolyMap,
@@ -18,6 +20,9 @@ from jacgate import (
     injectivity_witness,
     witness_from_probe,
 )
+from jacgate.dynamics import _integers, line_witness
+from jacgate.poly import Polynomial
+from jacgate.univariate import count_roots, sturm
 from jacgate.errors import PreconditionError
 
 
@@ -125,6 +130,62 @@ class TestWitnessSearch:
             assert fmap.evaluate(pair.a) == fmap.evaluate(pair.b)
         else:
             assert pair.deviation <= 2e-10
+
+
+class TestLineWitness:
+    """For n = 1 a pair exists exactly when F' changes sign, and is found exactly."""
+
+    @pytest.mark.parametrize(
+        "src, a, b",
+        [
+            ("x + x^2", Fraction(3, 2), Fraction(-5, 2)),
+            ("x^4 - 2*x^2", Fraction(1, 4), Fraction(-1, 4)),
+            ("3", Fraction(1), Fraction(0)),
+        ],
+    )
+    def test_exact_pair(self, src, a, b):
+        pair = line_witness(PolyMap([p1(src)]))
+        assert (pair.a, pair.b, pair.exact, pair.deviation) == ((a,), (b,), True, 0.0)
+
+    def test_irrational_root_is_an_isolating_interval(self):
+        # x^3 - 2x = 0 at 0 and -sqrt 2
+        pair = line_witness(PolyMap([p1("x^3 - 2*x")]))
+        ((lo, hi),) = pair.a
+        assert (pair.b, pair.exact) == ((0,), True)
+        assert lo < hi and lo * lo > 2 > hi * hi
+
+    @pytest.mark.parametrize("src", ["x", "x^3", "x^3 + x", "x^5 - 2*x^4 + 4/3*x^3"])
+    def test_monotone_has_none(self, src):
+        assert injectivity_witness(PolyMap([p1(src)])) is None
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)), max_size=5),
+        st.lists(st.integers(1, 9), max_size=2),
+        st.integers(-5, 5).filter(bool),
+    )
+    def test_pair_exactly_when_derivative_changes_sign(self, roots, quadratics, lead):
+        # F' = lead * prod (x - r) * prod (x^2 + c) changes sign at the roots of odd count
+        x = Polynomial.variable(1, 0)
+        derivative = Polynomial.constant(1, lead)
+        for r in roots:
+            derivative = derivative * (x - r)
+        for c in quadratics:
+            derivative = derivative * (x * x + c)
+        f = Polynomial(1, {(k + 1,): c / (k + 1) for (k,), c in derivative.terms.items()})
+        pair = line_witness(PolyMap([f]))
+        if all(roots.count(r) % 2 == 0 for r in roots):
+            assert pair is None
+            return
+        assert pair is not None and pair.exact
+        (a,), (b,) = pair.a, pair.b
+        if isinstance(a, Fraction):
+            assert a != b and f.evaluate((a,)) == f.evaluate((b,))
+        else:
+            # one root of F - F(b) in (lo, hi), where b is not
+            lo, hi = a
+            level = f - f.evaluate((b,))
+            assert not lo < b < hi and count_roots(sturm(_integers(level)), lo, hi) == 1
 
 
 class TestIndexSumCheck:

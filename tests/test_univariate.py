@@ -77,11 +77,16 @@ class TestSturm:
         seq = sturm(p)
         assert count_roots(seq) == len(set(roots))
         lo, hi = min(a, b), max(a, b)
-        # at a repeated root every member of the sequence vanishes: no count there
-        if {lo, hi} & {r for r in roots if roots.count(r) > 1}:
-            return
         assert count_roots(seq, lo, hi) == len({r for r in roots if lo < r <= hi})
         assert count_roots(seq, None, hi) == len({r for r in roots if r <= hi})
+
+    def test_counts_at_a_repeated_root(self):
+        # x^2 (x^2 + 1) (x - 1)^3: every member of the sequence vanishes at 0 and at 1
+        seq = sturm(from_roots([Fraction(0)] * 2 + [Fraction(1)] * 3, [Fraction(1)]))
+        assert count_roots(seq, Fraction(-1), Fraction(0)) == 1
+        assert count_roots(seq, Fraction(0), Fraction(1, 2)) == 0
+        assert count_roots(seq, Fraction(0), Fraction(1)) == 1
+        assert count_roots(seq, Fraction(1), None) == 0
 
     @SETTINGS
     @given(st.lists(rationals, max_size=6), st.lists(positive, max_size=2), nonzero, positive)
