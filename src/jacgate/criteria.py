@@ -412,10 +412,12 @@ def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
     In order: every coefficient of F and H is checked to be within float
     range; the standing hypotheses are checked; the weight search runs,
     and a field-criterion success has its derived weights re-verified; a
-    success is demoted when a hypothesis is violated; and only when no
-    success is left does the Newton witness search look for two points with
-    one image.  A success is never checked against a witness at run time:
-    the tests check that the search finds no pair on certified maps.
+    success is demoted when a hypothesis is violated or det DF != 0 is
+    proven only on the box or assumed; and only when no success is left does
+    the witness search look for two points with one image.  For n = 1 that
+    search is exact, so finding no pair answers injective.  A success is
+    never checked against a witness at run time: the tests check that the
+    search finds no pair on certified maps.
     """
     cfg = cfg or AnalysisConfig()
     # one table of certified systems per map; no outcome outlives this verdict
@@ -446,14 +448,20 @@ def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
             if exc.reason != "inconclusive":
                 raise
 
+    # every sufficient criterion requires the standing hypotheses, with
+    # det DF != 0 on all of R^n; a fired criterion proves nothing without them
     conflict_note: str | None = None
     violated = assumptions.violated
-    if success is not None and violated is not None:
-        # every sufficient criterion requires the standing hypotheses; a fired
-        # criterion proves nothing once one of them is known to fail
+    if violated is not None:
+        reason = f"hypothesis {violated} is violated, so its conclusion does not apply"
+    elif assumptions.jac_status is not JacStatus.VERIFIED_EVERYWHERE:
+        reason = f"det DF != 0 is {assumptions.jac_status.value}, not proven on all of R^n"
+    else:
+        reason = None
+    if success is not None and reason is not None:
         conflict_note = (
             f"criterion {success.criterion.value} fired at weight {tuple(success.weight.s)} "
-            f"but hypothesis {violated} is violated, so its conclusion does not apply"
+            f"but {reason}"
         )
         success = None
 
@@ -464,7 +472,15 @@ def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
         from .dynamics import injectivity_witness
 
         witness = injectivity_witness(fmap, box=cfg.box_radius / 2.0, seed=cfg.cert.seed)
-        kind = VerdictKind.NOT_INJECTIVE if witness is not None else VerdictKind.UNKNOWN
+        if witness is not None:
+            kind = VerdictKind.NOT_INJECTIVE
+        elif fmap.n == 1:
+            # for n = 1 the witness search is exact: no pair proves injectivity
+            kind = VerdictKind.INJECTIVE
+            note = "F' keeps its sign off its zeros, so F is injective"
+            conflict_note = f"{conflict_note}; {note}" if conflict_note else note
+        else:
+            kind = VerdictKind.UNKNOWN
     return VerdictReport(
         kind=kind,
         by=success.criterion if success is not None else None,

@@ -9,15 +9,25 @@ Grammar (explicit ``*`` for products, ``^`` for powers, no juxtaposition):
 
 Rational literals ``p/q`` are single tokens; general division is rejected.
 
-The parser expands each expression as it reads it.  Every piece carries
-bounds on its degree, term count and coefficient bits taken from the syntax
-alone, never from the expanded polynomial: a sum of t_a and t_b terms has at
-most t_a + t_b, a product at most t_a * t_b, and a k-th power of t terms at
-most C(t+k-1, k).  A literal p/q counts the bits of p and q, a variable
-none, a sum the larger of its operands' bits plus one, a product their
-total, a k-th power k times its base's.  Each operator checks the bounds
-of its result against ``MAX_DEGREE``, ``MAX_TERMS`` and ``MAX_BITS`` before
-computing it, so input like x^100000000, a long run of (x+y+z+1)^9 -
+The parser expands each expression as it reads it, into a dict of terms.
+A literal or a variable is its one-term dict; a product with a one-term
+operand shifts the other operand's keys and scales its coefficients, in
+that operand's order; and a sum adds into one running dict, deleting a key
+whose sum reaches 0 and appending it again if it comes back, as
+``Polynomial.__add__`` does.  So the terms come out in the order that
+``Polynomial`` arithmetic on the same expression gives.  Powers, and
+products of two sums of several terms, go through ``Polynomial.__pow__``
+and ``__mul__``.
+
+Every piece carries bounds on its degree, term count and coefficient bits
+taken from the syntax alone, never from the expanded terms: a sum of t_a
+and t_b terms has at most t_a + t_b, a product at most t_a * t_b, and a
+k-th power of t terms at most C(t+k-1, k).  A literal p/q counts the bits
+of p and q, a variable none, a sum the larger of its operands' bits plus
+one, a product their total, a k-th power k times its base's.  Each
+operator checks the bounds of its result against ``MAX_DEGREE``,
+``MAX_TERMS`` and ``MAX_BITS`` before computing it, whichever way it
+computes it, so input like x^100000000, a long run of (x+y+z+1)^9 -
 (x+y+z+1)^9 that cancels to 0, a product of thousands of constants or
 ((2^32)^32)^32 fails at once.
 
@@ -34,6 +44,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .errors import ParseError
@@ -95,8 +106,10 @@ def _tokenize(src: str, line: int) -> list[_Token]:
 
 # -- recursive descent -------------------------------------------------
 
-# What each parse method returns: (polynomial, degree bound, term bound, bits bound).
-_Piece = tuple[Polynomial, int, int, int]
+# What each parse method returns: (terms, degree bound, term bound, bits bound),
+# the terms a dict of non-zero Fraction coefficients that no other piece shares.
+_Piece = tuple[dict[tuple[int, ...], Fraction], int, int, int]
+_ONE = Fraction(1)
 
 
 def _capped(op: _Token, degree: int, terms: int, bits: int) -> tuple[int, int, int]:
@@ -119,6 +132,7 @@ class _Parser:
         self.pos = 0
         self.n = len(names)
         self.index_of = {name: i for i, name in enumerate(names)}
+        self.units = [tuple(int(i == j) for j in range(self.n)) for i in range(self.n)]
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -136,7 +150,17 @@ class _Parser:
             degree, terms, bits = _capped(
                 op, max(degree, q_degree), terms + q_terms, max(bits, q_bits) + 1
             )
-            p = p + q if op.text == "+" else p - q
+            # in place, as Polynomial.__add__ orders its result: a key whose sum
+            # reaches 0 is deleted, and appended again if it comes back
+            plus = op.text == "+"
+            for exponent, c in q.items():
+                c = c if plus else -c
+                if exponent not in p:
+                    p[exponent] = c
+                elif total := p[exponent] + c:
+                    p[exponent] = total
+                else:
+                    del p[exponent]
         return p, degree, terms, bits
 
     def parse_term(self) -> _Piece:
@@ -145,7 +169,14 @@ class _Parser:
             op = self.advance()
             q, q_degree, q_terms, q_bits = self.parse_factor()
             degree, terms, bits = _capped(op, degree + q_degree, terms * q_terms, bits + q_bits)
-            p = p * q
+            if len(p) == 1:
+                p, q = q, p
+            if len(q) == 1:
+                # shift p's keys by the one term's exponent, in p's order
+                ((shift, factor),) = q.items()
+                p = {tuple(map(add, key, shift)): c * factor for key, c in p.items()}
+            else:
+                p = (Polynomial._trusted(self.n, p) * Polynomial._trusted(self.n, q)).terms
         return p, degree, terms, bits
 
     def parse_factor(self) -> _Piece:
@@ -165,7 +196,7 @@ class _Parser:
         if k > MAX_DEGREE:
             raise ParseError(f"exponent {k} exceeds the cap {MAX_DEGREE}", token.line, token.column)
         degree, terms, bits = _capped(caret, degree * k, math.comb(terms + k - 1, k), k * bits)
-        return p**k, degree, terms, bits
+        return (Polynomial._trusted(self.n, p) ** k).terms, degree, terms, bits
 
     def parse_base(self) -> _Piece:
         token = self.advance()
@@ -175,11 +206,11 @@ class _Parser:
                 raise ParseError("zero denominator", token.line, token.column)
             value = Fraction(int(numerator), int(denominator or 1))
             bits = value.numerator.bit_length() + value.denominator.bit_length()
-            return Polynomial.constant(self.n, value), 0, 1, bits
+            return ({(0,) * self.n: value} if value else {}), 0, 1, bits
         if token.kind == "ident":
             if token.text not in self.index_of:
                 raise ParseError(f"unknown variable {token.text!r}", token.line, token.column)
-            return Polynomial.variable(self.n, self.index_of[token.text]), 1, 1, 0
+            return {self.units[self.index_of[token.text]]: _ONE}, 1, 1, 0
         if token.text == "(":
             piece = self.parse_expr()
             closing = self.advance()
@@ -188,7 +219,7 @@ class _Parser:
             return piece
         if token.text == "-":
             p, degree, terms, bits = self.parse_factor()
-            return -p, degree, terms, bits
+            return {exponent: -c for exponent, c in p.items()}, degree, terms, bits
         raise ParseError(
             f"unexpected {'end of input' if token.kind == 'end' else token.text!r}",
             token.line,
@@ -203,13 +234,13 @@ def parse_expr(src: str, names: Sequence[str], line: int = 1) -> Polynomial:
         raise ParseError("duplicate variable name")
     parser = _Parser(_tokenize(src, line), names)
     try:
-        p, *_ = parser.parse_expr()
+        terms, *_ = parser.parse_expr()
     except RecursionError:
         raise ParseError("expression is too long or nested too deeply", line) from None
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"unexpected {trailing.text!r}", trailing.line, trailing.column)
-    return p
+    return Polynomial._trusted(parser.n, terms)
 
 
 # -- map files ----------------------------------------------------------

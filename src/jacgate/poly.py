@@ -4,16 +4,18 @@ Polynomials are stored as a finite map from exponent multi-indices to
 non-zero ``Fraction`` coefficients.  Everything in this module is exact:
 no floating point enters any computation here.
 
-The product works on integers.  Each operand is put over the common
-denominator of its coefficients, each exponent tuple is packed into one
-int (Kronecker substitution, base 1 + the two operands' largest exponents,
-so no digit carries), and the pair loop multiplies and adds plain ints; one
-``Fraction`` is built per result term.  A key whose running sum reaches 0
-is deleted and re-inserted if it comes back, as a ``Fraction`` sum would
-be: over a positive denominator the zero sums are the same events, so the
-result's term order, which float evaluation sums in, does not depend on
-the kernel.  Results of ring operations on valid polynomials skip the
-input checks of ``Polynomial(n, terms)``.
+Sums and products work on integers.  A sum puts both operands over the
+lcm of their denominators and adds the integer numerators.  A product puts
+each operand over the common denominator of its coefficients, packs each
+exponent tuple into one int (Kronecker substitution, base 1 + the two
+operands' largest exponents, so no digit carries), and its pair loop
+multiplies and adds plain ints.  Either builds one ``Fraction`` per result
+term, from the int alone when the denominator is 1.  A key whose running
+sum reaches 0 is deleted and re-inserted at the end if it comes back, as a
+``Fraction`` sum would be: over a positive denominator the zero sums are
+the same events, so the result's term order, which float evaluation sums
+in, does not depend on the kernel.  Results of ring operations on valid
+polynomials skip the input checks of ``Polynomial(n, terms)``.
 """
 
 from __future__ import annotations
@@ -132,15 +134,7 @@ class Polynomial:
             other = Polynomial.constant(self.n, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_same_n(other)
-        result = dict(self.terms)
-        for exponent, coefficient in other.terms.items():
-            total = result.get(exponent, Fraction(0)) + coefficient
-            if total:
-                result[exponent] = total
-            else:
-                result.pop(exponent, None)
-        return Polynomial._trusted(self.n, result)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -150,10 +144,28 @@ class Polynomial:
     def __sub__(self, other: "Polynomial | Rational") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.n, other)
-        return self + (-other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self._plus(other, -1)
 
     def __rsub__(self, other: "Rational") -> "Polynomial":
         return Polynomial.constant(self.n, other) - self
+
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """``self + sign * other`` on integer numerators over the common denominator."""
+        self._check_same_n(other)
+        den = lcm(_denominator(self.terms), _denominator(other.terms))
+        result = {k: c.numerator * (den // c.denominator) for k, c in self.terms.items()}
+        get = result.get
+        for key, c in other.terms.items():
+            total = get(key, 0) + sign * c.numerator * (den // c.denominator)
+            if total:
+                result[key] = total
+            else:
+                del result[key]
+        if den == 1:
+            return Polynomial._trusted(self.n, {k: Fraction(v) for k, v in result.items()})
+        return Polynomial._trusted(self.n, {k: Fraction(v, den) for k, v in result.items()})
 
     def __mul__(self, other: "Polynomial | Rational") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -183,7 +195,7 @@ class Polynomial:
             for _ in range(n):
                 key, k = divmod(key, base)
                 exponent.append(k)
-            terms[tuple(exponent)] = Fraction(value, den)
+            terms[tuple(exponent)] = Fraction(value) if den == 1 else Fraction(value, den)
         return Polynomial._trusted(n, terms)
 
     __rmul__ = __mul__
@@ -281,6 +293,11 @@ def _max_exponent(terms: Mapping[Exponent, Fraction]) -> int:
     return max(max(exponent) for exponent in terms)
 
 
+def _denominator(terms: Mapping[Exponent, Fraction]) -> int:
+    """The least common denominator of the coefficients; 1 for no terms."""
+    return lcm(*(c.denominator for c in terms.values()))
+
+
 def _packed_numerators(
     terms: Mapping[Exponent, Fraction], base: int
 ) -> tuple[list[tuple[int, int]], int]:
@@ -288,7 +305,7 @@ def _packed_numerators(
 
     Exponent ``(e_0, ..., e_{n-1})`` packs to ``e_0 + e_1 base + ... + e_{n-1} base^(n-1)``.
     """
-    den = lcm(*(c.denominator for c in terms.values()))
+    den = _denominator(terms)
     packed = []
     for exponent, c in terms.items():
         key = 0
@@ -380,7 +397,7 @@ def matrix_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
                 continue
             rest = columns[:position] + columns[position + 1:]
             cofactor = entry * expand(rest)
-            total = total + (cofactor if position % 2 == 0 else -cofactor)
+            total = (total + cofactor) if position % 2 == 0 else (total - cofactor)
         memo[columns] = total
         return total
 

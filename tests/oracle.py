@@ -304,6 +304,12 @@ def witness_first_verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> V
             f"but hypothesis {violated} is violated, so its conclusion does not apply"
         )
         success = None
+    elif success is not None and assumptions.jac_status is not JacStatus.VERIFIED_EVERYWHERE:
+        conflict_note = (
+            f"criterion {success.criterion.value} fired at weight {tuple(success.weight.s)} "
+            f"but det DF != 0 is {assumptions.jac_status.value}, not proven on all of R^n"
+        )
+        success = None
 
     if witness is not None and witness.exact and success is not None:
         raise InternalInconsistencyError(
@@ -321,6 +327,10 @@ def witness_first_verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> V
             )
     elif witness is not None:
         kind = VerdictKind.NOT_INJECTIVE
+    elif fmap.n == 1:
+        kind = VerdictKind.INJECTIVE
+        note = "F' keeps its sign off its zeros, so F is injective"
+        conflict_note = f"{conflict_note}; {note}" if conflict_note else note
     else:
         kind = VerdictKind.UNKNOWN
     return VerdictReport(

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, determinism."""
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from jacgate import jacobian_det, parse_map_file, print_poly
 from jacgate.cli import main
 
 EX_MAP = """\
@@ -184,6 +186,36 @@ class TestCheck:
         assert payload["witnesses"] == [
             {"a": ["3/2"], "b": ["-5/2"], "deviation": 0.0, "exact": True}
         ]
+
+    @pytest.mark.parametrize(
+        "text, box",
+        [
+            ("vars: x, y, z\nf = x + 1/100*x^2\ng = y\nh = z\n", []),
+            ("vars: x, y, z\nf = x + x^2\ng = y\nh = z\n", ["--box", "0.4"]),
+        ],
+        ids=["default_box", "box_0.4"],
+    )
+    def test_det_proven_on_box_only_is_unknown(self, tmp_path, capsys, text, box):
+        # det DF = 1 + x/50 or 1 + 2x vanishes outside the box, and F folds
+        # there: MapHigherPart fires, but it needs det DF != 0 on all of R^3
+        path, report = tmp_path / "m.map", tmp_path / "m.json"
+        path.write_text(text)
+        assert main(["check", str(path), *box, "--json", str(report)]) == 3
+        note = "det DF != 0 is verified_on_box, not proven on all of R^n"
+        assert note in capsys.readouterr().out
+        payload = json.loads(report.read_text())
+        assert payload["assumptions"]["jac_nonvanishing"]["status"] == "verified_on_box"
+        assert payload["verdict"]["kind"] == "unknown" and "by" not in payload["verdict"]
+
+    @pytest.mark.parametrize(
+        "f, code", [("x^3", 0), ("x + x^2", 2)], ids=["monotone", "fold"]
+    )
+    def test_one_variable_verdict_exact(self, tmp_path, capsys, f, code):
+        # for n = 1 the witness search is exact: no pair proves injectivity
+        path = tmp_path / "m.map"
+        path.write_text(f"vars: x\nf = {f}\n")
+        assert main(["check", str(path)]) == code
+        assert ("F' keeps its sign off its zeros" in capsys.readouterr().out) is (code == 0)
 
     def test_power_pair_from_the_taylor_shift(self, tmp_path, capsys):
         # Newton on F(b + z) - F(b) finds this exact pair; on F(x) - F(b) it finds none
@@ -438,3 +470,43 @@ def test_check_report_pinned(name, tmp_path, monkeypatch, capsys):
     assert main(["check", path, "--json", str(report)]) == exit_code
     capsys.readouterr()
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+def dense_map_text() -> str:
+    """A dense map with n = 4, degree 6: every monomial of degree 1 to 6, with
+    a coefficient in [-3, 3] \\ {0} picked by a fixed rule."""
+    names = ("x", "y", "z", "w")
+    lines = ["vars: " + ", ".join(names)]
+    for c in range(4):
+        terms = []
+        for exponent in itertools.product(range(7), repeat=4):
+            if not 1 <= sum(exponent) <= 6:
+                continue
+            v = (c + 1 + sum((i + 2) * k * k for i, k in enumerate(exponent))) % 6
+            monomial = "*".join(f"{n}^{k}" for n, k in zip(names, exponent) if k)
+            terms.append(f"{v - 3 if v < 3 else v - 2}*{monomial}")
+        lines.append(f"f{c + 1} = " + " + ".join(terms))
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of `decompose --weights 1,2,1,1` for each target, and of the printed
+# det DF, for the map above. Float evaluation sums terms in the order these
+# texts come from, so the parser and the sums must keep it.
+DECOMPOSE_SHA256 = {
+    "F": "21495766eb266769fd106ce18a06ab7844ea1dcb22eb20da9e3e67d87f3d66b7",
+    "H": "62c660835631b574d8da1588430a68da4ce69f84d389477aca95337bf34ad9aa",
+    "Y": "ed0c9210018c39e5d717c570b5f3f1aa6bbf2c98216ab8804ec11c2cd928b970",
+    "det": "32883445492453c27742d1c610e7b6821ef846997caf99755eb7aa3d1e5d9edf",
+}
+
+
+def test_dense_decompose_pinned(tmp_path, capsys):
+    path = tmp_path / "dense.map"
+    path.write_text(dense_map_text())
+    digests = {}
+    for target in "FHY":
+        assert main(["decompose", str(path), "--weights", "1,2,1,1", "--target", target]) == 0
+        digests[target] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    fmap, names = parse_map_file(path.read_text())
+    digests["det"] = hashlib.sha256(print_poly(jacobian_det(fmap), names).encode()).hexdigest()
+    assert digests == DECOMPOSE_SHA256

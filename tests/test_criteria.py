@@ -38,7 +38,7 @@ from jacgate.certify import (
     gradient_only_origin,
     only_origin,
 )
-from jacgate.criteria import _check_assumptions_on_box
+from jacgate.criteria import Assumptions, _check_assumptions_on_box
 from jacgate.dynamics import injectivity_witness
 from jacgate.errors import DegenerateDirectionError, PreconditionError
 from jacgate.intervals import IntervalPoly
@@ -398,6 +398,28 @@ class TestVerdict:
         report = verdict(PolyMap([p2("x^3 - x"), p2("y")]))
         assert report.kind is VerdictKind.NOT_INJECTIVE
         assert "jac_nonvanishing" in report.conflict_note
+
+    @pytest.mark.parametrize("status", [JacStatus.VERIFIED_ON_BOX, JacStatus.ASSUMED])
+    def test_success_needs_det_proven_everywhere(self, monkeypatch, cubic_map, status):
+        # the criteria need det DF != 0 on all of R^n; on a box it is not enough
+        assumptions = Assumptions(f_zero_at_origin=True, jac_status=status)
+        monkeypatch.setattr(jacgate.criteria, "check_assumptions", lambda *_: assumptions)
+        report = verdict(cubic_map)
+        assert (report.kind, report.by, report.witness) == (VerdictKind.UNKNOWN, None, None)
+        assert report.search.best[Criterion.MAP_HIGHER_PART] is not None
+        assert report.conflict_note == (
+            "criterion MapHigherPart fired at weight (1, 1) but det DF != 0 is "
+            f"{status.value}, not proven on all of R^n"
+        )
+
+    def test_one_variable_without_pair_is_injective(self):
+        # det DF = 3x^2 vanishes at 0, so the criterion is demoted; F' = 3x^2
+        # keeps its sign off 0, so the exact search finds no pair
+        report = verdict(PolyMap([parse_expr("x^3", ("x",))]))
+        assert (report.kind, report.by, report.witness) == (VerdictKind.INJECTIVE, None, None)
+        assert report.conflict_note.endswith(
+            "so its conclusion does not apply; F' keeps its sign off its zeros, so F is injective"
+        )
 
     def test_unknown_when_search_capped(self):
         # this map needs weights (2, 1); capping the search at 1 leaves Unknown

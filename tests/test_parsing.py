@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from corpus import random_polynomial
 from jacgate import Polynomial, parse_expr, parse_map_file, print_poly
@@ -104,6 +106,105 @@ class TestParseExpr:
                 parse_expr(src, ("x", "y"))
             except ParseError:
                 pass  # structured failure is the contract
+
+
+# Expression trees: a Fraction literal >= 0, a variable index, or a tuple
+# (op, ...) with op one of "+", "-", "*" (two operands), "^" (operand,
+# exponent) and "neg" (one operand). Few leaves, so that terms collide and
+# cancel often; u + v - u + u cancels u's terms and appends them after v's.
+NAMES = ("x", "y", "z")
+leaves = st.one_of(
+    st.sampled_from((0, 1, 2)),
+    st.builds(Fraction, st.integers(0, 3), st.sampled_from((1, 2, 3))),
+)
+trees = st.recursive(
+    leaves,
+    lambda t: st.one_of(
+        st.tuples(st.sampled_from(("+", "-", "*")), t, t),
+        st.tuples(st.just("^"), t, st.integers(0, 3)),
+        st.tuples(st.just("neg"), t),
+        st.tuples(t, t).map(lambda uv: ("+", ("-", ("+", *uv), uv[0]), uv[0])),
+    ),
+    max_leaves=10,
+)
+
+
+def render(tree) -> str:
+    """The tree as source text that parses into the same tree: sums and
+    products chain to the left, so a run of them is one loop of the parser."""
+    if isinstance(tree, int):
+        return NAMES[tree]
+    if isinstance(tree, Fraction):
+        return str(tree)
+    op, left, *rest = tree
+    if op == "neg":
+        return "-" + _operand(left, ("^",))
+    if op == "^":
+        return f"{_operand(left, ())}^{rest[0]}"
+    right = rest[0]
+    if op == "*":
+        return f"{_operand(left, ('*', '^', 'neg'))}*{_operand(right, ('^', 'neg'))}"
+    left, right = _operand(left, ("+", "-", "*", "^", "neg")), _operand(right, ("*", "^", "neg"))
+    return f"{left} {op} {right}"
+
+
+def _operand(tree, bare) -> str:
+    text = render(tree)
+    return text if not isinstance(tree, tuple) or tree[0] in bare else f"({text})"
+
+
+def reference(tree, n: int) -> Polynomial:
+    """The tree evaluated with ``Polynomial`` arithmetic, one operation per node."""
+    if isinstance(tree, int):
+        return Polynomial.variable(n, tree)
+    if isinstance(tree, Fraction):
+        return Polynomial.constant(n, tree)
+    op, left, *rest = tree
+    if op == "neg":
+        return -reference(left, n)
+    if op == "^":
+        return reference(left, n) ** rest[0]
+    a, b = reference(left, n), reference(rest[0], n)
+    return a + b if op == "+" else a - b if op == "-" else a * b
+
+
+class TestTermOrder:
+    """``parse_expr`` builds one-term products and sums directly; its terms,
+    values and order, are those of ``Polynomial`` arithmetic on the same
+    expression."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(trees)
+    def test_matches_polynomial_arithmetic(self, tree):
+        text = render(tree)
+        try:
+            parsed = parse_expr(text, NAMES)
+        except ParseError as exc:
+            assert "cap" in str(exc) or "may" in str(exc), (text, exc)
+            reject()
+        assert list(parsed.terms.items()) == list(reference(tree, 3).terms.items()), text
+
+    def test_render_keeps_the_tree(self):
+        tree = ("-", ("neg", ("^", 0, 2)), ("*", ("neg", 1), ("+", 2, Fraction(1, 2))))
+        assert render(tree) == "-x^2 - -y*(z + 1/2)"
+
+    def test_cancelled_term_appended_at_end(self):
+        p = parse_expr("x*y + x - x*y + x*y", ("x", "y"))
+        assert list(p.terms.items()) == [((1, 0), Fraction(1)), ((1, 1), Fraction(1))]
+
+    @pytest.mark.parametrize(
+        "src, terms",
+        [
+            ("0*x", []),
+            ("0^0", [((0, 0), Fraction(1))]),
+            ("(x - x)^2", []),
+            ("-(3/2*x*y^2)^2", [((2, 4), Fraction(-9, 4))]),
+            ("(x + y)*(2*x)", [((2, 0), Fraction(2)), ((1, 1), Fraction(2))]),
+            ("(2*x)*(x + y)", [((2, 0), Fraction(2)), ((1, 1), Fraction(2))]),
+        ],
+    )
+    def test_one_term_pieces(self, src, terms):
+        assert list(parse_expr(src, ("x", "y")).terms.items()) == terms
 
 
 class TestMapFile:

@@ -127,6 +127,51 @@ class TestIntegerKernel:
         assert (p * Polynomial.zero(n)).is_zero
 
 
+def dict_sum(operands) -> list:
+    """``(sign, p)`` operands summed into a plain dict of ``Fraction``s: a key
+    whose sum reaches 0 is deleted, and appended at the end if it comes back."""
+    total: dict = {}
+    for sign, p in operands:
+        for key, c in p.terms.items():
+            value = total.get(key, Fraction(0)) + sign * c
+            if value:
+                total[key] = value
+            else:
+                del total[key]
+    return list(total.items())
+
+
+signs = st.sampled_from((1, -1))
+signed_chains = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        polynomials(n), polynomials(n), st.lists(st.tuples(signs, polynomials(n)))
+    )
+)
+
+
+class TestSumOrder:
+    """``+`` and ``-`` on integer numerators, against a plain dict of ``Fraction``s."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(signed_chains)
+    def test_chained_sums_match_dict(self, chain):
+        # a + b - a + a: the keys of a alone are deleted, then appended after b's
+        a, b, rest = chain
+        operands = [(1, a), (1, b), (-1, a), (1, a), *rest]
+        total = Polynomial.zero(a.n)
+        for sign, p in operands:
+            total = (total + p) if sign == 1 else (total - p)
+        assert list(total.terms.items()) == dict_sum(operands)
+
+    def test_cancelled_key_appended_at_end(self):
+        x, y = Polynomial(2, {(1, 0): Fraction(1, 2)}), Polynomial(2, {(0, 1): Fraction(2, 3)})
+        assert list((x + y - x + x).terms.items()) == [
+            ((0, 1), Fraction(2, 3)),
+            ((1, 0), Fraction(1, 2)),
+        ]
+        assert (x + y - x - y).is_zero
+
+
 class TestPartialEvaluate:
     def test_partial_simple(self):
         assert p2("x^3 + y^3 + x").partial(0) == p2("3*x^2 + 1")
