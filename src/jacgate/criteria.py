@@ -410,14 +410,16 @@ def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
     """Aggregate assumptions, criteria and, when no criterion holds, a witness search.
 
     In order: every coefficient of F and H is checked to be within float
-    range; the standing hypotheses are checked; the weight search runs,
-    and a field-criterion success has its derived weights re-verified; a
-    success is demoted when a hypothesis is violated or det DF != 0 is
-    proven only on the box or assumed; and only when no success is left does
-    the witness search look for two points with one image.  For n = 1 that
-    search is exact, so finding no pair answers injective.  A success is
-    never checked against a witness at run time: the tests check that the
-    search finds no pair on certified maps.
+    range; the standing hypotheses are checked; when one is violated no
+    criterion can answer injective, so the weight search and the derived
+    weights are skipped (``search`` is empty) and the note names the
+    hypothesis; otherwise the weight search runs, a field-criterion success
+    has its derived weights re-verified, and a success is demoted when
+    det DF != 0 is proven only on the box or assumed; and only when no
+    success is left does the witness search look for two points with one
+    image.  For n = 1 that search is exact, so finding no pair answers
+    injective.  A success is never checked against a witness at run time:
+    the tests check that the search finds no pair on certified maps.
     """
     cfg = cfg or AnalysisConfig()
     # one table of certified systems per map; no outcome outlives this verdict
@@ -428,7 +430,15 @@ def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
         for c in p.terms.values():
             float(c)
     assumptions = check_assumptions(fmap, cfg)
-    search = weight_search(fmap, None, cfg, table)
+    # every sufficient criterion requires the standing hypotheses, with
+    # det DF != 0 on all of R^n; a proven violation leaves none to try
+    violated = assumptions.violated
+    conflict_note: str | None = None
+    if violated is not None:
+        search = WeightSearchResult(attempts={}, best={})
+        conflict_note = f"hypothesis {violated} is violated, so the criteria were not tried"
+    else:
+        search = weight_search(fmap, None, cfg, table)
 
     # the first criterion to succeed, in the order of _CHECKERS
     success = next((best for best in search.best.values() if best is not None), None)
@@ -448,20 +458,10 @@ def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
             if exc.reason != "inconclusive":
                 raise
 
-    # every sufficient criterion requires the standing hypotheses, with
-    # det DF != 0 on all of R^n; a fired criterion proves nothing without them
-    conflict_note: str | None = None
-    violated = assumptions.violated
-    if violated is not None:
-        reason = f"hypothesis {violated} is violated, so its conclusion does not apply"
-    elif assumptions.jac_status is not JacStatus.VERIFIED_EVERYWHERE:
-        reason = f"det DF != 0 is {assumptions.jac_status.value}, not proven on all of R^n"
-    else:
-        reason = None
-    if success is not None and reason is not None:
+    if success is not None and assumptions.jac_status is not JacStatus.VERIFIED_EVERYWHERE:
         conflict_note = (
             f"criterion {success.criterion.value} fired at weight {tuple(success.weight.s)} "
-            f"but {reason}"
+            f"but det DF != 0 is {assumptions.jac_status.value}, not proven on all of R^n"
         )
         success = None
 

@@ -272,7 +272,10 @@ def witness_first_verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> V
     left.  This order also checks each success against the search: an exact
     pair beside a success with the hypotheses intact raises, and a numeric
     pair is reported beside the certificate with a note.  The two agree on
-    every map whose certificate the search finds no pair against.
+    every map whose certificate the search finds no pair against.  It runs
+    the full weight search even when a hypothesis is violated, where the
+    library tries no criterion: there the two agree on the verdict, the
+    witness and the assumptions, but not on the search or its notes.
     """
     cfg = cfg or AnalysisConfig()
     assumptions = check_assumptions(fmap, cfg)

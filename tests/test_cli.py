@@ -62,7 +62,7 @@ class TestCheck:
         "text", ["vars: x, y\nf = 1\ng = 1\n", "vars: x\nf = 3\n"], ids=["plane", "line"]
     )
     def test_constant_map_not_injective(self, tmp_path, capsys, text):
-        # every point has the same image, and F(0) != 0 cancels the criterion that fires
+        # every point has the same image, and F(0) != 0 stops the analysis before any criterion
         path, report = tmp_path / "c.map", tmp_path / "c.json"
         path.write_text(text)
         assert main(["check", str(path), "--json", str(report)]) == 2
@@ -70,7 +70,41 @@ class TestCheck:
         data = json.loads(report.read_text())
         (witness,) = data["witnesses"]
         assert witness["exact"] and witness["a"] != witness["b"]
-        assert "hypothesis f_zero_at_origin is violated" in data["verdict"]["note"]
+        assert data["verdict"]["note"] == (
+            "hypothesis f_zero_at_origin is violated, so the criteria were not tried"
+        )
+        assert data["attempts"] == []
+
+    def test_violated_hypothesis_skips_the_certificates(self, tmp_path, monkeypatch):
+        # a fold along x + y = -2 in three variables: det DF vanishes there, so
+        # no criterion is tried and no higher part is certified, only the pair searched
+        import jacgate.certify
+        import jacgate.criteria
+
+        calls = [0]
+        original = jacgate.certify.only_origin
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        for module in (jacgate.certify, jacgate.criteria):
+            monkeypatch.setattr(module, "only_origin", counting)
+        path, report = tmp_path / "fold3.map", tmp_path / "fold3.json"
+        path.write_text(
+            "vars: x, y, z\n"
+            "f = (x + y) + 1/4*(x + y)^2\n"
+            "g = (x + y) + 1/4*(x + y)^2 + (y + z)\n"
+            "h = y + 2*z\n"
+        )
+        assert main(["check", str(path), "--json", str(report)]) == 2
+        data = json.loads(report.read_text())
+        (witness,) = data["witnesses"]
+        assert witness["exact"]
+        assert (witness["a"], witness["b"]) == (["1/8", "-13/8", "-9/4"], ["-7/8", "-13/8", "-9/4"])
+        assert data["attempts"] == []
+        assert "hypothesis jac_nonvanishing is violated" in data["verdict"]["note"]
+        assert calls[0] == 0
 
     def test_unknown_exit_three(self, tmp_path):
         path = tmp_path / "s.map"
@@ -444,13 +478,14 @@ class TestExactPathWithoutNumpy:
 # the `jacbox` map of tests/test_criteria.py, with the exit code of each.
 # coupled3 and jacbox take the exact planar path alone: det DF and every
 # planar higher part are decided by Sturm counts, with no float step.
+# tri3, cusp and fold violate jac_nonvanishing, so their reports try no criterion.
 # Float sums run left to right in explicit loops, so the bytes are the same
 # on every supported Python; a change that moves a report on purpose updates
 # its pin.
 REPORT_SHA256 = {
-    "tri3": (2, "92a72b564ff361c0cfd9d3e6a365eb8d5e289eef30304458dcfbcb47fb52e4db"),
-    "cusp": (2, "7e690040af2c1bbbe6ff7635ef63c9b1d00f7398a82661b2a29a6a05d16f91f0"),
-    "fold": (2, "9026436baa7f1a87b775519e1767bab60910d6d47a6bea89aead8399a7a5d386"),
+    "tri3": (2, "6b5574398b21f5744348e69a36c514ab4809a4144bf18af9838cce679236080b"),
+    "cusp": (2, "dbfb964bbbb4a0089adbccd7c8321e7318f692307210853a8bb4265757ce3df6"),
+    "fold": (2, "2b99cf24daf16671420dc3ebda8ef440fa8168899a6fcd9e308fb964fea2b13c"),
     "coupled3": (0, "8aff1d264195c66d7a0fdac933626e0e809c3304a8059c114751dd9894cbb50a"),
     "jacbox": (0, "23cdcc4fef9538b0f293235bc873db71d158b2712ad967ac13067166418a3415"),
 }
@@ -470,6 +505,10 @@ def test_check_report_pinned(name, tmp_path, monkeypatch, capsys):
     assert main(["check", path, "--json", str(report)]) == exit_code
     capsys.readouterr()
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+    if name in ("cusp", "fold", "tri3"):
+        data = json.loads(report.read_text())
+        assert data["attempts"] == []
+        assert data["derived_weights"] is None and data["properness_weight"] is None
 
 
 def dense_map_text() -> str:

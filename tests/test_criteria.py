@@ -297,15 +297,23 @@ class TestDeriveTilde:
 
     def test_sandwich_holds_on_family(self):
         # the exact squeeze at the derived weights of the seeded field passes
-        # and of every field-criterion success that verdict reaches on NAMED_MAPS
+        # and of every field-criterion success the weight search finds on
+        # NAMED_MAPS, hypotheses violated or not
         derived_weights = []
         for fmap, w in field_pass_instances(10, seed=23):
             field_result = check_field_higher_part(fmap, w)
             if field_result.succeeded:
                 derived, _ = derive_tilde_and_verify(fmap, w, field_result=field_result)
                 derived_weights.append((fmap, derived))
-        named = [(fmap, verdict(fmap).tilde) for fmap in NAMED_MAPS.values()]
-        named = [(fmap, tilde[1]) for fmap, tilde in named if tilde is not None]
+        named = []
+        for fmap in NAMED_MAPS.values():
+            search = weight_search(fmap, [Criterion.FIELD_HIGHER_PART])
+            field_best = search.best[Criterion.FIELD_HIGHER_PART]
+            if field_best is not None:
+                derived, _ = derive_tilde_and_verify(
+                    fmap, field_best.weight, field_result=field_best
+                )
+                named.append((fmap, derived))
         assert named and len(derived_weights) > 1
         for fmap, derived in derived_weights + named:
             assert oracle.squeeze_holds(fmap, derived), (fmap, derived)
@@ -394,10 +402,12 @@ class TestVerdict:
         assert fmap.evaluate(report.witness.a) == fmap.evaluate(report.witness.b)
 
     def test_disqualified_criterion_names_hypothesis(self):
-        # the map criterion fires for (x^3 - x, y) but det DF vanishes
+        # det DF of (x^3 - x, y) vanishes on x^2 = 1/3, so no criterion is tried
         report = verdict(PolyMap([p2("x^3 - x"), p2("y")]))
         assert report.kind is VerdictKind.NOT_INJECTIVE
-        assert "jac_nonvanishing" in report.conflict_note
+        assert report.conflict_note == (
+            "hypothesis jac_nonvanishing is violated, so the criteria were not tried"
+        )
 
     @pytest.mark.parametrize("status", [JacStatus.VERIFIED_ON_BOX, JacStatus.ASSUMED])
     def test_success_needs_det_proven_everywhere(self, monkeypatch, cubic_map, status):
@@ -413,12 +423,13 @@ class TestVerdict:
         )
 
     def test_one_variable_without_pair_is_injective(self):
-        # det DF = 3x^2 vanishes at 0, so the criterion is demoted; F' = 3x^2
+        # det DF = 3x^2 vanishes at 0, so no criterion is tried; F' = 3x^2
         # keeps its sign off 0, so the exact search finds no pair
         report = verdict(PolyMap([parse_expr("x^3", ("x",))]))
         assert (report.kind, report.by, report.witness) == (VerdictKind.INJECTIVE, None, None)
-        assert report.conflict_note.endswith(
-            "so its conclusion does not apply; F' keeps its sign off its zeros, so F is injective"
+        assert report.conflict_note == (
+            "hypothesis jac_nonvanishing is violated, so the criteria were not tried; "
+            "F' keeps its sign off its zeros, so F is injective"
         )
 
     def test_unknown_when_search_capped(self):
@@ -511,8 +522,18 @@ class TestWitnessLast:
     def test_same_verdict_as_witness_first(self, name):
         fmap = VERDICT_MAPS[name]
         report = verdict(fmap)
+        reference = witness_first_verdict(fmap)
         # repr compares every float of a witness pair
-        assert repr(report) == repr(witness_first_verdict(fmap))
+        if report.assumptions.violated is None:
+            assert repr(report) == repr(reference)
+        else:
+            # the reference runs the full weight search; the library tries no criterion
+            assert report.search.attempts == {}
+            assert (report.kind, report.by, report.weight) == (
+                reference.kind, reference.by, reference.weight
+            )
+            assert repr(report.witness) == repr(reference.witness)
+            assert report.assumptions == reference.assumptions
         if report.kind is VerdictKind.INJECTIVE:
             # the guarantee an exact pair beside a certificate once raised for
             # at run time: on a certified map the search finds no pair at all
@@ -549,13 +570,25 @@ class TestWitnessLast:
         "name, hypothesis",
         [("cubic_fold", "jac_nonvanishing"), ("parabola", "f_zero_at_origin")],
     )
-    def test_search_once_when_a_violation_demotes_the_success(
-        self, witness_calls, name, hypothesis
-    ):
+    def test_violation_skips_the_weight_search(self, monkeypatch, witness_calls, name, hypothesis):
+        # the map criterion would fire on both maps, but no criterion is tried
+        calls = {"weight_search": 0, "derive_tilde_and_verify": 0}
+        for attribute in calls:
+            original = getattr(jacgate.criteria, attribute)
+
+            def counting(*args, _original=original, _attribute=attribute, **kwargs):
+                calls[_attribute] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(jacgate.criteria, attribute, counting)
         report = verdict(CORPUS_MAPS[name])
         assert (report.kind, report.by) == (VerdictKind.NOT_INJECTIVE, None)
-        assert "MapHigherPart fired" in report.conflict_note
-        assert f"hypothesis {hypothesis} is violated" in report.conflict_note
+        assert report.conflict_note == (
+            f"hypothesis {hypothesis} is violated, so the criteria were not tried"
+        )
+        assert (report.search.attempts, report.search.best) == ({}, {})
+        assert (report.properness_weight, report.tilde) == (None, None)
+        assert calls == {"weight_search": 0, "derive_tilde_and_verify": 0}
         assert witness_calls[0] == 1
 
     def test_search_once_when_no_criterion_fires(self, witness_calls):

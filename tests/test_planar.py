@@ -1,6 +1,6 @@
 """The exact planar decisions: only-origin by Sturm sequences on y = +-1 and at
 (+-1, 0), and det DF != 0 on all of R^2.  They are compared with the box paths
-on every system the verdict visits, tried on random quasi-homogeneous systems
+on every system the weight search visits, tried on random quasi-homogeneous systems
 of known answer, and every witness they report is re-checked exactly."""
 
 from collections import Counter
@@ -40,6 +40,7 @@ from jacgate import (
     only_origin,
     parse_expr,
     verdict,
+    weight_search,
 )
 from jacgate.certify import _only_origin_boxes
 from jacgate.criteria import _check_assumptions_on_box
@@ -137,8 +138,10 @@ def visited(monkeypatch):
 
 class TestAgreementWithBoxes:
     def test_only_origin_never_conflicts_with_branch_and_bound(self, visited):
+        # the weight search itself, not verdict: verdict skips it on maps
+        # with a violated hypothesis, whose higher parts are visited here too
         for fmap in [*NAMED.values(), *corpus_maps()]:
-            verdict(fmap)
+            weight_search(fmap, None, AnalysisConfig(), {})
         systems = dict.fromkeys(visited)  # first weight of each distinct system, in order
         conclusive = (OutcomeKind.ONLY_ORIGIN, OutcomeKind.NONTRIVIAL_ZERO)
         kinds = Counter()
@@ -182,23 +185,25 @@ class TestWitnessesAreExact:
         maps = list(NAMED.values()) if family == "named" else list(seeded_maps(20, 29).values())
         witnesses = violations = 0
         for fmap in maps:
-            report = verdict(fmap)
+            # the weight search itself: verdict skips it when a hypothesis is violated
+            search = weight_search(fmap, None, AnalysisConfig(), {})
+            assumptions = check_assumptions(fmap)
             h = h_norm(fmap)
             systems = {
                 Criterion.MAP_HIGHER_PART: lambda w: higher_part_map(fmap, w).components,
                 Criterion.H_NORM_HIGHER_PART: lambda w: [higher_part(h, w)],
                 Criterion.FIELD_HIGHER_PART: lambda w: higher_part_field(h, w).field.components,
             }
-            for criterion, results in report.search.attempts.items():
+            for criterion, results in search.attempts.items():
                 for result in results:
                     outcome = result.outcome
                     if outcome is not None and outcome.is_nontrivial_zero:
                         assert outcome.exact
                         assert_common_zero(systems[criterion](result.weight), outcome.witness)
                         witnesses += 1
-            if report.assumptions.jac_status is JacStatus.VIOLATION_FOUND:
-                assert report.assumptions.jac_exact
-                assert_common_zero([jacobian_det(fmap)], report.assumptions.jac_point)
+            if assumptions.jac_status is JacStatus.VIOLATION_FOUND:
+                assert assumptions.jac_exact
+                assert_common_zero([jacobian_det(fmap)], assumptions.jac_point)
                 violations += 1
         assert witnesses >= 20 and violations >= 2
 
