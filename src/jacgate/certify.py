@@ -17,15 +17,14 @@ For n >= 3 every zero scales onto the unit sphere, and the proof runs first:
 interval branch-and-bound covers [-1, 1]^n restricted to a shell around the
 sphere; a box is discarded when its norm-square bounds miss the shell or
 when some polynomial's interval bounds exclude zero, and surviving boxes are
-subdivided.  Exclusion of every box is a sound certificate.  The witness
-hunt (damped Gauss-Newton) starts only once a box survives to depth 16 or
-to a leaf: first from low-discrepancy sphere points, then from the centres
-of the shallower survivors at the refine depths 8 and 12, replayed in the
-order they were met and each reporting its own counts, then from that box
-and each later refine-depth survivor or leaf.  So a proof that closes before
-depth 16 is never overridden by a float Newton zero, while past depth 16 a
-hunt can still end the search first.  Witnesses are verified by residuals
-and, when the coordinates snap to small rationals, confirmed exactly.
+subdivided.  Exclusion of every box is a sound certificate.  The search
+stops at the first leaf, a surviving box at the depth limit or reached with
+the box budget spent: from then on no proof can close.  Only then does the
+witness hunt (damped Gauss-Newton) run, once: from low-discrepancy sphere
+points, then from the centre of that leaf.  So a proof is never overridden
+by a float Newton zero, and costs no float work at all.  Witnesses are
+verified by residuals and, when the coordinates snap to small rationals,
+confirmed exactly.
 """
 
 from __future__ import annotations
@@ -74,8 +73,8 @@ class CertOutcome:
     Fractions that isolates one root on its line y = +-1; its ``residuals``
     are None.  An ``only_origin`` outcome has ``exact`` set when it was
     decided in exact arithmetic rather than by branch-and-bound.  For an
-    inconclusive outcome, ``unresolved`` is the deepest box the search failed
-    to resolve.
+    inconclusive outcome, ``unresolved`` is the first leaf: the first box
+    that survived to the depth limit or to the spent box budget.
     """
 
     kind: OutcomeKind
@@ -155,11 +154,6 @@ def _newton_witness(
     )
 
 
-# depths at which surviving boxes get a Newton attempt before the limit
-_REFINE_DEPTHS = frozenset({8, 12, 16, 20})
-_HUNT_DEPTH = 16  # the first survivor this deep, or the first leaf, starts the hunt
-
-
 def only_origin(
     system: Sequence[Polynomial], w: Weight, cfg: CertConfig | None = None
 ) -> CertOutcome:
@@ -211,15 +205,13 @@ def _only_origin_boxes(
     ``only_origin`` takes this path for n >= 3; for n = 2 the tests compare
     it with the exact decision and with the hunt-first oracle.
 
-    Branch-and-bound runs first, and Newton only once a box survives to
-    depth ``_HUNT_DEPTH`` or to a leaf: a system whose boxes are all excluded
-    before that is certified with no float work at all, and no float zero
-    overrides that proof.  Survivors met earlier at a refine depth are then
-    hunted from in the order they were met, a witness from one reporting the
-    ``max_depth`` and ``boxes`` counted when it was met, so the outcome is the
-    one that hunting at each refine depth as it is reached would give.  Past
-    depth 16 a hunt can still end the search before the boxes close.  A
-    witness found by the sphere-point hunt reports ``max_depth=0, boxes=0``.
+    Branch-and-bound runs first, up to its first leaf: a system whose boxes
+    are all excluded is certified with no float work at all, and no float
+    zero overrides that proof.  At a leaf the witness hunt runs once, from
+    the distinct sphere points and then from the leaf's centre; with no
+    witness the outcome is inconclusive, with that leaf ``unresolved``.  A
+    witness found from a sphere point reports ``max_depth=0, boxes=0``, and
+    one found from the leaf the counts at that leaf.
     """
     cfg = cfg or CertConfig()
     degrees = _validate_system(system, w)
@@ -239,47 +231,21 @@ def _only_origin_boxes(
         return any(p.excludes_zero(box.coords) for p in ipolys)
 
     search = Bisection(Box.cube(n, 1.0), cfg.depth, MAX_BOXES)
-    deepest_unresolved: Box | None = None
-    fsys: FloatSystem | None = None
-    # boxes to hunt from, in the order met, with the counts each would report
-    pending: list[tuple[Box, int, int]] = []
-    for box in search.survivors(excluded):
-        leaf = search.is_leaf(box)
-        if leaf or box.depth in _REFINE_DEPTHS:
-            pending.append((box, search.max_depth, search.boxes))
-            if fsys is None and (leaf or box.depth >= _HUNT_DEPTH):
-                # the hunt starts: low-discrepancy sphere points, each distinct one once
-                fsys = FloatSystem(list(system) + [_sphere_poly(n)])
-                for start in dict.fromkeys(points_on_sphere(n, _PROBES, cfg.seed)):
-                    outcome = _newton_witness(system, fsys, start)
-                    if outcome is not None:
-                        return outcome
-            if fsys is not None:
-                for early, max_depth, boxes in pending:
-                    outcome = _newton_witness(system, fsys, early.center())
-                    if outcome is not None:
-                        return replace(outcome, max_depth=max_depth, boxes=boxes)
-                pending.clear()
-        if leaf:
-            if deepest_unresolved is None or box.depth > deepest_unresolved.depth:
-                deepest_unresolved = box
-            if search.budget_spent:
-                # drain: everything still on the stack counts as unresolved
-                deepest_unresolved = max(
-                    [deepest_unresolved, *search.stack], key=lambda b: b.depth
-                )
-                break
+    leaf = search.first_leaf(excluded)
+    counts = {"max_depth": search.max_depth, "boxes": search.boxes}
+    if leaf is None:
+        return CertOutcome(kind=OutcomeKind.ONLY_ORIGIN, **counts)
 
-    if deepest_unresolved is not None:
-        return CertOutcome(
-            kind=OutcomeKind.INCONCLUSIVE,
-            max_depth=search.max_depth,
-            boxes=search.boxes,
-            unresolved=deepest_unresolved,
-        )
-    return CertOutcome(
-        kind=OutcomeKind.ONLY_ORIGIN, max_depth=search.max_depth, boxes=search.boxes
-    )
+    # the hunt: low-discrepancy sphere points, each distinct one once, then the leaf
+    fsys = FloatSystem(list(system) + [_sphere_poly(n)])
+    for start in dict.fromkeys(points_on_sphere(n, _PROBES, cfg.seed)):
+        outcome = _newton_witness(system, fsys, start)
+        if outcome is not None:
+            return outcome
+    outcome = _newton_witness(system, fsys, leaf.center())
+    if outcome is not None:
+        return replace(outcome, **counts)
+    return CertOutcome(kind=OutcomeKind.INCONCLUSIVE, unresolved=leaf, **counts)
 
 
 def certify_once(

@@ -295,6 +295,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
         print("decided exactly, with no box search")
     else:
         print(f"boxes processed: {outcome.boxes}, max depth: {outcome.max_depth}")
+    if outcome.unresolved is not None:
+        box = outcome.unresolved
+        cause = "depth limit" if box.depth >= cfg.depth else "box budget"
+        region = ", ".join(f"{name} in [{c.lo}, {c.hi}]" for name, c in zip(names, box.coords))
+        print(f"unresolved box at depth {box.depth}, stopped by the {cause}: {region}")
     return 0
 
 

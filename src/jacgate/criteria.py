@@ -207,8 +207,7 @@ def _check_assumptions_on_box(fmap: PolyMap, cfg: AnalysisConfig | None = None) 
     search = Bisection(
         Box.cube(fmap.n, cfg.box_radius), min(cfg.cert.depth, 20), certify.MAX_BOXES
     )
-    survivors = search.survivors(lambda box: ipoly.excludes_zero(box.coords))
-    if not any(search.is_leaf(box) for box in survivors):
+    if search.first_leaf(lambda box: ipoly.excludes_zero(box.coords)) is None:
         return Assumptions(
             f_zero_at_origin=f_zero,
             jac_status=JacStatus.VERIFIED_ON_BOX,

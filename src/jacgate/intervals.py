@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .poly import Polynomial
 
@@ -152,40 +152,35 @@ class Box(NamedTuple):
 class Bisection:
     """Depth-first bisection of one root box: the branch-and-bound loop.
 
-    ``survivors(excluded)`` yields, in depth-first order, every box that the
-    caller's sound exclusion test cannot discard, and splits it once the
-    caller resumes, unless it is a leaf: at the depth limit, or reached with
-    the box budget spent.  ``boxes`` counts every box popped, excluded or
-    not; ``stack`` holds the boxes still pending when the caller stops.
+    ``first_leaf(excluded)`` pops boxes depth first, discards each one the
+    caller's sound exclusion test proves zero-free and splits the others,
+    until a surviving box is a leaf (at the depth limit, or reached with the
+    box budget spent), which it returns, or until every box is excluded,
+    when it returns None.  ``boxes`` counts every box popped, excluded or
+    not, and ``max_depth`` the deepest one.
     """
 
     def __init__(self, root: Box, depth_limit: int, max_boxes: int):
+        self.root = root
         self.depth_limit = depth_limit
         self.max_boxes = max_boxes
-        self.stack = [root]
         self.boxes = 0
         self.max_depth = 0
 
-    @property
-    def budget_spent(self) -> bool:
-        return self.boxes >= self.max_boxes
-
-    def is_leaf(self, box: Box) -> bool:
-        return box.depth >= self.depth_limit or self.budget_spent
-
-    def survivors(self, excluded: Callable[[Box], bool]) -> Iterator[Box]:
-        stack = self.stack
+    def first_leaf(self, excluded: Callable[[Box], bool]) -> Box | None:
+        stack = [self.root]
         while stack:
             box = stack.pop()
             self.boxes += 1
             self.max_depth = max(self.max_depth, box.depth)
             if excluded(box):
                 continue
-            yield box
-            if not self.is_leaf(box):
-                left, right = box.split()
-                stack.append(right)
-                stack.append(left)
+            if box.depth >= self.depth_limit or self.boxes >= self.max_boxes:
+                return box
+            left, right = box.split()
+            stack.append(right)
+            stack.append(left)
+        return None
 
 
 class IntervalPoly:

@@ -18,7 +18,6 @@ import numpy as np
 from jacgate import Polynomial, certify
 from jacgate.certify import (
     _PROBES,
-    _REFINE_DEPTHS,
     SHELL,
     CertConfig,
     CertOutcome,
@@ -152,11 +151,11 @@ def hunt_first_only_origin(
 ) -> CertOutcome:
     """``_only_origin_boxes`` with the witness hunt from sphere points run before any box.
 
-    The library runs branch-and-bound first and hunts only once a box reaches
-    depth 16 or a leaf, replaying the shallower refine-depth boxes in order;
-    the two agree on every outcome except a float witness that an interval
-    exclusion closing before depth 16 refutes, which only this order can
-    report.
+    The library runs branch-and-bound first and hunts, from the distinct
+    sphere points and then from the first leaf's centre, only once a box
+    survives as a leaf; the two agree on every outcome except a float
+    witness that an interval exclusion of every box refutes, which only
+    this order can report.
     """
     cfg = cfg or CertConfig()
     degrees = _validate_system(system, w)
@@ -179,32 +178,14 @@ def hunt_first_only_origin(
         return any(p.excludes_zero(box.coords) for p in ipolys)
 
     search = Bisection(Box.cube(n, 1.0), cfg.depth, certify.MAX_BOXES)
-    deepest_unresolved: Box | None = None
-    for box in search.survivors(excluded):
-        leaf = search.is_leaf(box)
-        if leaf or box.depth in _REFINE_DEPTHS:
-            outcome = _newton_witness(system, fsys, box.center())
-            if outcome is not None:
-                return replace(outcome, max_depth=search.max_depth, boxes=search.boxes)
-        if leaf:
-            if deepest_unresolved is None or box.depth > deepest_unresolved.depth:
-                deepest_unresolved = box
-            if search.budget_spent:
-                deepest_unresolved = max(
-                    [deepest_unresolved, *search.stack], key=lambda b: b.depth
-                )
-                break
-
-    if deepest_unresolved is not None:
-        return CertOutcome(
-            kind=OutcomeKind.INCONCLUSIVE,
-            max_depth=search.max_depth,
-            boxes=search.boxes,
-            unresolved=deepest_unresolved,
-        )
-    return CertOutcome(
-        kind=OutcomeKind.ONLY_ORIGIN, max_depth=search.max_depth, boxes=search.boxes
-    )
+    leaf = search.first_leaf(excluded)
+    counts = {"max_depth": search.max_depth, "boxes": search.boxes}
+    if leaf is None:
+        return CertOutcome(kind=OutcomeKind.ONLY_ORIGIN, **counts)
+    outcome = _newton_witness(system, fsys, leaf.center())
+    if outcome is not None:
+        return replace(outcome, **counts)
+    return CertOutcome(kind=OutcomeKind.INCONCLUSIVE, unresolved=leaf, **counts)
 
 
 def hunt_first_check_assumptions(
@@ -254,9 +235,8 @@ def hunt_first_check_assumptions(
     search = Bisection(
         Box.cube(fmap.n, cfg.box_radius), min(cfg.cert.depth, 20), certify.MAX_BOXES
     )
-    for box in search.survivors(lambda box: ipoly.excludes_zero(box.coords)):
-        if search.is_leaf(box):
-            return Assumptions(f_zero_at_origin=f_zero, jac_status=JacStatus.ASSUMED)
+    if search.first_leaf(lambda box: ipoly.excludes_zero(box.coords)) is not None:
+        return Assumptions(f_zero_at_origin=f_zero, jac_status=JacStatus.ASSUMED)
     return Assumptions(
         f_zero_at_origin=f_zero,
         jac_status=JacStatus.VERIFIED_ON_BOX,

@@ -90,16 +90,16 @@ class TestOnlyOrigin:
         "cfg, budget, kind, boxes, max_depth, unresolved",
         [
             (CertConfig(), MAX_BOXES, OutcomeKind.ONLY_ORIGIN, 31, 5, None),
+            # the search stops at its first leaf: the first survivor at depth 4
             (
                 CertConfig(depth=4),
                 MAX_BOXES,
                 OutcomeKind.INCONCLUSIVE,
-                27,
+                10,
                 4,
                 Box((Interval(-1.0, -0.5), Interval(0.0, 0.5)), 4),
             ),
-            # the budget stops the search only at a surviving box: box 8,
-            # which is deeper than the box still pending
+            # the budget stops the search only at a surviving box: box 8
             (
                 CertConfig(),
                 7,
@@ -211,35 +211,35 @@ class TestProveFirst:
     def test_no_float_work_when_boxes_close_above_refine_depth(self, float_work):
         system = [p2("x^3 + y^3"), p2("y")]
         outcome = _only_origin_boxes(system, W11)
-        # every box is excluded by depth 5, before the first refine depth (8)
+        # every box is excluded by depth 5
         assert (outcome.kind, outcome.max_depth, outcome.boxes) == (OutcomeKind.ONLY_ORIGIN, 5, 31)
         assert (float_work["newton"], float_work["systems"]) == (0, 0)
         # hunting first makes one Newton run per probe point on the same system
         hunt_first_only_origin(system, W11)
         assert (float_work["newton"], float_work["systems"]) == (16, 1)
 
-    def test_no_float_work_when_boxes_close_before_hunt_depth(self, float_work):
+    def test_no_float_work_when_deeper_boxes_close(self, float_work):
         # coupled3's MapHigherPart top at (1, 1): boxes survive to depth 9,
-        # past the refine depth 8, yet all close before the hunt depth 16
+        # yet all close, long before a leaf
         system = [p2("x^3 + y^3"), p2("y^3 + 1/3*x^3")]
         outcome = _only_origin_boxes(system, W11)
         assert (outcome.kind, outcome.max_depth, outcome.boxes) == (OutcomeKind.ONLY_ORIGIN, 9, 63)
         assert (float_work["newton"], float_work["systems"]) == (0, 0)
         assert repr(hunt_first_only_origin(system, W11)) == repr(outcome)
-        # hunting first runs the 16 probes and Newton from both depth-8 survivors
-        assert (float_work["newton"], float_work["systems"]) == (18, 1)
+        # hunting first runs the 16 probes, and no box reaches a leaf
+        assert (float_work["newton"], float_work["systems"]) == (16, 1)
 
-    def test_deferred_box_witness_reports_its_own_counts(self, float_work):
-        # the H top at (1, 1) of a check-jacbox map: the witness comes from the
-        # centre of the first depth-8 survivor, hunted only after depth 16
+    def test_leaf_witness_reports_the_leaf_counts(self, float_work):
+        # the H top at (1, 1) of a check-jacbox map: no probe converges, and
+        # the witness comes from the centre of the first leaf, at depth 24
         fmap = PolyMap([p2("1/50*x^3 - 3/25*x^2*y + 6/25*x*y^2 - 4/25*y^3 + x"), p2("y")])
         system = [higher_part(h_norm(fmap), W11)]
         outcome = _only_origin_boxes(system, W11)
         assert (outcome.kind, outcome.max_depth, outcome.boxes) == (
-            OutcomeKind.NONTRIVIAL_ZERO, 8, 11
+            OutcomeKind.NONTRIVIAL_ZERO, 24, 40
         )
-        # 15 distinct probes (entry 9 of the 16 repeats an earlier one), then the box
-        assert (float_work["newton"], float_work["first_newton_depth"]) == (16, 16)
+        # 15 distinct probes (entry 9 of the 16 repeats an earlier one), then the leaf
+        assert (float_work["newton"], float_work["first_newton_depth"]) == (16, 24)
         float_work["newton"] = 0
         assert repr(hunt_first_only_origin(system, W11)) == repr(outcome)
         # the oracle runs the repeated probe twice

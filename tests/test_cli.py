@@ -106,6 +106,19 @@ class TestCheck:
         assert "hypothesis jac_nonvanishing is violated" in data["verdict"]["note"]
         assert calls[0] == 0
 
+    def test_three_variable_stretch_spends_few_boxes(self, tmp_path):
+        # MapHigherPart holds at (1, 1, 1), but det DF != 0 is only assumed; each
+        # only-origin search stops at its first leaf, which keeps the 111
+        # attempts to a few hundred boxes, not the budget of 200,000 each
+        path, report = tmp_path / "stretch.map", tmp_path / "stretch.json"
+        path.write_text("vars: x, y, z\nf = x + (x-y)^3\ng = y + (y-z)^3\nh = z\n")
+        assert main(["check", str(path), "--json", str(report)]) == 3
+        data = json.loads(report.read_text())
+        note = data["verdict"]["note"]
+        assert "MapHigherPart fired at weight (1, 1, 1)" in note and "assumed" in note
+        boxes = sum(a["outcome"]["boxes"] for a in data["attempts"] if a["outcome"])
+        assert boxes <= 5000
+
     def test_unknown_exit_three(self, tmp_path):
         path = tmp_path / "s.map"
         path.write_text(SHEAR_MAP)
@@ -330,6 +343,35 @@ class TestCertify:
             assert line in out
         # box counts are printed only where branch-and-bound ran
         assert ("boxes processed" in out) is (weights == "1,1,1")
+
+    @pytest.mark.parametrize(
+        "flags, budget, line",
+        [
+            (
+                ["--depth", "4"],
+                None,
+                "unresolved box at depth 4, stopped by the depth limit: "
+                "x in [-0.5, 0.0], y in [-1.0, 0.0], z in [-1.0, 0.0]",
+            ),
+            (
+                [],
+                7,
+                "unresolved box at depth 5, stopped by the box budget: "
+                "x in [-0.5, 0.0], y in [-0.5, 0.0], z in [-1.0, 0.0]",
+            ),
+        ],
+        ids=["depth_limit", "box_budget"],
+    )
+    def test_inconclusive_names_its_cause(self, tmp_path, capsys, monkeypatch, flags, budget, line):
+        import jacgate.certify
+
+        if budget is not None:
+            monkeypatch.setattr(jacgate.certify, "MAX_BOXES", budget)
+        path = tmp_path / "s.map"
+        path.write_text("vars: x, y, z\ng1 = x^3 + y^3\ng2 = y\ng3 = z\n")
+        assert main(["certify", str(path), "--weights", "1,1,1", *flags]) == 0
+        out = capsys.readouterr().out
+        assert "outcome: inconclusive" in out and line in out
 
     def test_gradient_mode(self, tmp_path, capsys):
         path = tmp_path / "q.map"

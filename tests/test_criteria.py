@@ -1,5 +1,6 @@
 """The injectivity criteria, derived weights, weight search, and verdicts."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from jacgate import (
 )
 from jacgate.certify import (
     MAX_BOXES,
+    CertOutcome,
     RHO,
     _only_origin_boxes,
     certify_once,
@@ -40,7 +42,11 @@ from jacgate.certify import (
 )
 from jacgate.criteria import Assumptions, _check_assumptions_on_box
 from jacgate.dynamics import injectivity_witness
-from jacgate.errors import DegenerateDirectionError, PreconditionError
+from jacgate.errors import (
+    DegenerateDirectionError,
+    InternalInconsistencyError,
+    PreconditionError,
+)
 from jacgate.intervals import IntervalPoly
 from jacgate.parsing import parse_expr
 from jacgate.sampling import points_on_sphere
@@ -294,6 +300,31 @@ class TestDeriveTilde:
         derived, map_result = derive_tilde_and_verify(fmap, W11, field_result=field_result)
         assert derived == Weight((3, 4))
         assert map_result.succeeded
+
+    @pytest.mark.parametrize("kind", [OutcomeKind.NONTRIVIAL_ZERO, OutcomeKind.INCONCLUSIVE])
+    def test_map_failure_at_derived_weight(self, monkeypatch, kind):
+        # the identity's field criterion holds at (1, 1), and so must the map
+        # criterion at the derived weight; make it fail there
+        fmap = PolyMap.identity(2)
+        derived, _ = derive_tilde_and_verify(fmap, W11)
+        checker = jacgate.criteria.check_map_higher_part
+
+        def failing(fmap, w, cfg=None, table=None):
+            result = checker(fmap, w, cfg, table)
+            return replace(result, outcome=CertOutcome(kind=kind)) if w == derived else result
+
+        # the weight search calls its checkers through _CHECKERS, so this
+        # reaches only the re-certification at the derived weight
+        monkeypatch.setattr(jacgate.criteria, "check_map_higher_part", failing)
+        if kind is OutcomeKind.NONTRIVIAL_ZERO:
+            with pytest.raises(InternalInconsistencyError, match="refuted at derived weight") as exc:
+                verdict(fmap)
+            assert exc.value.reason == "refuted"
+        else:
+            report = verdict(fmap)
+            assert (report.kind, report.by, report.tilde) == (
+                VerdictKind.INJECTIVE, Criterion.MAP_HIGHER_PART, None
+            )
 
     def test_sandwich_holds_on_family(self):
         # the exact squeeze at the derived weights of the seeded field passes

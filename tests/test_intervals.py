@@ -2,6 +2,7 @@
 ``IntervalPoly.bounds`` agreeing with it to the bit."""
 
 import math
+from collections import deque
 from fractions import Fraction
 from random import Random
 
@@ -10,7 +11,7 @@ import pytest
 import jacgate.intervals
 from conftest import p1
 from corpus import random_polynomial
-from jacgate.intervals import Bisection, Box, Interval, IntervalPoly
+from jacgate.intervals import Box, Interval, IntervalPoly
 from oracle import reference_bounds
 
 
@@ -140,9 +141,12 @@ class TestCompiledBounds:
                 bound = reference_bounds(p, box.coords)
                 return bound.lo > 0.0 or bound.hi < 0.0
 
-            search = Bisection(Box.cube(n, rng.choice((1.0, 10.0))), 9, 400)
-            for _ in search.survivors(excluded):
-                pass
+            # breadth first, splitting each box the bounds do not exclude
+            queue = deque([Box.cube(n, rng.choice((1.0, 10.0)))])
+            while queue and len(boxes) < 400:
+                box = queue.popleft()
+                if not excluded(box):
+                    queue.extend(box.split())
             yield p, boxes
 
     def test_boxes_sharing_coordinates_hit_the_memo(self, monkeypatch):
