@@ -140,12 +140,7 @@ def _newton_witness(
         lambda q: lo <= sum(c * c for c in q) <= hi and all(g.evaluate(q) == 0 for g in system),
     )
     if snapped is not None:
-        return CertOutcome(
-            kind=OutcomeKind.NONTRIVIAL_ZERO,
-            witness=snapped,
-            exact=True,
-            residuals=tuple(0.0 for _ in system),
-        )
+        return _exact_zero(snapped, len(system))
     return CertOutcome(
         kind=OutcomeKind.NONTRIVIAL_ZERO,
         witness=point,
@@ -169,6 +164,8 @@ def only_origin(
 
 
 def _exact_zero(point: tuple, count: int) -> CertOutcome:
+    """The exact witness outcome for a rational zero of a system of ``count``
+    polynomials, off the origin."""
     return CertOutcome(
         kind=OutcomeKind.NONTRIVIAL_ZERO,
         witness=point,
@@ -293,12 +290,7 @@ def gradient_only_origin(p: Polynomial, w: Weight, cfg: CertConfig | None = None
         j = dead[0]
         unit = tuple(Fraction(1) if i == j else Fraction(0) for i in range(p.n))
         if all(q.evaluate(unit) == 0 for q in partials if not q.is_zero):
-            return CertOutcome(
-                kind=OutcomeKind.NONTRIVIAL_ZERO,
-                witness=unit,
-                exact=True,
-                residuals=tuple(0.0 for _ in partials),
-            )
+            return _exact_zero(unit, len(partials))
         raise DegenerateDirectionError(j)
     return only_origin(partials, w, cfg)
 

@@ -175,7 +175,7 @@ def _settled_assumptions(fmap: PolyMap) -> tuple[bool, Polynomial, Assumptions |
         settled = Assumptions(
             f_zero_at_origin=f_zero,
             jac_status=JacStatus.VIOLATION_FOUND,
-            jac_point=(0.0,) * fmap.n,
+            jac_point=(Fraction(0),) * fmap.n,
             jac_exact=True,
         )
     elif set(det.terms) == {(0,) * fmap.n}:
@@ -267,18 +267,37 @@ def _norm_function(fmap: PolyMap, table: dict | None) -> Polynomial:
     return table[key]
 
 
+def _check_criterion(
+    criterion: Criterion, fmap: PolyMap, w: Weight, cfg: AnalysisConfig | None, table: dict | None
+) -> CriterionResult:
+    """One criterion at one weight: its higher-part system (and, for the field
+    criterion, its block structure), certified once per system kept in
+    ``table``.  A zero component, a zero norm function or a dead direction
+    leaves no system: the result has no outcome and says why."""
+    cfg = cfg or AnalysisConfig()
+    block = None
+    try:
+        if criterion is Criterion.MAP_HIGHER_PART:
+            system = higher_part_map(fmap, w).components
+        else:
+            h = _norm_function(fmap, table)
+            if h.is_zero:
+                raise ZeroPolynomialError("norm function is identically zero")
+            if criterion is Criterion.H_NORM_HIGHER_PART:
+                system = [higher_part(h, w)]
+            else:
+                fhp = higher_part_field(h, w)
+                system, block = fhp.field.components, field_blocks(fhp)
+    except (ZeroPolynomialError, DegenerateDirectionError) as exc:
+        return CriterionResult(criterion=criterion, weight=w, outcome=None, diagnostic=str(exc))
+    outcome = certify_once(table, only_origin, system, w, cfg.cert)
+    return CriterionResult(criterion=criterion, weight=w, outcome=outcome, block=block)
+
+
 def check_map_higher_part(
     fmap: PolyMap, w: Weight, cfg: AnalysisConfig | None = None, table: dict | None = None
 ) -> CriterionResult:
-    cfg = cfg or AnalysisConfig()
-    try:
-        top = higher_part_map(fmap, w)
-    except ZeroPolynomialError as exc:
-        return CriterionResult(
-            criterion=Criterion.MAP_HIGHER_PART, weight=w, outcome=None, diagnostic=str(exc)
-        )
-    outcome = certify_once(table, only_origin, top.components, w, cfg.cert)
-    return CriterionResult(criterion=Criterion.MAP_HIGHER_PART, weight=w, outcome=outcome)
+    return _check_criterion(Criterion.MAP_HIGHER_PART, fmap, w, cfg, table)
 
 
 def check_h_higher_part(
@@ -291,42 +310,13 @@ def check_h_higher_part(
     paper's condition that its gradient vanishes only there; the tests
     check that the gradient form agrees.
     """
-    cfg = cfg or AnalysisConfig()
-    h = _norm_function(fmap, table)
-    if h.is_zero:
-        return CriterionResult(
-            criterion=Criterion.H_NORM_HIGHER_PART,
-            weight=w,
-            outcome=None,
-            diagnostic="norm function is identically zero",
-        )
-    top = higher_part(h, w)
-    outcome = certify_once(table, only_origin, [top], w, cfg.cert)
-    return CriterionResult(criterion=Criterion.H_NORM_HIGHER_PART, weight=w, outcome=outcome)
+    return _check_criterion(Criterion.H_NORM_HIGHER_PART, fmap, w, cfg, table)
 
 
 def check_field_higher_part(
     fmap: PolyMap, w: Weight, cfg: AnalysisConfig | None = None, table: dict | None = None
 ) -> CriterionResult:
-    cfg = cfg or AnalysisConfig()
-    h = _norm_function(fmap, table)
-    if h.is_zero:
-        return CriterionResult(
-            criterion=Criterion.FIELD_HIGHER_PART,
-            weight=w,
-            outcome=None,
-            diagnostic="norm function is identically zero",
-        )
-    try:
-        fhp = higher_part_field(h, w)
-    except DegenerateDirectionError as exc:
-        return CriterionResult(
-            criterion=Criterion.FIELD_HIGHER_PART, weight=w, outcome=None, diagnostic=str(exc)
-        )
-    outcome = certify_once(table, only_origin, fhp.field.components, w, cfg.cert)
-    return CriterionResult(
-        criterion=Criterion.FIELD_HIGHER_PART, weight=w, outcome=outcome, block=field_blocks(fhp)
-    )
+    return _check_criterion(Criterion.FIELD_HIGHER_PART, fmap, w, cfg, table)
 
 
 _CHECKERS = {

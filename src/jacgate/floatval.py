@@ -167,8 +167,8 @@ _MAX_SWEEPS = 30  # Jacobi sweeps; the 4 x 3 hunts on tri3 take 2 to 5
 
 
 def _svd_solve(a: Sequence[Sequence[float]], b: Sequence[float]) -> list[float] | None:
-    """The minimum-norm least-squares solution of a non-square a s = b, with
-    the rank cutoff of ``numpy.linalg.lstsq``: singular values at or below
+    """The minimum-norm least-squares solution of a s = b, with the rank
+    cutoff of ``numpy.linalg.lstsq``: singular values at or below
     eps * max(m, n) times the largest count as zero.  None when none is left.
 
     One-sided Jacobi rotations orthogonalize the columns of the tall one of a
@@ -217,12 +217,12 @@ def _svd_solve(a: Sequence[Sequence[float]], b: Sequence[float]) -> list[float] 
 
 def _least_squares(a: Sequence[Sequence[float]], b: Sequence[float]) -> list[float] | None:
     """The minimum-norm least-squares solution of a s = b: partial-pivot
-    elimination when a is square (None when it is exactly singular), else
+    elimination when a is square and no pivot is exactly zero, else
     ``_svd_solve``."""
     if len(a) != len(a[0]):
         return _svd_solve(a, b)
     rows = [list(row) + [v] for row, v in zip(a, b)]
-    return _back_substitute(rows) if _eliminate(rows) else None
+    return _back_substitute(rows) if _eliminate(rows) else _svd_solve(a, b)
 
 
 MAX_ITER = 60        # Gauss-Newton steps
@@ -237,8 +237,9 @@ def gauss_newton(
     Returns (point, max-abs residual, converged).  The step is the
     minimum-norm least-squares solution of the linearized system
     (``_least_squares``), halved until the residual norm decreases; square
-    systems get the plain Newton step.  A Jacobian that leaves no step, exactly
-    singular when square, ends the run.
+    systems with no exactly zero pivot get the plain Newton step.  A Jacobian
+    whose singular values all fall below the rank cutoff leaves no step and
+    ends the run.
     """
     residual, jacobian = system.residual, system.jacobian
     x = tuple(float(c) for c in x0)

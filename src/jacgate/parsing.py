@@ -15,9 +15,10 @@ operand shifts the other operand's keys and scales its coefficients, in
 that operand's order; and a sum adds into one running dict, deleting a key
 whose sum reaches 0 and appending it again if it comes back, as
 ``Polynomial.__add__`` does.  So the terms come out in the order that
-``Polynomial`` arithmetic on the same expression gives.  Powers, and
-products of two sums of several terms, go through ``Polynomial.__pow__``
-and ``__mul__``.
+``Polynomial`` arithmetic on the same expression gives, though no result
+depends on that order: float and interval evaluation sum in
+``sorted_terms`` order.  Powers, and products of two sums of several terms,
+go through ``Polynomial.__pow__`` and ``__mul__``.
 
 Every piece carries bounds on its degree, term count and coefficient bits
 taken from the syntax alone, never from the expanded terms: a sum of t_a

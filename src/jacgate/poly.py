@@ -13,9 +13,10 @@ multiplies and adds plain ints.  Either builds one ``Fraction`` per result
 term, from the int alone when the denominator is 1.  A key whose running
 sum reaches 0 is deleted and re-inserted at the end if it comes back, as a
 ``Fraction`` sum would be: over a positive denominator the zero sums are
-the same events, so the result's term order, which float evaluation sums
-in, does not depend on the kernel.  Results of ring operations on valid
-polynomials skip the input checks of ``Polynomial(n, terms)``.
+the same events, so the result's insertion order does not depend on the
+kernel.  No result depends on that order either: float and interval
+evaluation sum in ``sorted_terms`` order.  Results of ring operations on
+valid polynomials skip the input checks of ``Polynomial(n, terms)``.
 """
 
 from __future__ import annotations

@@ -207,7 +207,7 @@ def hunt_first_check_assumptions(
         return Assumptions(
             f_zero_at_origin=f_zero,
             jac_status=JacStatus.VIOLATION_FOUND,
-            jac_point=(0.0,) * fmap.n,
+            jac_point=origin,
             jac_exact=True,
         )
     if set(det.terms) == {(0,) * fmap.n}:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,23 @@ class TestCheck:
             "hypothesis f_zero_at_origin is violated, so the criteria were not tried"
         )
         assert data["attempts"] == []
+
+    def test_singular_map_not_injective(self, tmp_path, capsys):
+        # det DF of (x, x) is identically zero: the violation point is the exact
+        # origin, and Newton's least-squares steps on a singular Jacobian find a pair
+        text = "vars: x, y\nf = x\ng = x\n"
+        path, report = tmp_path / "xx.map", tmp_path / "xx.json"
+        path.write_text(text)
+        assert main(["check", str(path), "--json", str(report)]) == 2
+        assert "det DF vanishes at x = 0, y = 0 (exact)" in capsys.readouterr().out
+        data = json.loads(report.read_text())
+        jac = data["assumptions"]["jac_nonvanishing"]
+        assert (jac["status"], jac["point"], jac["exact"]) == ("violation_found", ["0", "0"], True)
+        (witness,) = data["witnesses"]
+        a, b = (tuple(Fraction(c) for c in witness[k]) for k in ("a", "b"))
+        fmap, _ = parse_map_file(text)
+        assert witness["exact"] and a != b
+        assert fmap.evaluate(a) == fmap.evaluate(b)
 
     def test_violated_hypothesis_skips_the_certificates(self, tmp_path, monkeypatch):
         # a fold along x + y = -2 in three variables: det DF vanishes there, so

@@ -18,6 +18,7 @@ from jacgate import (
     JacStatus,
     OutcomeKind,
     PolyMap,
+    Polynomial,
     VerdictKind,
     Weight,
     check_assumptions,
@@ -281,6 +282,28 @@ class TestFieldCriterion:
         assert h_result.outcome.kind is OutcomeKind.NONTRIVIAL_ZERO
         field_result = check_field_higher_part(fmap, W11)
         assert field_result.succeeded and field_result.block.r == 2
+
+
+ZERO2 = PolyMap([Polynomial.zero(2), Polynomial.zero(2)])
+
+
+@pytest.mark.parametrize(
+    "check, fmap, diagnostic",
+    [
+        (check_map_higher_part, PolyMap([p2("x"), Polynomial.zero(2)]),
+         "component 1 of the map is identically zero"),
+        (check_h_higher_part, ZERO2, "norm function is identically zero"),
+        (check_field_higher_part, ZERO2, "norm function is identically zero"),
+        (check_field_higher_part, PolyMap([p2("x"), p2("x")]),
+         "input does not depend on variable 1"),
+    ],
+    ids=["map-zero-component", "h-zero-map", "field-zero-map", "field-dead-direction"],
+)
+def test_no_system_gives_a_diagnostic(check, fmap, diagnostic):
+    # a criterion with no higher-part system to certify says why, with no outcome
+    result = check(fmap, W11)
+    assert result.outcome is None and not result.succeeded
+    assert result.diagnostic == diagnostic
 
 
 class TestDeriveTilde:

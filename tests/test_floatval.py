@@ -163,11 +163,18 @@ def test_step_drops_singular_values_as_numpy_lstsq_does(shape):
 
 
 def test_singular_square_jacobian_takes_no_step():
-    # the Jacobian ((1, 1), (2, 2)) is singular everywhere
+    # the Jacobian ((1, 1), (2, 2)) is singular everywhere: elimination takes
+    # no step at its zero pivot, and the minimum-norm least-squares step
+    # replaces it, so Newton stops unconverged where x + y = 7/5 is the
+    # least-squares fit of x + y = 1 and 2x + 2y = 3
     fsys = FloatSystem([p2("x + y - 1"), p2("2*x + 2*y - 3")])
-    assert _least_squares(fsys.jacobian((0.5, 0.25)), [1.0, 1.0]) is None
     assert determinant(fsys.jacobian((0.5, 0.25))) == 0.0
-    assert gauss_newton(fsys, (0.5, 0.25)) == ((0.5, 0.25), 1.5, False)
+    step = _least_squares(fsys.jacobian((0.5, 0.25)), [1.0, 1.0])
+    assert step == pytest.approx([0.3, 0.3])
+    point, res, converged = gauss_newton(fsys, (0.5, 0.25))
+    assert point == pytest.approx((0.825, 0.575))
+    assert res == pytest.approx(0.4)
+    assert not converged
 
 
 class TestCallersSilenceOverflow:
