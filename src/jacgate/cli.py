@@ -204,7 +204,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"derived weights: {tuple(report.tilde[0].s)} -> {tuple(report.tilde[1].s)}")
     if report.witness:
         kind = "exact" if report.witness.exact else "numeric"
-        print(f"witness pair ({kind}): a={report.witness.a} b={report.witness.b}")
+        a, b = (_format_point(point, names) for point in (report.witness.a, report.witness.b))
+        print(f"witness pair ({kind}): a: {a}; b: {b}")
     if report.conflict_note:
         print(f"note: {report.conflict_note}")
     summary = report.kind.value

@@ -15,8 +15,14 @@ sum reaches 0 is deleted and re-inserted at the end if it comes back, as a
 ``Fraction`` sum would be: over a positive denominator the zero sums are
 the same events, so the result's insertion order does not depend on the
 kernel.  No result depends on that order either: float and interval
-evaluation sum in ``sorted_terms`` order.  Results of ring operations on
-valid polynomials skip the input checks of ``Polynomial(n, terms)``.
+evaluation sum in ``sorted_terms`` order.  A power of a one-term
+polynomial is built directly, its coefficient to the k and every exponent
+times k; only powers of several terms go through products.  Exact
+evaluation works on integers too: the point goes over the lcm of its
+denominators, every term is lifted to the top degree with powers of that
+lcm, and one ``Fraction`` is built from the integer sum.  Results of ring
+operations on valid polynomials skip the input checks of
+``Polynomial(n, terms)``.
 """
 
 from __future__ import annotations
@@ -210,6 +216,9 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial power must be a non-negative integer, got {exponent}")
+        if len(self.terms) == 1:
+            ((key, c),) = self.terms.items()
+            return Polynomial._trusted(self.n, {tuple(k * exponent for k in key): c**exponent})
         result = Polynomial.constant(self.n, 1)
         base = self
         k = exponent
@@ -236,26 +245,34 @@ class Polynomial:
         return Polynomial._trusted(self.n, result)
 
     def evaluate(self, point: RationalPoint) -> Fraction:
-        """Exact value at a rational point."""
+        """Exact value at a rational point, summed on integers.
+
+        With the point as ``nums / d`` and the coefficients over ``den``, a
+        term c * x^e of degree |e| contributes c * den * nums^e * d^(top - |e|)
+        to the numerator of the value over ``den * d^top``.
+        """
         if len(point) != self.n:
             raise DimensionMismatchError(
                 f"point of length {len(point)} for polynomial in {self.n} variables"
             )
         coords = [Fraction(c) for c in point]
+        d = lcm(*(c.denominator for c in coords))
+        nums = [c.numerator * (d // c.denominator) for c in coords]
+        den = _denominator(self.terms)
+        top = max(map(sum, self.terms), default=0)
+        d_powers = [d**j for j in range(top + 1)]
         # cache powers per variable up to the largest exponent that occurs
-        powers: list[dict[int, Fraction]] = [{0: Fraction(1)} for _ in range(self.n)]
-        total = Fraction(0)
-        for exponent, coefficient in self.terms.items():
-            value = coefficient
-            for i, k in enumerate(exponent):
-                if k == 0:
-                    continue
-                cache = powers[i]
-                if k not in cache:
-                    cache[k] = coords[i] ** k
-                value *= cache[k]
+        powers: list[dict[int, int]] = [{} for _ in range(self.n)]
+        total = 0
+        for exponent, c in self.terms.items():
+            value = c.numerator * (den // c.denominator) * d_powers[top - sum(exponent)]
+            for num, cache, k in zip(nums, powers, exponent):
+                if k:
+                    if k not in cache:
+                        cache[k] = num**k
+                    value *= cache[k]
             total += value
-        return total
+        return Fraction(total, den * d_powers[top])
 
     def zero_out(self, indices: Sequence[int]) -> "Polynomial":
         """Set the given variables to zero, dropping every term that uses them."""

@@ -93,6 +93,16 @@ class TestCheck:
         assert witness["exact"] and a != b
         assert fmap.evaluate(a) == fmap.evaluate(b)
 
+    def test_witness_pair_named_by_variable(self, capsys):
+        # the text report renders both points as the assumptions line does
+        fold = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "fold.map"
+        assert main(["check", str(fold)]) == 2
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if "witness pair" in ln]
+        assert "Fraction(" not in line
+        assert re.fullmatch(
+            r"witness pair \(exact\): a: x = \S+, y = \S+; b: x = \S+, y = \S+", line
+        )
+
     def test_violated_hypothesis_skips_the_certificates(self, tmp_path, monkeypatch):
         # a fold along x + y = -2 in three variables: det DF vanishes there, so
         # no criterion is tried and no higher part is certified, only the pair searched

@@ -18,8 +18,9 @@ from jacgate import (
     jacobian_det,
     jacobian_matrix,
     matrix_det,
+    parse_expr,
 )
-from jacgate.errors import DimensionMismatchError
+from jacgate.errors import DimensionMismatchError, ParseError
 from oracle import fraction_add, fraction_mul
 
 # small exponents and coefficients, so that products collide and cancel often
@@ -222,6 +223,87 @@ class TestPartialEvaluate:
             point = random_point(rng, n)
             moved = tuple(a + b for a, b in zip(point, offset))
             assert shifted.evaluate(point) == p.evaluate(moved)
+
+
+nonzero_rationals = st.builds(
+    Fraction, st.integers(-9, 9).filter(bool), st.sampled_from((1, 2, 3, 7, 12))
+)
+one_terms = st.integers(1, 4).flatmap(
+    lambda n: st.builds(
+        lambda e, c: Polynomial(n, {e: c}), st.tuples(*[st.integers(0, 3)] * n), nonzero_rationals
+    )
+)
+coordinates = st.one_of(
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((0, 0.0, 1, -1, 5e-300, 1e200)),
+)
+polys_at_points = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(polynomials(n), st.lists(coordinates, min_size=n, max_size=n))
+)
+
+
+def fraction_value(p: Polynomial, point) -> Fraction:
+    """``p`` at ``point`` one ``Fraction`` term at a time."""
+    total = Fraction(0)
+    for exponent, c in p.terms.items():
+        value = c
+        for x, k in zip(point, exponent):
+            value *= Fraction(x) ** k
+        total += value
+    return total
+
+
+class TestOneTermPowerAndEvaluate:
+    """The direct one-term power and the integer ``evaluate`` against plain
+    ``Fraction`` products and sums."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(one_terms)
+    def test_one_term_power_matches_repeated_product(self, p):
+        expected = Polynomial.constant(p.n, 1)
+        for k in range(10):
+            result = p**k
+            assert result == expected
+            assert list(result.terms.items()) == list(expected.terms.items())
+            expected = fraction_mul(expected, p)
+
+    @pytest.mark.parametrize("exponent", [-1, 1.0, Fraction(2)])
+    def test_one_term_power_rejects_bad_exponent(self, exponent):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            p2("2*x") ** exponent
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(polys_at_points)
+    def test_evaluate_matches_fraction_sum(self, case):
+        p, point = case
+        value = p.evaluate(point)
+        assert type(value) is Fraction
+        assert value == fraction_value(p, point)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_evaluate_zero_and_constant(self, n):
+        point = [Fraction(1, 3), 0.5, 0][:n]
+        assert Polynomial.zero(n).evaluate(point) == 0
+        assert type(Polynomial.zero(n).evaluate(point)) is Fraction
+        assert Polynomial.constant(n, Fraction(-7, 4)).evaluate(point) == Fraction(-7, 4)
+
+    @pytest.mark.parametrize(
+        "src, message, column",
+        [
+            ("x^33", "exponent 33 exceeds the cap 32", 3),
+            (
+                "x + (1234567890123456789012345678901234567890123*y)^31",
+                "expression coefficients may exceed 4096 bits",
+                52,
+            ),
+        ],
+        ids=["exponent", "bits"],
+    )
+    def test_parser_caps_come_before_the_power(self, src, message, column):
+        with pytest.raises(ParseError, match=message) as exc_info:
+            parse_expr(src, ("x", "y"))
+        assert (exc_info.value.line, exc_info.value.column) == (1, column)
 
 
 class TestJacobian:
