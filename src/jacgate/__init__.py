@@ -34,7 +34,6 @@ from .weights import (
     FieldHigherPart,
     QHDecomposition,
     Weight,
-    block_structure,
     enumerate_weights,
     euler_check,
     higher_part,
@@ -42,18 +41,14 @@ from .weights import (
     higher_part_map,
     qh_decompose,
     raw_weighted_degree,
-    scale_point,
-    script_h,
-    script_h_sum,
     tilde_weights,
-    weighted_degree,
 )
 
 # the names of the analysis modules, imported on first use by ``__getattr__``
 _LAZY = {
     "certify": (
         "CertConfig", "CertOutcome", "OutcomeKind", "gradient_only_origin", "only_origin",
-        "properness_certificate", "unique_zero_nonneg",
+        "unique_zero_nonneg",
     ),
     "criteria": (
         "AnalysisConfig", "Assumptions", "Criterion", "CriterionResult", "JacStatus",
@@ -62,8 +57,8 @@ _LAZY = {
         "weight_search",
     ),
     "dynamics": (
-        "FlowStatus", "Trajectory", "WitnessPair", "ZeroReport", "find_zeros", "flow_descent",
-        "index_at", "index_sum_check", "injectivity_witness", "witness_from_probe",
+        "WitnessPair", "ZeroReport", "find_zeros", "index_at", "injectivity_witness",
+        "witness_from_probe",
     ),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}

@@ -41,7 +41,7 @@ from .intervals import Bisection, Box, Interval, IntervalPoly
 from .poly import Polynomial
 from .sampling import points_on_sphere
 from .univariate import bivariate, line_roots
-from .weights import Weight, euler_check, higher_part, raw_weighted_degree
+from .weights import Weight, euler_check, raw_weighted_degree
 
 
 SHELL = 0.0625  # half-width of the norm-square shell around the sphere
@@ -293,12 +293,3 @@ def gradient_only_origin(p: Polynomial, w: Weight, cfg: CertConfig | None = None
             return _exact_zero(unit, len(partials))
         raise DegenerateDirectionError(j)
     return only_origin(partials, w, cfg)
-
-
-def properness_certificate(
-    h: Polynomial, w: Weight, cfg: CertConfig | None = None
-) -> tuple[bool, CertOutcome]:
-    """Certify that |h| blows up at infinity via its higher part's unique zero."""
-    top = higher_part(h, w)
-    outcome = unique_zero_nonneg(top, w, cfg)
-    return outcome.is_only_origin, outcome

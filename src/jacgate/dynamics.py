@@ -1,15 +1,14 @@
-"""Floating-point dynamics: zero finding, descent flow, witness search.
+"""Floating-point dynamics: zero finding, indices, witness search.
 
 Zeros of the map coincide with singular points of the descent field of
 half its squared norm, and at any such zero the field's Jacobian
-determinant has sign (-1)^n; both facts are used as numeric checks here.
+determinant has sign (-1)^n; ``index_at`` reports that sign.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,12 +21,6 @@ from .univariate import bivariate, cell_samples, real_roots
 
 
 DEDUP_RADIUS = 1e-6   # Newton points closer than this count as one zero
-# descent flow: step length, escape box, convergence tolerance, and the
-# potential increase a step may make
-STEP_TARGET = 0.05
-FLOW_BOX = 1e6
-CONVERGE_TOL = 1e-9
-H_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,18 +41,6 @@ class ZeroReport:
     seed: int
 
 
-class FlowStatus(Enum):
-    CONVERGED_TO_ZERO_OF_F = "converged_to_zero_of_f"
-    LEFT_BOX = "left_box"
-    STEP_LIMIT = "step_limit"
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    samples: tuple[tuple[float, tuple[float, ...], float], ...]
-    status: FlowStatus
-
-
 @dataclass(frozen=True)
 class WitnessPair:
     """A pair of distinct points with equal image, exact when snappable."""
@@ -68,16 +49,6 @@ class WitnessPair:
     b: tuple
     exact: bool
     deviation: float
-
-
-@dataclass(frozen=True)
-class IndexSumReport:
-    ok: bool
-    properness_weight: tuple[int, ...] | None
-    zero_count: int
-    indices: tuple[int | None, ...]
-    expected_index: int
-    note: str | None = None
 
 
 def _newton_zeros(
@@ -144,80 +115,6 @@ def index_at(fmap: PolyMap, q: Sequence[float]) -> int:
     if det_dy == 0.0:
         raise PreconditionError("descent field Jacobian is numerically singular")
     return 1 if det_dy > 0 else -1
-
-
-def flow_descent(fmap: PolyMap, start: Sequence[float], max_steps: int = 5000) -> Trajectory:
-    """Integrate the descent field with adaptive explicit steps.
-
-    Each accepted step must not increase the potential (within ``H_SLACK``);
-    a step that does gets halved until it fits or underflows.
-    """
-    h_sys = FloatSystem([h_norm(fmap)])
-    f_sys = FloatSystem(list(fmap.components))
-
-    def h_value(x: tuple[float, ...]) -> float:
-        return h_sys.residual(x)[0]
-
-    def velocity(x: tuple[float, ...]) -> tuple[float, ...]:
-        # the descent field negates the exact partials of H; subtracting from
-        # 0.0 keeps exact zeros +0.0, as evaluating the negated partials does
-        return tuple(0.0 - g for g in h_sys.jacobian(x)[0])
-
-    def along(x: tuple[float, ...], h: float, k: tuple[float, ...]) -> tuple[float, ...]:
-        return tuple(a + h * b for a, b in zip(x, k))
-
-    x = tuple(float(c) for c in start)
-    t = 0.0
-    samples = [(t, x, h_value(x))]
-    status = FlowStatus.STEP_LIMIT
-    basin_tol = max(CONVERGE_TOL, 1e-5)
-    for _ in range(max_steps):
-        f_res = max_abs(f_sys.residual(x))
-        if f_res <= CONVERGE_TOL:
-            status = FlowStatus.CONVERGED_TO_ZERO_OF_F
-            break
-        if f_res <= basin_tol:
-            # close enough to a singular point: polish with Newton, which
-            # also only ever decreases the potential
-            polished, residual, converged = gauss_newton(f_sys, x, tol=CONVERGE_TOL)
-            if converged:
-                x = polished
-                samples.append((t, x, h_value(x)))
-                status = FlowStatus.CONVERGED_TO_ZERO_OF_F
-                break
-        if max_abs(x) > FLOW_BOX:
-            status = FlowStatus.LEFT_BOX
-            break
-        v = velocity(x)
-        speed = _norm(v)
-        if speed == 0.0:
-            status = FlowStatus.CONVERGED_TO_ZERO_OF_F
-            break
-        h = STEP_TARGET / speed
-        h_cur = h_value(x)
-        accepted = False
-        for _ in range(60):
-            # classical RK4 on x' = Y(x)
-            k1 = v
-            k2 = velocity(along(x, 0.5 * h, k1))
-            k3 = velocity(along(x, 0.5 * h, k2))
-            k4 = velocity(along(x, h, k3))
-            candidate = along(
-                x, h / 6.0, [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)]
-            )
-            if h_value(candidate) <= h_cur + H_SLACK:
-                x = candidate
-                t += h
-                samples.append((t, x, h_value(x)))
-                accepted = True
-                break
-            h *= 0.5
-            if h < 1e-300:
-                break
-        if not accepted:
-            status = FlowStatus.STEP_LIMIT
-            break
-    return Trajectory(samples=tuple(samples), status=status)
 
 
 def witness_from_probe(
@@ -303,39 +200,3 @@ def injectivity_witness(fmap: PolyMap, box: float = 5.0, seed: int = 0) -> Witne
         if pair is not None:
             return pair
     return None
-
-
-def index_sum_check(fmap: PolyMap, properness_weight: tuple[int, ...] | None) -> IndexSumReport:
-    """Check that exactly one singular point exists and carries index (-1)^n.
-
-    The unique-singular-point conclusion only has mathematical backing when
-    properness was certified at some weight; the zero list and indices are
-    reported either way, but ``ok`` stays false without that backing.
-    """
-    expected = (-1) ** fmap.n
-    report = find_zeros(fmap)
-    indices = tuple(z.index for z in report.zeros)
-    counts_match = len(report.zeros) == 1 and indices == (expected,)
-    if properness_weight is None:
-        return IndexSumReport(
-            ok=False,
-            properness_weight=None,
-            zero_count=len(report.zeros),
-            indices=indices,
-            expected_index=expected,
-            note="properness was not certified at any weight; counts reported unverified",
-        )
-    note = None
-    if not counts_match:
-        note = (
-            f"expected one zero of index {expected}, found {len(report.zeros)} "
-            f"with indices {indices}; either zeros were missed or properness misreported"
-        )
-    return IndexSumReport(
-        ok=counts_match,
-        properness_weight=properness_weight,
-        zero_count=len(report.zeros),
-        indices=indices,
-        expected_index=expected,
-        note=note,
-    )

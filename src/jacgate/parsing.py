@@ -12,14 +12,10 @@ Rational literals ``p/q`` are single tokens; general division is rejected.
 The parser expands each expression as it reads it, into a dict of terms.
 A literal or a variable is its one-term dict; a product with a one-term
 operand shifts the other operand's keys and scales its coefficients, in
-that operand's order; and a sum adds into one running dict, deleting a key
-whose sum reaches 0 and appending it again if it comes back, as
-``Polynomial.__add__`` does.  So the terms come out in the order that
-``Polynomial`` arithmetic on the same expression gives, though no result
-depends on that order: float and interval evaluation sum in
-``sorted_terms`` order.  ``Polynomial.__pow__`` builds a power of one term
-directly; only powers of several terms, and products of two sums of
-several terms, go through ``Polynomial`` products.
+that operand's order; and a run of sums adds into one running dict, whose
+zero sums are dropped at its end.  ``Polynomial.__pow__`` builds a power of
+one term directly; only powers of several terms, and products of two sums
+of several terms, go through ``Polynomial`` products.
 
 Every piece carries bounds on its degree, term count and coefficient bits
 taken from the syntax alone, never from the expanded terms: a sum of t_a
@@ -152,18 +148,12 @@ class _Parser:
             degree, terms, bits = _capped(
                 op, max(degree, q_degree), terms + q_terms, max(bits, q_bits) + 1
             )
-            # in place, as Polynomial.__add__ orders its result: a key whose sum
-            # reaches 0 is deleted, and appended again if it comes back
-            plus = op.text == "+"
+            minus = op.text == "-"
             for exponent, c in q.items():
-                c = c if plus else -c
-                if exponent not in p:
-                    p[exponent] = c
-                elif total := p[exponent] + c:
-                    p[exponent] = total
-                else:
-                    del p[exponent]
-        return p, degree, terms, bits
+                if minus:
+                    c = -c
+                p[exponent] = p[exponent] + c if exponent in p else c
+        return {k: c for k, c in p.items() if c}, degree, terms, bits
 
     def parse_term(self) -> _Piece:
         p, degree, terms, bits = self.parse_factor()

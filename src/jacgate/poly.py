@@ -9,16 +9,13 @@ lcm of their denominators and adds the integer numerators.  A product puts
 each operand over the common denominator of its coefficients, packs each
 exponent tuple into one int (Kronecker substitution, base 1 + the two
 operands' largest exponents, so no digit carries), and its pair loop
-multiplies and adds plain ints.  Either builds one ``Fraction`` per result
-term, from the int alone when the denominator is 1.  A key whose running
-sum reaches 0 is deleted and re-inserted at the end if it comes back, as a
-``Fraction`` sum would be: over a positive denominator the zero sums are
-the same events, so the result's insertion order does not depend on the
-kernel.  No result depends on that order either: float and interval
-evaluation sum in ``sorted_terms`` order.  A power of a one-term
-polynomial is built directly, its coefficient to the k and every exponent
-times k; only powers of several terms go through products.  Exact
-evaluation works on integers too: the point goes over the lcm of its
+multiplies and adds plain ints.  Either builds one ``Fraction`` per
+non-zero result term, from the int alone when the denominator is 1.  No
+result depends on the insertion order of the terms: float and interval
+evaluation sum in ``sorted_terms`` order, and printing sorts too.  A power
+of a one-term polynomial is built directly, its coefficient to the k and
+every exponent times k; only powers of several terms go through products.
+Exact evaluation works on integers too: the point goes over the lcm of its
 denominators, every term is lifted to the top degree with powers of that
 lcm, and one ``Fraction`` is built from the integer sum.  Results of ring
 operations on valid polynomials skip the input checks of
@@ -165,14 +162,10 @@ class Polynomial:
         result = {k: c.numerator * (den // c.denominator) for k, c in self.terms.items()}
         get = result.get
         for key, c in other.terms.items():
-            total = get(key, 0) + sign * c.numerator * (den // c.denominator)
-            if total:
-                result[key] = total
-            else:
-                del result[key]
+            result[key] = get(key, 0) + sign * c.numerator * (den // c.denominator)
         if den == 1:
-            return Polynomial._trusted(self.n, {k: Fraction(v) for k, v in result.items()})
-        return Polynomial._trusted(self.n, {k: Fraction(v, den) for k, v in result.items()})
+            return Polynomial._trusted(self.n, {k: Fraction(v) for k, v in result.items() if v})
+        return Polynomial._trusted(self.n, {k: Fraction(v, den) for k, v in result.items() if v})
 
     def __mul__(self, other: "Polynomial | Rational") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -190,14 +183,12 @@ class Polynomial:
         for ka, ca in a:
             for kb, cb in b:
                 key = ka + kb
-                total = get(key, 0) + ca * cb
-                if total:
-                    result[key] = total
-                else:
-                    del result[key]
+                result[key] = get(key, 0) + ca * cb
         n, den = self.n, da * db
         terms: dict[Exponent, Fraction] = {}
         for key, value in result.items():
+            if not value:
+                continue
             exponent = []
             for _ in range(n):
                 key, k = divmod(key, base)
@@ -273,12 +264,6 @@ class Polynomial:
                     value *= cache[k]
             total += value
         return Fraction(total, den * d_powers[top])
-
-    def zero_out(self, indices: Sequence[int]) -> "Polynomial":
-        """Set the given variables to zero, dropping every term that uses them."""
-        dead = set(indices)
-        kept = {k: c for k, c in self.terms.items() if all(k[i] == 0 for i in dead)}
-        return Polynomial(self.n, kept)
 
     def translate(self, offsets: RationalPoint) -> "Polynomial":
         """Substitute ``x_i -> x_i + b_i`` exactly.

@@ -1,4 +1,5 @@
-"""Weighted-degree algebra: quasi-homogeneous decomposition and friends.
+"""Weighted-degree algebra: quasi-homogeneous decomposition, higher parts,
+the descent field's block structure and the derived weights.
 
 A weight vector assigns a positive integer to each variable; a polynomial
 is quasi-homogeneous of weighted degree ``d`` when every term's weighted
@@ -11,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateDirectionError, DimensionMismatchError, ZeroPolynomialError
@@ -58,13 +58,6 @@ class QHDecomposition:
     def degrees(self) -> tuple[int, ...]:
         return tuple(degree for degree, _ in self.parts)
 
-    def part_at(self, degree: int) -> Polynomial:
-        for d, part in self.parts:
-            if d == degree:
-                return part
-        n = self.parts[0][1].n if self.parts else 1
-        return Polynomial.zero(n)
-
     @property
     def top(self) -> Polynomial:
         return self.parts[-1][1]
@@ -107,16 +100,6 @@ class BlockStructure:
     def r(self) -> int:
         return len(self.sizes)
 
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Original coordinate indices per block, in permuted order."""
-        out = []
-        start = 0
-        for size in self.sizes:
-            out.append(self.perm[start:start + size])
-            start += size
-        return tuple(out)
-
 
 def _require_nonzero(p: Polynomial, what: str = "polynomial") -> None:
     if p.is_zero:
@@ -129,10 +112,6 @@ def raw_weighted_degree(p: Polynomial, svec: Sequence[int]) -> int:
     if len(svec) != p.n:
         raise DimensionMismatchError("weight length does not match variable count")
     return max(sum(s * k for s, k in zip(svec, exponent)) for exponent in p.terms)
-
-
-def weighted_degree(p: Polynomial, w: Weight) -> int:
-    return raw_weighted_degree(p, w.s)
 
 
 def qh_decompose(p: Polynomial, w: Weight) -> QHDecomposition:
@@ -203,11 +182,6 @@ def higher_part_field(h: Polynomial, w: Weight) -> FieldHigherPart:
     return FieldHigherPart(weight=w, degrees=tuple(degrees), partials=tuple(partials), field=field)
 
 
-def block_structure(h: Polynomial, w: Weight) -> BlockStructure:
-    """Sort coordinates by field degree and group ties into blocks."""
-    return field_blocks(higher_part_field(h, w))
-
-
 def field_blocks(fhp: FieldHigherPart) -> BlockStructure:
     """The block structure of an already computed field higher part."""
     w = fhp.weight
@@ -249,40 +223,6 @@ def tilde_weights(bs: BlockStructure) -> Weight:
     available on the block structure for degree bookkeeping.
     """
     return Weight(bs.raw_tilde)
-
-
-def script_h(h: Polynomial, w: Weight, bs: BlockStructure, block_index: int) -> Polynomial:
-    """Own-block top of one potential part.
-
-    Takes the quasi-homogeneous part of ``h`` at the block's degree and
-    zeroes out every variable belonging to an earlier (higher-degree) block,
-    leaving the monomials carried by the block's own variables.
-    """
-    if not 0 <= block_index < bs.r:
-        raise IndexError(f"block index {block_index} out of range for r={bs.r}")
-    part = qh_decompose(h, w).part_at(bs.degrees[block_index])
-    earlier: list[int] = []
-    for b in range(block_index):
-        earlier.extend(bs.blocks[b])
-    return part.zero_out(earlier)
-
-
-def script_h_sum(h: Polynomial, w: Weight) -> Polynomial:
-    """Sum of the own-block tops over all blocks, in original coordinates."""
-    bs = block_structure(h, w)
-    total = Polynomial.zero(h.n)
-    for i in range(bs.r):
-        total = total + script_h(h, w, bs, i)
-    return total
-
-
-def scale_point(w_or_vec: Weight | Sequence[int], lam: Fraction, point: Sequence) -> tuple:
-    """Apply the weighted scaling action ``x_i -> lam^{s_i} * x_i`` exactly."""
-    svec = w_or_vec.s if isinstance(w_or_vec, Weight) else tuple(w_or_vec)
-    if len(svec) != len(point):
-        raise DimensionMismatchError("weight length does not match point length")
-    lam = Fraction(lam)
-    return tuple(Fraction(x) * lam ** s for s, x in zip(svec, point))
 
 
 def enumerate_weights(n: int, s_max: int) -> list[Weight]:

@@ -5,8 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from jacgate import PolyMap, Polynomial, Weight, block_structure, h_norm
+from jacgate import PolyMap, Polynomial, Weight, h_norm
 from jacgate.errors import DegenerateDirectionError, ZeroPolynomialError
+from oracle import block_structure
 
 
 def rational(rng: Random, lo: int = -5, hi: int = 5, max_den: int = 4) -> Fraction:

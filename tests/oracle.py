@@ -5,10 +5,15 @@ hunt-first references for the box paths ``_only_origin_boxes`` and
 ``_check_assumptions_on_box`` (which ``only_origin`` and
 ``check_assumptions`` take for n >= 3), a witness-first reference for
 ``verdict``, the Euler identity as a polynomial identity for
-``euler_check``, and the squeeze at derived weights."""
+``euler_check``, and the squeeze at derived weights.
+
+It also keeps the proof machinery of the paper's first part, which no
+command runs: the descent flow, the index sum, the properness certificate,
+the own-block tops and the weighted scaling action."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from enum import Enum
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -25,6 +30,7 @@ from jacgate.certify import (
     _newton_witness,
     _sphere_poly,
     _validate_system,
+    unique_zero_nonneg,
 )
 from jacgate.criteria import (
     AnalysisConfig,
@@ -38,39 +44,40 @@ from jacgate.criteria import (
     derive_tilde_and_verify,
     weight_search,
 )
-from jacgate.dynamics import STARTS, injectivity_witness
-from jacgate.errors import InternalInconsistencyError
-from jacgate.floatval import FloatSystem, gauss_newton, snap_exact
+from jacgate.dynamics import STARTS, find_zeros, injectivity_witness
+from jacgate.errors import DimensionMismatchError, InternalInconsistencyError
+from jacgate.floatval import FloatSystem, _norm, gauss_newton, max_abs, snap_exact
 from jacgate.intervals import Bisection, Box, Interval, IntervalPoly
 from jacgate.poly import PolyMap, h_norm, jacobian_det
 from jacgate.sampling import points_in_box, points_on_sphere
-from jacgate.weights import Weight, higher_part, higher_part_map
+from jacgate.weights import (
+    BlockStructure,
+    Weight,
+    field_blocks,
+    higher_part,
+    higher_part_field,
+    higher_part_map,
+    qh_decompose,
+    raw_weighted_degree,
+)
 
 
 def fraction_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """``p * q`` one ``Fraction`` term pair at a time; a key whose running
-    sum reaches 0 is dropped, and re-inserted at the end if it comes back."""
+    """``p * q`` one ``Fraction`` term pair at a time, with the zero sums
+    dropped at the end."""
     result: dict[tuple[int, ...], Fraction] = {}
     for ka, ca in p.terms.items():
         for kb, cb in q.terms.items():
             key = tuple(a + b for a, b in zip(ka, kb))
-            total = result.get(key, Fraction(0)) + ca * cb
-            if total:
-                result[key] = total
-            else:
-                result.pop(key, None)
+            result[key] = result.get(key, Fraction(0)) + ca * cb
     return Polynomial(p.n, result)
 
 
 def fraction_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    """``p + q`` term by term, under the same order rule as ``fraction_mul``."""
+    """``p + q`` term by term, with the zero sums dropped at the end."""
     result = dict(p.terms)
     for exponent, coefficient in q.terms.items():
-        total = result.get(exponent, Fraction(0)) + coefficient
-        if total:
-            result[exponent] = total
-        else:
-            result.pop(exponent, None)
+        result[exponent] = result.get(exponent, Fraction(0)) + coefficient
     return Polynomial(p.n, result)
 
 
@@ -357,3 +364,201 @@ def squeeze_holds(fmap: PolyMap, w: Weight) -> bool:
         if not 0 <= middle <= upper:
             return False
     return True
+
+
+# -- the proof machinery of the paper's first part --------------------------
+#
+# The descent flow, the index sum, the properness certificate and the
+# own-block tops are the paper's route to the polynomial Hadamard theorem.
+# No command runs them; the tests check them against the library here.
+
+# descent flow: step length, escape box, convergence tolerance, and the
+# potential increase a step may make
+STEP_TARGET = 0.05
+FLOW_BOX = 1e6
+CONVERGE_TOL = 1e-9
+H_SLACK = 1e-12
+
+
+class FlowStatus(Enum):
+    CONVERGED_TO_ZERO_OF_F = "converged_to_zero_of_f"
+    LEFT_BOX = "left_box"
+    STEP_LIMIT = "step_limit"
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    samples: tuple[tuple[float, tuple[float, ...], float], ...]
+    status: FlowStatus
+
+
+@dataclass(frozen=True)
+class IndexSumReport:
+    ok: bool
+    properness_weight: tuple[int, ...] | None
+    zero_count: int
+    indices: tuple[int | None, ...]
+    expected_index: int
+    note: str | None = None
+
+
+def flow_descent(fmap: PolyMap, start: Sequence[float], max_steps: int = 5000) -> Trajectory:
+    """Integrate the descent field with adaptive explicit steps.
+
+    Each accepted step must not increase the potential (within ``H_SLACK``);
+    a step that does gets halved until it fits or underflows.
+    """
+    h_sys = FloatSystem([h_norm(fmap)])
+    f_sys = FloatSystem(list(fmap.components))
+
+    def h_value(x: tuple[float, ...]) -> float:
+        return h_sys.residual(x)[0]
+
+    def velocity(x: tuple[float, ...]) -> tuple[float, ...]:
+        # the descent field negates the exact partials of H; subtracting from
+        # 0.0 keeps exact zeros +0.0, as evaluating the negated partials does
+        return tuple(0.0 - g for g in h_sys.jacobian(x)[0])
+
+    def along(x: tuple[float, ...], h: float, k: tuple[float, ...]) -> tuple[float, ...]:
+        return tuple(a + h * b for a, b in zip(x, k))
+
+    x = tuple(float(c) for c in start)
+    t = 0.0
+    samples = [(t, x, h_value(x))]
+    status = FlowStatus.STEP_LIMIT
+    basin_tol = max(CONVERGE_TOL, 1e-5)
+    for _ in range(max_steps):
+        f_res = max_abs(f_sys.residual(x))
+        if f_res <= CONVERGE_TOL:
+            status = FlowStatus.CONVERGED_TO_ZERO_OF_F
+            break
+        if f_res <= basin_tol:
+            # close enough to a singular point: polish with Newton, which
+            # also only ever decreases the potential
+            polished, residual, converged = gauss_newton(f_sys, x, tol=CONVERGE_TOL)
+            if converged:
+                x = polished
+                samples.append((t, x, h_value(x)))
+                status = FlowStatus.CONVERGED_TO_ZERO_OF_F
+                break
+        if max_abs(x) > FLOW_BOX:
+            status = FlowStatus.LEFT_BOX
+            break
+        v = velocity(x)
+        speed = _norm(v)
+        if speed == 0.0:
+            status = FlowStatus.CONVERGED_TO_ZERO_OF_F
+            break
+        h = STEP_TARGET / speed
+        h_cur = h_value(x)
+        accepted = False
+        for _ in range(60):
+            # classical RK4 on x' = Y(x)
+            k1 = v
+            k2 = velocity(along(x, 0.5 * h, k1))
+            k3 = velocity(along(x, 0.5 * h, k2))
+            k4 = velocity(along(x, h, k3))
+            candidate = along(
+                x, h / 6.0, [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)]
+            )
+            if h_value(candidate) <= h_cur + H_SLACK:
+                x = candidate
+                t += h
+                samples.append((t, x, h_value(x)))
+                accepted = True
+                break
+            h *= 0.5
+            if h < 1e-300:
+                break
+        if not accepted:
+            status = FlowStatus.STEP_LIMIT
+            break
+    return Trajectory(samples=tuple(samples), status=status)
+
+
+def index_sum_check(fmap: PolyMap, properness_weight: tuple[int, ...] | None) -> IndexSumReport:
+    """Check that exactly one singular point exists and carries index (-1)^n.
+
+    The unique-singular-point conclusion only has mathematical backing when
+    properness was certified at some weight; the zero list and indices are
+    reported either way, but ``ok`` stays false without that backing.
+    """
+    expected = (-1) ** fmap.n
+    report = find_zeros(fmap)
+    indices = tuple(z.index for z in report.zeros)
+    counts_match = len(report.zeros) == 1 and indices == (expected,)
+    if properness_weight is None:
+        return IndexSumReport(
+            ok=False,
+            properness_weight=None,
+            zero_count=len(report.zeros),
+            indices=indices,
+            expected_index=expected,
+            note="properness was not certified at any weight; counts reported unverified",
+        )
+    note = None
+    if not counts_match:
+        note = (
+            f"expected one zero of index {expected}, found {len(report.zeros)} "
+            f"with indices {indices}; either zeros were missed or properness misreported"
+        )
+    return IndexSumReport(
+        ok=counts_match,
+        properness_weight=properness_weight,
+        zero_count=len(report.zeros),
+        indices=indices,
+        expected_index=expected,
+        note=note,
+    )
+
+
+def properness_certificate(
+    h: Polynomial, w: Weight, cfg: CertConfig | None = None
+) -> tuple[bool, CertOutcome]:
+    """Certify that |h| blows up at infinity via its higher part's unique zero."""
+    top = higher_part(h, w)
+    outcome = unique_zero_nonneg(top, w, cfg)
+    return outcome.is_only_origin, outcome
+
+
+def weighted_degree(p: Polynomial, w: Weight) -> int:
+    return raw_weighted_degree(p, w.s)
+
+
+def block_structure(h: Polynomial, w: Weight) -> BlockStructure:
+    """Sort coordinates by field degree and group ties into blocks."""
+    return field_blocks(higher_part_field(h, w))
+
+
+def script_h(h: Polynomial, w: Weight, bs: BlockStructure, block_index: int) -> Polynomial:
+    """Own-block top of one potential part.
+
+    Takes the quasi-homogeneous part of ``h`` at the block's degree and
+    zeroes out every variable belonging to an earlier (higher-degree) block,
+    leaving the monomials carried by the block's own variables.
+    """
+    if not 0 <= block_index < bs.r:
+        raise IndexError(f"block index {block_index} out of range for r={bs.r}")
+    part = dict(qh_decompose(h, w).parts).get(bs.degrees[block_index], Polynomial.zero(h.n))
+    # the blocks are consecutive runs of ``perm``
+    earlier = bs.perm[:sum(bs.sizes[:block_index])]
+    kept = {k: c for k, c in part.terms.items() if all(k[i] == 0 for i in earlier)}
+    return Polynomial(part.n, kept)
+
+
+def script_h_sum(h: Polynomial, w: Weight) -> Polynomial:
+    """Sum of the own-block tops over all blocks, in original coordinates."""
+    bs = block_structure(h, w)
+    total = Polynomial.zero(h.n)
+    for i in range(bs.r):
+        total = total + script_h(h, w, bs, i)
+    return total
+
+
+def scale_point(w_or_vec: Weight | Sequence[int], lam: Fraction, point: Sequence) -> tuple:
+    """Apply the weighted scaling action ``x_i -> lam^{s_i} * x_i`` exactly."""
+    svec = w_or_vec.s if isinstance(w_or_vec, Weight) else tuple(w_or_vec)
+    if len(svec) != len(point):
+        raise DimensionMismatchError("weight length does not match point length")
+    lam = Fraction(lam)
+    return tuple(Fraction(x) * lam ** s for s, x in zip(svec, point))

@@ -27,12 +27,10 @@ from jacgate import (
     PolyMap,
     Polynomial,
     Weight,
-    block_structure,
     check_field_higher_part,
     derive_tilde_and_verify,
     euler_check,
     find_zeros,
-    flow_descent,
     gradient_only_origin,
     h_norm,
     higher_part,
@@ -41,15 +39,20 @@ from jacgate import (
     only_origin,
     qh_decompose,
     raw_weighted_degree,
-    scale_point,
-    script_h_sum,
     tilde_weights,
     unique_zero_nonneg,
     witness_from_probe,
 )
 from jacgate.cli import main
 from jacgate.errors import InternalInconsistencyError
-from oracle import brute_force_scan, euler_identity
+from oracle import (
+    block_structure,
+    brute_force_scan,
+    euler_identity,
+    flow_descent,
+    scale_point,
+    script_h_sum,
+)
 
 W11 = Weight((1, 1))
 

@@ -17,7 +17,6 @@ from jacgate import (
     h_norm,
     higher_part,
     only_origin,
-    properness_certificate,
     unique_zero_nonneg,
 )
 import jacgate.certify
@@ -26,9 +25,13 @@ from jacgate.errors import ZeroPolynomialError
 from jacgate.floatval import FloatSystem
 from jacgate.intervals import Box, Interval
 from jacgate.sampling import points_on_sphere
-from jacgate.weights import scale_point
 import oracle
-from oracle import brute_force_scan, hunt_first_only_origin
+from oracle import (
+    brute_force_scan,
+    hunt_first_only_origin,
+    properness_certificate,
+    scale_point,
+)
 
 
 W11 = Weight((1, 1))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from jacgate import jacobian_det, parse_map_file, print_poly
+from jacgate import Polynomial, jacobian_det, parse_map_file, print_poly
 from jacgate.cli import main
 
 EX_MAP = """\
@@ -599,8 +599,8 @@ def dense_map_text() -> str:
 
 
 # sha256 of `decompose --weights 1,2,1,1` for each target, and of the printed
-# det DF, for the map above. Float evaluation sums terms in the order these
-# texts come from, so the parser and the sums must keep it.
+# det DF, for the map above. Printing sorts the terms, so no digest depends on
+# the order in which a term dict holds them.
 DECOMPOSE_SHA256 = {
     "F": "21495766eb266769fd106ce18a06ab7844ea1dcb22eb20da9e3e67d87f3d66b7",
     "H": "62c660835631b574d8da1588430a68da4ce69f84d389477aca95337bf34ad9aa",
@@ -619,3 +619,33 @@ def test_dense_decompose_pinned(tmp_path, capsys):
     fmap, names = parse_map_file(path.read_text())
     digests["det"] = hashlib.sha256(print_poly(jacobian_det(fmap), names).encode()).hexdigest()
     assert digests == DECOMPOSE_SHA256
+
+
+@pytest.fixture
+def reversed_terms(monkeypatch):
+    """Every ``Polynomial`` built from here on holds its terms dict reversed."""
+    trusted, init = Polynomial._trusted.__func__, Polynomial.__init__
+
+    def reversed_trusted(cls, n, terms):
+        return trusted(cls, n, dict(reversed(terms.items())))
+
+    def reversed_init(self, n, terms=None):
+        init(self, n, terms)
+        self.terms = dict(reversed(self.terms.items()))
+
+    monkeypatch.setattr(Polynomial, "_trusted", classmethod(reversed_trusted))
+    monkeypatch.setattr(Polynomial, "__init__", reversed_init)
+    assert list(Polynomial(2, {(1, 0): 1, (0, 1): 1}).terms) == [(0, 1), (1, 0)]
+
+
+# no result depends on the insertion order of Polynomial.terms: float and
+# interval evaluation and printing sort the terms, and the rest is exact
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_check_report_pinned_with_reversed_terms(
+    name, reversed_terms, tmp_path, monkeypatch, capsys
+):
+    test_check_report_pinned(name, tmp_path, monkeypatch, capsys)
+
+
+def test_dense_decompose_pinned_with_reversed_terms(reversed_terms, tmp_path, capsys):
+    test_dense_decompose_pinned(tmp_path, capsys)

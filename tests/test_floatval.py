@@ -16,9 +16,10 @@ from conftest import p2
 from corpus import random_point, random_polynomial
 from jacgate import PolyMap, Polynomial
 from jacgate.certify import _newton_witness, _sphere_poly
-from jacgate.dynamics import FlowStatus, flow_descent, index_at, witness_from_probe
+from jacgate.dynamics import index_at, witness_from_probe
 from jacgate.errors import PreconditionError
 from jacgate.floatval import FloatSystem, _least_squares, determinant, gauss_newton
+from oracle import FlowStatus, flow_descent
 
 
 def _exact(p: Polynomial, q: list[Fraction]) -> tuple[float, float]:
