@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from . import certify
 from .certify import CertConfig, CertOutcome, certify_once, only_origin
@@ -328,9 +328,8 @@ _CHECKERS = {
 
 def derive_tilde_and_verify(
     fmap: PolyMap,
-    w: Weight,
+    field_result: CriterionResult,
     cfg: AnalysisConfig | None = None,
-    field_result: CriterionResult | None = None,
     table: dict | None = None,
 ) -> tuple[Weight, CriterionResult]:
     """Derive the new weight vector from a field-criterion success and re-verify.
@@ -338,39 +337,24 @@ def derive_tilde_and_verify(
     The construction guarantees the map criterion holds at the derived
     weights and that the norm function's higher part there is squeezed
     between zero and half the squared norm of the map's higher part.  The
-    map criterion is certified again here, and a failure is raised as an
-    inconsistency with its cause (refuted vs merely inconclusive) spelled
-    out; the squeeze is a theorem, which the tests check.
+    map criterion is certified again here and its result returned, also
+    when the certificate is merely inconclusive; a refutation contradicts
+    the theorem and raises.  The squeeze is a theorem, which the tests check.
     """
-    cfg = cfg or AnalysisConfig()
-    if field_result is None:
-        field_result = check_field_higher_part(fmap, w, cfg, table)
-    if not field_result.succeeded:
-        raise PreconditionError(
-            "field criterion did not certify only-origin at the given weight"
-        )
+    if field_result.criterion is not Criterion.FIELD_HIGHER_PART or not field_result.succeeded:
+        raise PreconditionError("derived weights need a field-criterion success")
     derived = tilde_weights(field_result.block)
     map_result = check_map_higher_part(fmap, derived, cfg, table)
     if map_result.outcome is None or map_result.outcome.is_nontrivial_zero:
         raise InternalInconsistencyError(
             f"map criterion refuted at derived weight {tuple(derived.s)} although the "
-            f"field criterion held at {tuple(w.s)}: implementation bug",
-            reason="refuted",
-        )
-    if map_result.outcome.is_inconclusive:
-        raise InternalInconsistencyError(
-            f"map criterion inconclusive at derived weight {tuple(derived.s)}; "
-            "deeper certification needed",
-            reason="inconclusive",
+            f"field criterion held at {tuple(field_result.weight.s)}: implementation bug"
         )
     return derived, map_result
 
 
 def weight_search(
-    fmap: PolyMap,
-    criteria: Sequence[Criterion] | None = None,
-    cfg: AnalysisConfig | None = None,
-    table: dict | None = None,
+    fmap: PolyMap, cfg: AnalysisConfig | None = None, table: dict | None = None
 ) -> WeightSearchResult:
     """Try canonical weights in (sum, lex) order, stopping per criterion at success.
 
@@ -378,12 +362,10 @@ def weight_search(
     passes one per map.
     """
     cfg = cfg or AnalysisConfig()
-    criteria = list(criteria) if criteria is not None else list(_CHECKERS)
     weights = enumerate_weights(fmap.n, cfg.s_max)
     attempts: dict[Criterion, tuple[CriterionResult, ...]] = {}
     best: dict[Criterion, CriterionResult | None] = {}
-    for criterion in criteria:
-        checker = _CHECKERS[criterion]
+    for criterion, checker in _CHECKERS.items():
         results: list[CriterionResult] = []
         for w in weights:
             result = checker(fmap, w, cfg, table)
@@ -427,7 +409,7 @@ def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
         search = WeightSearchResult(attempts={}, best={})
         conflict_note = f"hypothesis {violated} is violated, so the criteria were not tried"
     else:
-        search = weight_search(fmap, None, cfg, table)
+        search = weight_search(fmap, cfg, table)
 
     # the first criterion to succeed, in the order of _CHECKERS
     success = next((best for best in search.best.values() if best is not None), None)
@@ -440,12 +422,9 @@ def verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> VerdictReport:
     tilde: tuple[Weight, Weight] | None = None
     field_best = search.best.get(Criterion.FIELD_HIGHER_PART)
     if field_best is not None:
-        try:
-            derived, _ = derive_tilde_and_verify(fmap, field_best.weight, cfg, field_best, table)
+        derived, map_result = derive_tilde_and_verify(fmap, field_best, cfg, table)
+        if map_result.succeeded:
             tilde = (field_best.weight, derived)
-        except InternalInconsistencyError as exc:
-            if exc.reason != "inconclusive":
-                raise
 
     if success is not None and assumptions.jac_status is not JacStatus.VERIFIED_EVERYWHERE:
         conflict_note = (

@@ -37,8 +37,6 @@ class ZeroReport:
     starts_used: int
     unconverged: int  # starts whose Newton run stopped short of a zero
     dedup_radius: float
-    box: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -89,8 +87,6 @@ def find_zeros(fmap: PolyMap, starts: int = 64, box: float = 5.0, seed: int = 0)
         starts_used=starts,
         unconverged=unconverged,
         dedup_radius=DEDUP_RADIUS,
-        box=box,
-        seed=seed,
     )
 
 

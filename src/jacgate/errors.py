@@ -50,10 +50,7 @@ class PreconditionError(JacgateError):
 class InternalInconsistencyError(JacgateError):
     """Two results that are mathematically forced to agree did not.
 
-    ``reason`` distinguishes a genuinely refuted identity ("refuted") from a
-    certificate that merely failed to resolve ("inconclusive").
+    Raised only for a refutation, such as the map criterion failing with a
+    nontrivial zero at weights where a theorem guarantees it holds; an
+    inconclusive certificate is a result, not this error.
     """
-
-    def __init__(self, message: str, reason: str = "refuted"):
-        super().__init__(message)
-        self.reason = reason

@@ -268,7 +268,7 @@ def witness_first_verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> V
     assumptions = check_assumptions(fmap, cfg)
     witness = injectivity_witness(fmap, box=cfg.box_radius / 2.0, seed=cfg.cert.seed)
     table: dict = {}
-    search = weight_search(fmap, None, cfg, table)
+    search = weight_search(fmap, cfg, table)
     success = next((best for best in search.best.values() if best is not None), None)
 
     properness_weight = None
@@ -279,12 +279,9 @@ def witness_first_verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> V
     tilde = None
     field_best = search.best.get(Criterion.FIELD_HIGHER_PART)
     if field_best is not None:
-        try:
-            derived, _ = derive_tilde_and_verify(fmap, field_best.weight, cfg, field_best, table)
+        derived, map_result = derive_tilde_and_verify(fmap, field_best, cfg, table)
+        if map_result.succeeded:
             tilde = (field_best.weight, derived)
-        except InternalInconsistencyError as exc:
-            if exc.reason != "inconclusive":
-                raise
 
     conflict_note = None
     violated = assumptions.violated
@@ -305,8 +302,7 @@ def witness_first_verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> V
         raise InternalInconsistencyError(
             f"criterion {success.criterion.value} certified injectivity at weight "
             f"{tuple(success.weight.s)} but an exact witness pair exists and no "
-            "hypothesis is violated",
-            reason="refuted",
+            "hypothesis is violated"
         )
 
     if success is not None:

@@ -543,6 +543,22 @@ class TestExactPathWithoutNumpy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\njacgate.criteria jacgate.certify jacgate.dynamics\n"
 
+    def test_decompose_leaves_the_analysis_layers_unloaded(self):
+        # the exact commands import only the algebra: the analysis layers load
+        # lazily, on the first command that needs them
+        lazy = ("certify", "criteria", "dynamics", "floatval", "intervals", "sampling",
+                "univariate")
+        proc = _fresh_python(
+            "import sys\n"
+            "import jacgate.cli\n"
+            "argv = ['decompose', 'perfbench/corpus/cubic.map', '--weights', '1,1', "
+            "'--target', 'Y']\n"
+            "assert jacgate.cli.main(argv) == 0\n"
+            f"print([m for m in {lazy!r} if f'jacgate.{{m}}' in sys.modules])\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
 
 # sha256 of the `check --json` reports of five maps: four of the corpus and
 # the `jacbox` map of tests/test_criteria.py, with the exit code of each.

@@ -308,19 +308,27 @@ def test_no_system_gives_a_diagnostic(check, fmap, diagnostic):
 
 class TestDeriveTilde:
     def test_identity_keeps_weight(self):
-        derived, result = derive_tilde_and_verify(PolyMap.identity(2), W11)
+        fmap = PolyMap.identity(2)
+        derived, result = derive_tilde_and_verify(fmap, check_field_higher_part(fmap, W11))
         assert derived == W11
         assert result.succeeded
 
     def test_cubic_refused(self, cubic_map):
         with pytest.raises(PreconditionError):
-            derive_tilde_and_verify(cubic_map, W11)
+            derive_tilde_and_verify(cubic_map, check_field_higher_part(cubic_map, W11))
+
+    def test_map_success_refused(self, cubic_map):
+        # only a field-criterion success has a block structure to derive from
+        map_result = check_map_higher_part(cubic_map, W11)
+        assert map_result.succeeded
+        with pytest.raises(PreconditionError):
+            derive_tilde_and_verify(cubic_map, map_result)
 
     def test_split_blocks_verified(self):
         fmap = PolyMap([p2("x^4 + 2*y"), p2("3*y^3")])
         field_result = check_field_higher_part(fmap, W11)
         assert field_result.succeeded and field_result.block.r == 2
-        derived, map_result = derive_tilde_and_verify(fmap, W11, field_result=field_result)
+        derived, map_result = derive_tilde_and_verify(fmap, field_result)
         assert derived == Weight((3, 4))
         assert map_result.succeeded
 
@@ -329,7 +337,8 @@ class TestDeriveTilde:
         # the identity's field criterion holds at (1, 1), and so must the map
         # criterion at the derived weight; make it fail there
         fmap = PolyMap.identity(2)
-        derived, _ = derive_tilde_and_verify(fmap, W11)
+        field_result = check_field_higher_part(fmap, W11)
+        derived, _ = derive_tilde_and_verify(fmap, field_result)
         checker = jacgate.criteria.check_map_higher_part
 
         def failing(fmap, w, cfg=None, table=None):
@@ -340,10 +349,12 @@ class TestDeriveTilde:
         # reaches only the re-certification at the derived weight
         monkeypatch.setattr(jacgate.criteria, "check_map_higher_part", failing)
         if kind is OutcomeKind.NONTRIVIAL_ZERO:
-            with pytest.raises(InternalInconsistencyError, match="refuted at derived weight") as exc:
+            with pytest.raises(InternalInconsistencyError, match="refuted at derived weight"):
                 verdict(fmap)
-            assert exc.value.reason == "refuted"
         else:
+            # an inconclusive re-check is returned, not raised
+            rechecked, map_result = derive_tilde_and_verify(fmap, field_result)
+            assert rechecked == derived and map_result.outcome.is_inconclusive
             report = verdict(fmap)
             assert (report.kind, report.by, report.tilde) == (
                 VerdictKind.INJECTIVE, Criterion.MAP_HIGHER_PART, None
@@ -357,16 +368,13 @@ class TestDeriveTilde:
         for fmap, w in field_pass_instances(10, seed=23):
             field_result = check_field_higher_part(fmap, w)
             if field_result.succeeded:
-                derived, _ = derive_tilde_and_verify(fmap, w, field_result=field_result)
+                derived, _ = derive_tilde_and_verify(fmap, field_result)
                 derived_weights.append((fmap, derived))
         named = []
         for fmap in NAMED_MAPS.values():
-            search = weight_search(fmap, [Criterion.FIELD_HIGHER_PART])
-            field_best = search.best[Criterion.FIELD_HIGHER_PART]
+            field_best = weight_search(fmap).best[Criterion.FIELD_HIGHER_PART]
             if field_best is not None:
-                derived, _ = derive_tilde_and_verify(
-                    fmap, field_best.weight, field_result=field_best
-                )
+                derived, _ = derive_tilde_and_verify(fmap, field_best)
                 named.append((fmap, derived))
         assert named and len(derived_weights) > 1
         for fmap, derived in derived_weights + named:
@@ -375,17 +383,17 @@ class TestDeriveTilde:
 
 class TestWeightSearch:
     def test_cubic_map_criterion_first_weight(self, cubic_map):
-        result = weight_search(cubic_map, [Criterion.MAP_HIGHER_PART], AnalysisConfig(s_max=2))
+        result = weight_search(cubic_map, AnalysisConfig(s_max=2))
         best = result.best[Criterion.MAP_HIGHER_PART]
         assert best is not None and best.weight == W11
 
     def test_cubic_h_criterion_no_success(self, cubic_map):
-        result = weight_search(cubic_map, [Criterion.H_NORM_HIGHER_PART], AnalysisConfig(s_max=2))
+        result = weight_search(cubic_map, AnalysisConfig(s_max=2))
         assert result.best[Criterion.H_NORM_HIGHER_PART] is None
         assert len(result.attempts[Criterion.H_NORM_HIGHER_PART]) == 3
 
     def test_identity_all_criteria_first_weight(self):
-        result = weight_search(PolyMap.identity(2), None, AnalysisConfig(s_max=2))
+        result = weight_search(PolyMap.identity(2), AnalysisConfig(s_max=2))
         for criterion, best in result.best.items():
             assert best is not None and best.weight == W11
 
@@ -660,7 +668,7 @@ class TestHNormTops:
     def test_tops_nonnegative_and_gradient_form_agrees(self, name):
         fmap = VERDICT_MAPS[name]
         h = h_norm(fmap)
-        search = weight_search(fmap, [Criterion.H_NORM_HIGHER_PART])
+        search = weight_search(fmap)
         for result in search.attempts[Criterion.H_NORM_HIGHER_PART]:
             top = higher_part(h, result.weight)
             # the points of unique_zero_nonneg's spot check, evaluated exactly

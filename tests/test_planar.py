@@ -141,7 +141,7 @@ class TestAgreementWithBoxes:
         # the weight search itself, not verdict: verdict skips it on maps
         # with a violated hypothesis, whose higher parts are visited here too
         for fmap in [*NAMED.values(), *corpus_maps()]:
-            weight_search(fmap, None, AnalysisConfig(), {})
+            weight_search(fmap, AnalysisConfig(), {})
         systems = dict.fromkeys(visited)  # first weight of each distinct system, in order
         conclusive = (OutcomeKind.ONLY_ORIGIN, OutcomeKind.NONTRIVIAL_ZERO)
         kinds = Counter()
@@ -186,7 +186,7 @@ class TestWitnessesAreExact:
         witnesses = violations = 0
         for fmap in maps:
             # the weight search itself: verdict skips it when a hypothesis is violated
-            search = weight_search(fmap, None, AnalysisConfig(), {})
+            search = weight_search(fmap, AnalysisConfig(), {})
             assumptions = check_assumptions(fmap)
             h = h_norm(fmap)
             systems = {
