@@ -172,6 +172,13 @@ def _box(radius: float) -> float:
     return radius
 
 
+def _depth(depth: int) -> int:
+    """The ``--depth`` limit, refused when negative."""
+    if depth < 0:
+        raise JacgateError(f"--depth must be a non-negative integer, got {depth}")
+    return depth
+
+
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -182,7 +189,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     text = _read(args.mapfile)
     fmap, names = parse_map_file(text)
-    cert = CertConfig(depth=args.depth, seed=args.seed)
+    cert = CertConfig(depth=_depth(args.depth), seed=args.seed)
     cfg = AnalysisConfig(s_max=args.weights_max, box_radius=_box(args.box), cert=cert)
     started = time.perf_counter()
     report = verdict(fmap, cfg)
@@ -277,7 +284,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     polys, names, _ = parse_poly_file(text)
     n = polys[0].n
     w = _parse_weights_flag(args.weights, n)
-    cfg = CertConfig(depth=args.depth, seed=args.seed)
+    cfg = CertConfig(depth=_depth(args.depth), seed=args.seed)
     mode = args.mode
     if mode == "system":
         outcome = only_origin(polys, w, cfg)

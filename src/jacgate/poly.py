@@ -10,11 +10,14 @@ each operand over the common denominator of its coefficients, packs each
 exponent tuple into one int (Kronecker substitution, base 1 + the two
 operands' largest exponents, so no digit carries), and its pair loop
 multiplies and adds plain ints.  Either builds one ``Fraction`` per
-non-zero result term, from the int alone when the denominator is 1.  No
-result depends on the insertion order of the terms: float and interval
-evaluation sum in ``sorted_terms`` order, and printing sorts too.  A power
-of a one-term polynomial is built directly, its coefficient to the k and
-every exponent times k; only powers of several terms go through products.
+non-zero result term, from the int alone when the denominator is 1.
+``matrix_det`` packs once and runs its whole cofactor expansion on ints,
+with base 1 + the sum of the rows' largest exponents; it builds
+``Fraction``s only for the terms of the determinant.  No result depends
+on the insertion order of the terms: float and interval evaluation sum
+in ``sorted_terms`` order, and printing sorts too.  A power of a one-term
+polynomial is built directly, its coefficient to the k and every
+exponent times k; only powers of several terms go through products.
 Exact evaluation works on integers too: the point goes over the lcm of its
 denominators, every term is lifted to the top degree with powers of that
 lcm, and one ``Fraction`` is built from the integer sum.  Results of ring
@@ -25,7 +28,7 @@ operations on valid polynomials skip the input checks of
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError
@@ -176,25 +179,15 @@ class Polynomial:
         if not self.terms or not other.terms:
             return Polynomial._trusted(self.n, {})
         base = 1 + _max_exponent(self.terms) + _max_exponent(other.terms)
-        a, da = _packed_numerators(self.terms, base)
-        b, db = _packed_numerators(other.terms, base)
+        da, db = _denominator(self.terms), _denominator(other.terms)
+        b = _packed_numerators(other.terms, base, db)
         result: dict[int, int] = {}
         get = result.get
-        for ka, ca in a:
+        for ka, ca in _packed_numerators(self.terms, base, da):
             for kb, cb in b:
                 key = ka + kb
                 result[key] = get(key, 0) + ca * cb
-        n, den = self.n, da * db
-        terms: dict[Exponent, Fraction] = {}
-        for key, value in result.items():
-            if not value:
-                continue
-            exponent = []
-            for _ in range(n):
-                key, k = divmod(key, base)
-                exponent.append(k)
-            terms[tuple(exponent)] = Fraction(value) if den == 1 else Fraction(value, den)
-        return Polynomial._trusted(n, terms)
+        return _unpacked(self.n, result, base, da * db)
 
     __rmul__ = __mul__
 
@@ -293,7 +286,7 @@ class Polynomial:
 
 
 def _max_exponent(terms: Mapping[Exponent, Fraction]) -> int:
-    return max(max(exponent) for exponent in terms)
+    return max((max(exponent) for exponent in terms), default=0)
 
 
 def _denominator(terms: Mapping[Exponent, Fraction]) -> int:
@@ -302,20 +295,33 @@ def _denominator(terms: Mapping[Exponent, Fraction]) -> int:
 
 
 def _packed_numerators(
-    terms: Mapping[Exponent, Fraction], base: int
-) -> tuple[list[tuple[int, int]], int]:
-    """``(packed exponent, numerator)`` pairs over the common denominator, and that denominator.
+    terms: Mapping[Exponent, Fraction], base: int, den: int
+) -> list[tuple[int, int]]:
+    """``(packed exponent, numerator)`` pairs over ``den``, a multiple of every denominator.
 
     Exponent ``(e_0, ..., e_{n-1})`` packs to ``e_0 + e_1 base + ... + e_{n-1} base^(n-1)``.
     """
-    den = _denominator(terms)
     packed = []
     for exponent, c in terms.items():
         key = 0
         for k in reversed(exponent):
             key = key * base + k
         packed.append((key, c.numerator * (den // c.denominator)))
-    return packed, den
+    return packed
+
+
+def _unpacked(n: int, packed: Mapping[int, int], base: int, den: int) -> Polynomial:
+    """The polynomial of the non-zero numerators in ``packed``, each over ``den``."""
+    terms: dict[Exponent, Fraction] = {}
+    for key, value in packed.items():
+        if not value:
+            continue
+        exponent = []
+        for _ in range(n):
+            key, k = divmod(key, base)
+            exponent.append(k)
+        terms[tuple(exponent)] = Fraction(value) if den == 1 else Fraction(value, den)
+    return Polynomial._trusted(n, terms)
 
 
 class PolyMap:
@@ -380,31 +386,43 @@ def matrix_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
 
     Cofactor expansion along the first remaining row; minors are memoized
     on their column subset, which keeps the desk-scale sizes (n <= 6) cheap.
+    It runs on packed integer numerators: each row goes over the lcm of its
+    denominators, and one base, 1 + the sum of the rows' largest exponents,
+    packs every exponent; a term of a minor takes one term from each row,
+    so no digit carries.  ``Fraction``s are built only for the terms of the
+    determinant, over the product of the row lcms.
     """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise DimensionMismatchError("determinant of a non-square matrix")
     n_vars = matrix[0][0].n
-    memo: dict[tuple[int, ...], Polynomial] = {}
+    if any(entry.n != n_vars for row in matrix for entry in row):
+        raise DimensionMismatchError("matrix entries live in different numbers of variables")
+    base = 1 + sum(max(_max_exponent(e.terms) for e in row) for row in matrix)
+    dens = [lcm(*(_denominator(e.terms) for e in row)) for row in matrix]
+    rows = [[_packed_numerators(e.terms, base, d) for e in row] for row, d in zip(matrix, dens)]
+    memo: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
 
-    def expand(columns: tuple[int, ...]) -> Polynomial:
-        if not columns:
-            return Polynomial.constant(n_vars, 1)
+    def expand(columns: tuple[int, ...]) -> dict[int, int]:
         if columns in memo:
             return memo[columns]
-        row = size - len(columns)
-        total = Polynomial.zero(n_vars)
+        row = rows[size - len(columns)]
+        total: dict[int, int] = {}
+        get = total.get
         for position, column in enumerate(columns):
-            entry = matrix[row][column]
-            if entry.is_zero:
+            entry = row[column]
+            if not entry:
                 continue
-            rest = columns[:position] + columns[position + 1:]
-            cofactor = entry * expand(rest)
-            total = (total + cofactor) if position % 2 == 0 else (total - cofactor)
-        memo[columns] = total
+            minor = expand(columns[:position] + columns[position + 1:]).items()
+            for ka, ca in entry:
+                ca = -ca if position % 2 else ca
+                for kb, cb in minor:
+                    key = ka + kb
+                    total[key] = get(key, 0) + ca * cb
+        memo[columns] = total = {k: v for k, v in total.items() if v}
         return total
 
-    return expand(tuple(range(size)))
+    return _unpacked(n_vars, expand(tuple(range(size))), base, prod(dens))
 
 
 def h_norm(fmap: PolyMap) -> Polynomial:

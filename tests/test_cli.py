@@ -197,6 +197,17 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err == f"error: --box must be positive and finite, got {float(box)}\n"
 
+    @pytest.mark.parametrize("command", ["check", "certify"])
+    def test_negative_depth_exit_one(self, tmp_path, capsys, command):
+        path = tmp_path / "s.map"
+        path.write_text("vars: x, y, z\ng1 = x^3 + y^3\ng2 = y\ng3 = z\n")
+        flags = ["--weights", "1,1,1"] if command == "certify" else []
+        assert main([command, str(path), *flags, "--depth", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --depth must be a non-negative integer, got -1\n"
+        # depth 0 stays valid
+        assert main([command, str(path), *flags, "--depth", "0"]) in (0, 2, 3)
+        assert capsys.readouterr().err == ""
+
     def test_json_deterministic(self, ex_file, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

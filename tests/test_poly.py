@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, Jacobians, and the norm/gradient constructions."""
 
+import itertools
 from fractions import Fraction
 from itertools import permutations
 from random import Random
@@ -346,6 +347,102 @@ class TestJacobian:
     def test_matrix_det_non_square(self):
         with pytest.raises(DimensionMismatchError):
             matrix_det([[p2("x")], [p2("y")]])
+
+    def test_matrix_det_mixed_variable_counts(self):
+        # the packed expansion never multiplies two Polynomials, so it checks n up front
+        with pytest.raises(DimensionMismatchError, match="different numbers of variables"):
+            matrix_det([[p2("x"), p2("y")], [p3("z"), p2("x")]])
+
+
+def p3(src: str) -> Polynomial:
+    return parse_expr(src, ("x", "y", "z"))
+
+
+def fraction_det(matrix):
+    """Signed sum over permutations, on ``oracle.fraction_mul`` and ``fraction_add`` only."""
+    size, n = len(matrix), matrix[0][0].n
+    total = Polynomial(n)
+    for perm in permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        product = Polynomial(n, {(0,) * n: (-1) ** inversions})
+        for row, column in zip(matrix, perm):
+            product = fraction_mul(product, row[column])
+        total = fraction_add(total, product)
+    return total
+
+
+det_coefficients = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6))
+
+
+@st.composite
+def det_matrices(draw):
+    """Square matrices of sizes 1-4 in 1-3 variables, with zero entries and
+    all-constant rows; every other row has one entry with a single exponent
+    of 5 to 7, so that a packing base of less than the sum of the rows'
+    largest exponents would carry into the next variable."""
+    size, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    small = st.tuples(*[st.integers(0, 2)] * n)
+    matrix = []
+    for _ in range(size):
+        if draw(st.booleans()):
+            matrix.append([Polynomial.constant(n, draw(det_coefficients)) for _ in range(size)])
+            continue
+        row = [draw(st.dictionaries(small, det_coefficients, max_size=3)) for _ in range(size)]
+        high = list(draw(small))
+        high[draw(st.integers(0, n - 1))] = draw(st.integers(5, 7))
+        row[draw(st.integers(0, size - 1))][tuple(high)] = draw(det_coefficients.filter(bool))
+        matrix.append([Polynomial(n, terms) for terms in row])
+    return matrix
+
+
+class TestPackedDeterminant:
+    @settings(max_examples=200, deadline=None)
+    @given(det_matrices())
+    def test_matches_fraction_oracle(self, matrix):
+        det = matrix_det(matrix)
+        assert det.terms == fraction_det(matrix).terms
+        assert all(det.terms.values())
+
+    def test_singular_rational_matrix_stores_no_term(self):
+        r1, r2 = [p3("1/2*x + y^2"), p3("1/3*z"), p3("x*y - 5/6")], [p3("y"), p3("2/5*x^3"), p3("z")]
+        r3 = [a.scale(Fraction(2, 3)) - b.scale(Fraction(5, 4)) for a, b in zip(r1, r2)]
+        assert matrix_det([r1, r2, r3]).terms == {}
+        assert matrix_det([[p2("1/2*x"), p2("1/3*y")], [p2("3/2*x"), p2("y")]]).terms == {}
+
+    def test_sylvester_shaped_matrix(self):
+        # the 6 x 6 Sylvester matrix of two cubics in t over Q[x]: 15 of its 36 entries are 0
+        p = [p1("x^2 - 1/2"), p1("3"), p1("0"), p1("2/3*x")]
+        q = [p1("x"), p1("-1/5*x^3"), p1("x + 1"), p1("7")]
+        zero = Polynomial.zero(1)
+        matrix = [[zero] * s + p[::-1] + [zero] * (2 - s) for s in range(3)]
+        matrix += [[zero] * s + q[::-1] + [zero] * (2 - s) for s in range(3)]
+        assert sum(entry.is_zero for row in matrix for entry in row) == 15
+        det = matrix_det(matrix)
+        assert not det.is_zero and det.terms == fraction_det(matrix).terms
+
+    def test_dense_degree_five_map(self):
+        rng = Random(30)
+        monomials = [k for k in itertools.product(range(6), repeat=3) if 1 <= sum(k) <= 5]
+        fmap = PolyMap(
+            [Polynomial(3, {k: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for k in monomials})
+             for _ in range(3)]
+        )
+        assert jacobian_det(fmap).terms == fraction_det(jacobian_matrix(fmap)).terms
+
+    def test_one_polynomial_built(self, monkeypatch):
+        # the expansion runs on packed ints: only the final unpack wraps a polynomial
+        built = []
+        trusted = Polynomial._trusted.__func__
+
+        def counting(cls, n, terms):
+            built.append(n)
+            return trusted(cls, n, terms)
+
+        monkeypatch.setattr(Polynomial, "_trusted", classmethod(counting))
+        grid = jacobian_matrix(random_map(Random(3), 4, max_terms=4, max_degree=3))
+        built.clear()
+        matrix_det(grid)
+        assert built == [4]
 
 
 class TestNormAndGradient:
