@@ -30,7 +30,6 @@ from .poly import (
     matrix_det,
 )
 from .weights import (
-    BlockStructure,
     FieldHigherPart,
     QHDecomposition,
     Weight,
@@ -41,7 +40,6 @@ from .weights import (
     higher_part_map,
     qh_decompose,
     raw_weighted_degree,
-    tilde_weights,
 )
 
 # the names of the analysis modules, imported on first use by ``__getattr__``

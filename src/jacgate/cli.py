@@ -20,12 +20,7 @@ from . import __version__
 from .errors import JacgateError, ZeroPolynomialError
 from .parsing import parse_map_file, parse_poly_file, print_poly
 from .poly import h_norm
-from .weights import (
-    Weight,
-    field_blocks,
-    higher_part_field,
-    qh_decompose,
-)
+from .weights import Weight, higher_part_field, qh_decompose
 
 if TYPE_CHECKING:
     from .certify import CertOutcome
@@ -179,6 +174,13 @@ def _depth(depth: int) -> int:
     return depth
 
 
+def _weights_max(s_max: int) -> int:
+    """The ``--weights-max`` bound on weight entries, refused unless positive."""
+    if s_max < 1:
+        raise JacgateError(f"--weights-max must be a positive integer, got {s_max}")
+    return s_max
+
+
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -190,7 +192,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     text = _read(args.mapfile)
     fmap, names = parse_map_file(text)
     cert = CertConfig(depth=_depth(args.depth), seed=args.seed)
-    cfg = AnalysisConfig(s_max=args.weights_max, box_radius=_box(args.box), cert=cert)
+    cfg = AnalysisConfig(s_max=_weights_max(args.weights_max), box_radius=_box(args.box), cert=cert)
     started = time.perf_counter()
     report = verdict(fmap, cfg)
     elapsed = time.perf_counter() - started
@@ -266,13 +268,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         return 0
     # argparse allows only F, H and Y
     fhp = higher_part_field(h, w)
-    bs = field_blocks(fhp)
-    print(f"component degrees i = {tuple(fhp.degrees)}")
+    print(f"component degrees i = {fhp.degrees}")
     for j, component in enumerate(fhp.field.components):
         print(f"  Y_s[{j + 1}] = {print_poly(component, names)}")
     print(
-        f"blocks: r={bs.r} sizes={tuple(bs.sizes)} degrees={tuple(bs.degrees)} "
-        f"m={bs.m} tilde={tuple(bs.raw_tilde)}"
+        f"blocks: r={fhp.r} sizes={fhp.sizes} degrees={fhp.block_degrees} "
+        f"m={fhp.m} tilde={fhp.raw_tilde}"
     )
     return 0
 

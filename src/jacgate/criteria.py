@@ -45,14 +45,12 @@ from .poly import PolyMap, Polynomial, h_norm, jacobian_det
 from .sampling import STARTS, points_in_box
 from .univariate import UNDECIDED, planar_zero
 from .weights import (
-    BlockStructure,
+    FieldHigherPart,
     Weight,
     enumerate_weights,
-    field_blocks,
     higher_part,
     higher_part_field,
     higher_part_map,
-    tilde_weights,
 )
 
 if TYPE_CHECKING:
@@ -97,7 +95,7 @@ class CriterionResult:
     weight: Weight
     outcome: CertOutcome | None
     diagnostic: str | None = None
-    block: BlockStructure | None = None
+    field_part: FieldHigherPart | None = None
 
     @property
     def succeeded(self) -> bool:
@@ -271,11 +269,11 @@ def _check_criterion(
     criterion: Criterion, fmap: PolyMap, w: Weight, cfg: AnalysisConfig | None, table: dict | None
 ) -> CriterionResult:
     """One criterion at one weight: its higher-part system (and, for the field
-    criterion, its block structure), certified once per system kept in
+    criterion, the whole ``FieldHigherPart``), certified once per system kept in
     ``table``.  A zero component, a zero norm function or a dead direction
     leaves no system: the result has no outcome and says why."""
     cfg = cfg or AnalysisConfig()
-    block = None
+    field_part = None
     try:
         if criterion is Criterion.MAP_HIGHER_PART:
             system = higher_part_map(fmap, w).components
@@ -286,12 +284,12 @@ def _check_criterion(
             if criterion is Criterion.H_NORM_HIGHER_PART:
                 system = [higher_part(h, w)]
             else:
-                fhp = higher_part_field(h, w)
-                system, block = fhp.field.components, field_blocks(fhp)
+                field_part = higher_part_field(h, w)
+                system = field_part.field.components
     except (ZeroPolynomialError, DegenerateDirectionError) as exc:
         return CriterionResult(criterion=criterion, weight=w, outcome=None, diagnostic=str(exc))
     outcome = certify_once(table, only_origin, system, w, cfg.cert)
-    return CriterionResult(criterion=criterion, weight=w, outcome=outcome, block=block)
+    return CriterionResult(criterion=criterion, weight=w, outcome=outcome, field_part=field_part)
 
 
 def check_map_higher_part(
@@ -343,7 +341,7 @@ def derive_tilde_and_verify(
     """
     if field_result.criterion is not Criterion.FIELD_HIGHER_PART or not field_result.succeeded:
         raise PreconditionError("derived weights need a field-criterion success")
-    derived = tilde_weights(field_result.block)
+    derived = field_result.field_part.tilde
     map_result = check_map_higher_part(fmap, derived, cfg, table)
     if map_result.outcome is None or map_result.outcome.is_nontrivial_zero:
         raise InternalInconsistencyError(

@@ -393,6 +393,8 @@ def matrix_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     determinant, over the product of the row lcms.
     """
     size = len(matrix)
+    if not size:
+        raise DimensionMismatchError("determinant of an empty matrix")
     if any(len(row) != size for row in matrix):
         raise DimensionMismatchError("determinant of a non-square matrix")
     n_vars = matrix[0][0].n

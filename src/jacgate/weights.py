@@ -1,5 +1,6 @@
 """Weighted-degree algebra: quasi-homogeneous decomposition, higher parts,
-the descent field's block structure and the derived weights.
+and the descent field's higher part with its block structure and derived
+weights.
 
 A weight vector assigns a positive integer to each variable; a polynomial
 is quasi-homogeneous of weighted degree ``d`` when every term's weighted
@@ -65,40 +66,33 @@ class QHDecomposition:
 
 @dataclass(frozen=True)
 class FieldHigherPart:
-    """Higher part of a descent field, built per component from the potential.
+    """Higher part of a descent field, its block structure and derived weights.
 
     ``degrees[j]`` is the largest weighted degree whose part of the potential
-    still depends on variable j; ``partials[j]`` is that part's derivative,
-    and ``field`` assembles the negated partials into a map.
+    still depends on variable j, and component j of ``field`` is minus that
+    part's derivative.  ``perm`` lists the coordinates so that degrees are
+    non-increasing (stable under ties); ``sizes``/``block_degrees`` describe
+    the runs of equal degree; ``m`` is the product of the distinct degrees
+    and ``raw_tilde`` the derived weight vector before gcd canonicalization.
     """
 
     weight: Weight
     degrees: tuple[int, ...]
-    partials: tuple[Polynomial, ...]
     field: PolyMap
-
-
-@dataclass(frozen=True)
-class BlockStructure:
-    """Coordinates grouped by their field-degree, sorted descending.
-
-    ``perm`` lists original coordinate indices so that degrees are
-    non-increasing (stable under ties); ``sizes``/``degrees`` describe the
-    groups; ``m`` is the product of the distinct degrees and
-    ``raw_tilde`` the derived weight vector before gcd canonicalization,
-    back in original coordinate order.
-    """
-
-    weight: Weight
     perm: tuple[int, ...]
     sizes: tuple[int, ...]
-    degrees: tuple[int, ...]
+    block_degrees: tuple[int, ...]
     m: int
     raw_tilde: tuple[int, ...]
 
     @property
     def r(self) -> int:
         return len(self.sizes)
+
+    @property
+    def tilde(self) -> Weight:
+        """Derived weight vector, gcd-canonicalized, in original coordinate order."""
+        return Weight(self.raw_tilde)
 
 
 def _require_nonzero(p: Polynomial, what: str = "polynomial") -> None:
@@ -123,8 +117,9 @@ def qh_decompose(p: Polynomial, w: Weight) -> QHDecomposition:
     for exponent, coefficient in p.terms.items():
         degree = sum(s * k for s, k in zip(w.s, exponent))
         buckets.setdefault(degree, {})[exponent] = coefficient
+    # bucketed terms of a valid polynomial are valid
     parts = tuple(
-        (degree, Polynomial(p.n, terms)) for degree, terms in sorted(buckets.items())
+        (degree, Polynomial._trusted(p.n, terms)) for degree, terms in sorted(buckets.items())
     )
     return QHDecomposition(weight=w, parts=parts)
 
@@ -159,70 +154,35 @@ def euler_check(p: Polynomial, w: Weight, degree: int) -> bool:
 
 
 def higher_part_field(h: Polynomial, w: Weight) -> FieldHigherPart:
-    """Higher part of the descent field of ``h``, assembled per component.
+    """Higher part of the descent field of ``h``, with its blocks and ``s~``.
 
     For each variable j the relevant potential part is the highest-degree
     one that still depends on x_j; if no part does, the direction is dead
-    and a DegenerateDirectionError is raised.
+    and a DegenerateDirectionError is raised.  ``s~_j = (m / i_j) s_j``.
     """
-    decomposition = qh_decompose(h, w)
+    parts = qh_decompose(h, w).parts
     degrees: list[int] = []
-    partials: list[Polynomial] = []
+    components: list[Polynomial] = []
     for j in range(h.n):
-        best: tuple[int, Polynomial] | None = None
-        for degree, part in decomposition.parts:
-            derivative = part.partial(j)
-            if not derivative.is_zero:
-                best = (degree, derivative)
-        if best is None:
+        top = next(((d, p) for d, p in reversed(parts) if any(k[j] for k in p.terms)), None)
+        if top is None:
             raise DegenerateDirectionError(j)
-        degrees.append(best[0])
-        partials.append(best[1])
-    field = PolyMap([-q for q in partials])
-    return FieldHigherPart(weight=w, degrees=tuple(degrees), partials=tuple(partials), field=field)
-
-
-def field_blocks(fhp: FieldHigherPart) -> BlockStructure:
-    """The block structure of an already computed field higher part."""
-    w = fhp.weight
-    degrees = fhp.degrees
-    n = len(degrees)
+        degrees.append(top[0])
+        components.append(-top[1].partial(j))
     # stable sort by descending degree
-    perm = tuple(sorted(range(n), key=lambda j: -degrees[j]))
-    sizes: list[int] = []
-    block_degrees: list[int] = []
-    for j in perm:
-        d = degrees[j]
-        if block_degrees and block_degrees[-1] == d:
-            sizes[-1] += 1
-        else:
-            block_degrees.append(d)
-            sizes.append(1)
-    m = math.prod(block_degrees)
-    raw_tilde = [0] * n
-    start = 0
-    for size, degree in zip(sizes, block_degrees):
-        factor = m // degree
-        for j in perm[start:start + size]:
-            raw_tilde[j] = factor * w.s[j]
-        start += size
-    return BlockStructure(
+    perm = tuple(sorted(range(h.n), key=lambda j: -degrees[j]))
+    runs = [(d, len(list(run))) for d, run in itertools.groupby(degrees[j] for j in perm)]
+    m = math.prod(d for d, _ in runs)
+    return FieldHigherPart(
         weight=w,
+        degrees=tuple(degrees),
+        field=PolyMap(components),
         perm=perm,
-        sizes=tuple(sizes),
-        degrees=tuple(block_degrees),
+        sizes=tuple(size for _, size in runs),
+        block_degrees=tuple(d for d, _ in runs),
         m=m,
-        raw_tilde=tuple(raw_tilde),
+        raw_tilde=tuple(m // d * s for d, s in zip(degrees, w.s)),
     )
-
-
-def tilde_weights(bs: BlockStructure) -> Weight:
-    """Derived weight vector, gcd-canonicalized, in original coordinate order.
-
-    The raw (pre-canonical) vector and its target degree ``bs.m`` stay
-    available on the block structure for degree bookkeeping.
-    """
-    return Weight(bs.raw_tilde)
 
 
 def enumerate_weights(n: int, s_max: int) -> list[Weight]:

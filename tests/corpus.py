@@ -5,9 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from jacgate import PolyMap, Polynomial, Weight, h_norm
+from jacgate import PolyMap, Polynomial, Weight, h_norm, higher_part_field
 from jacgate.errors import DegenerateDirectionError, ZeroPolynomialError
-from oracle import block_structure
 
 
 def rational(rng: Random, lo: int = -5, hi: int = 5, max_den: int = 4) -> Fraction:
@@ -134,7 +133,7 @@ def r2_block_instances(count: int, seed: int = 0) -> list[tuple[PolyMap, Weight]
             h = h_norm(fmap)
             if h.is_zero:
                 continue
-            bs = block_structure(h, w)
+            bs = higher_part_field(h, w)
         except (DegenerateDirectionError, ZeroPolynomialError):
             continue
         if bs.r >= 2:

@@ -5,7 +5,8 @@ hunt-first references for the box paths ``_only_origin_boxes`` and
 ``_check_assumptions_on_box`` (which ``only_origin`` and
 ``check_assumptions`` take for n >= 3), a witness-first reference for
 ``verdict``, the Euler identity as a polynomial identity for
-``euler_check``, and the squeeze at derived weights.
+``euler_check``, a partial-of-every-part reference for
+``higher_part_field``, and the squeeze at derived weights.
 
 It also keeps the proof machinery of the paper's first part, which no
 command runs: the descent flow, the index sum, the properness certificate,
@@ -45,15 +46,18 @@ from jacgate.criteria import (
     weight_search,
 )
 from jacgate.dynamics import STARTS, find_zeros, injectivity_witness
-from jacgate.errors import DimensionMismatchError, InternalInconsistencyError
+from jacgate.errors import (
+    DegenerateDirectionError,
+    DimensionMismatchError,
+    InternalInconsistencyError,
+)
 from jacgate.floatval import FloatSystem, _norm, gauss_newton, max_abs, snap_exact
 from jacgate.intervals import Bisection, Box, Interval, IntervalPoly
 from jacgate.poly import PolyMap, h_norm, jacobian_det
 from jacgate.sampling import points_in_box, points_on_sphere
 from jacgate.weights import (
-    BlockStructure,
+    FieldHigherPart,
     Weight,
-    field_blocks,
     higher_part,
     higher_part_field,
     higher_part_map,
@@ -521,12 +525,44 @@ def weighted_degree(p: Polynomial, w: Weight) -> int:
     return raw_weighted_degree(p, w.s)
 
 
-def block_structure(h: Polynomial, w: Weight) -> BlockStructure:
-    """Sort coordinates by field degree and group ties into blocks."""
-    return field_blocks(higher_part_field(h, w))
+def field_by_every_partial(h: Polynomial, w: Weight) -> tuple:
+    """``higher_part_field``'s degrees, field, blocks, ``m`` and raw derived
+    weights the long way: the partial of every part, keeping the last
+    non-zero one, and ``raw_tilde`` filled in block by block."""
+    decomposition = qh_decompose(h, w)
+    degrees: list[int] = []
+    partials: list[Polynomial] = []
+    for j in range(h.n):
+        best = None
+        for degree, part in decomposition.parts:
+            derivative = part.partial(j)
+            if not derivative.is_zero:
+                best = (degree, derivative)
+        if best is None:
+            raise DegenerateDirectionError(j)
+        degrees.append(best[0])
+        partials.append(best[1])
+    perm = sorted(range(h.n), key=lambda j: -degrees[j])
+    sizes: list[int] = []
+    block_degrees: list[int] = []
+    for j in perm:
+        if block_degrees and block_degrees[-1] == degrees[j]:
+            sizes[-1] += 1
+        else:
+            block_degrees.append(degrees[j])
+            sizes.append(1)
+    m = math.prod(block_degrees)
+    raw_tilde = [0] * h.n
+    start = 0
+    for size, degree in zip(sizes, block_degrees):
+        for j in perm[start:start + size]:
+            raw_tilde[j] = m // degree * w.s[j]
+        start += size
+    field = PolyMap([-q for q in partials])
+    return tuple(degrees), field, tuple(sizes), tuple(block_degrees), m, tuple(raw_tilde)
 
 
-def script_h(h: Polynomial, w: Weight, bs: BlockStructure, block_index: int) -> Polynomial:
+def script_h(h: Polynomial, w: Weight, bs: FieldHigherPart, block_index: int) -> Polynomial:
     """Own-block top of one potential part.
 
     Takes the quasi-homogeneous part of ``h`` at the block's degree and
@@ -535,7 +571,7 @@ def script_h(h: Polynomial, w: Weight, bs: BlockStructure, block_index: int) -> 
     """
     if not 0 <= block_index < bs.r:
         raise IndexError(f"block index {block_index} out of range for r={bs.r}")
-    part = dict(qh_decompose(h, w).parts).get(bs.degrees[block_index], Polynomial.zero(h.n))
+    part = dict(qh_decompose(h, w).parts).get(bs.block_degrees[block_index], Polynomial.zero(h.n))
     # the blocks are consecutive runs of ``perm``
     earlier = bs.perm[:sum(bs.sizes[:block_index])]
     kept = {k: c for k, c in part.terms.items() if all(k[i] == 0 for i in earlier)}
@@ -544,7 +580,7 @@ def script_h(h: Polynomial, w: Weight, bs: BlockStructure, block_index: int) -> 
 
 def script_h_sum(h: Polynomial, w: Weight) -> Polynomial:
     """Sum of the own-block tops over all blocks, in original coordinates."""
-    bs = block_structure(h, w)
+    bs = higher_part_field(h, w)
     total = Polynomial.zero(h.n)
     for i in range(bs.r):
         total = total + script_h(h, w, bs, i)

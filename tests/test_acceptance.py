@@ -34,18 +34,17 @@ from jacgate import (
     gradient_only_origin,
     h_norm,
     higher_part,
+    higher_part_field,
     higher_part_map,
     jacobian_det,
     only_origin,
     qh_decompose,
     raw_weighted_degree,
-    tilde_weights,
     unique_zero_nonneg,
     witness_from_probe,
 )
 from jacgate.cli import main
 from oracle import (
-    block_structure,
     brute_force_scan,
     euler_identity,
     flow_descent,
@@ -166,9 +165,9 @@ def test_05_split_block_top_identity():
         assert len(instances) == 100
         for fmap, w in instances:
             h = h_norm(fmap)
-            bs = block_structure(h, w)
+            bs = higher_part_field(h, w)
             assert bs.r >= 2
-            derived = tilde_weights(bs)
+            derived = bs.tilde
             assert higher_part(h, derived) == script_h_sum(h, w)
             assert raw_weighted_degree(h, bs.raw_tilde) == bs.m
 

@@ -208,6 +208,15 @@ class TestCheck:
         assert main([command, str(path), *flags, "--depth", "0"]) in (0, 2, 3)
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_weights_max_below_one_exit_one(self, capsys, bound):
+        # fold.map violates det DF != 0, so the weight search never runs: the
+        # flag is refused up front, not by the search
+        fold = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "fold.map"
+        assert main(["check", str(fold), "--weights-max", bound]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --weights-max must be a positive integer, got {bound}\n"
+
     def test_json_deterministic(self, ex_file, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -258,7 +258,7 @@ class TestFieldCriterion:
     def test_identity(self):
         result = check_field_higher_part(PolyMap.identity(2), W11)
         assert result.succeeded
-        assert result.block.r == 1
+        assert result.field_part.r == 1
 
     def test_cubic_fails(self, cubic_map):
         result = check_field_higher_part(cubic_map, W11)
@@ -281,7 +281,7 @@ class TestFieldCriterion:
         h_result = check_h_higher_part(fmap, W11)
         assert h_result.outcome.kind is OutcomeKind.NONTRIVIAL_ZERO
         field_result = check_field_higher_part(fmap, W11)
-        assert field_result.succeeded and field_result.block.r == 2
+        assert field_result.succeeded and field_result.field_part.r == 2
 
 
 ZERO2 = PolyMap([Polynomial.zero(2), Polynomial.zero(2)])
@@ -327,7 +327,7 @@ class TestDeriveTilde:
     def test_split_blocks_verified(self):
         fmap = PolyMap([p2("x^4 + 2*y"), p2("3*y^3")])
         field_result = check_field_higher_part(fmap, W11)
-        assert field_result.succeeded and field_result.block.r == 2
+        assert field_result.succeeded and field_result.field_part.r == 2
         derived, map_result = derive_tilde_and_verify(fmap, field_result)
         assert derived == Weight((3, 4))
         assert map_result.succeeded

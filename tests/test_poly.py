@@ -348,6 +348,10 @@ class TestJacobian:
         with pytest.raises(DimensionMismatchError):
             matrix_det([[p2("x")], [p2("y")]])
 
+    def test_matrix_det_empty(self):
+        with pytest.raises(DimensionMismatchError, match="empty matrix"):
+            matrix_det([])
+
     def test_matrix_det_mixed_variable_counts(self):
         # the packed expansion never multiplies two Polynomials, so it checks n up front
         with pytest.raises(DimensionMismatchError, match="different numbers of variables"):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracle
 from conftest import p2
 from corpus import (
+    field_pass_instances,
     r2_block_instances,
     random_map,
     random_point,
@@ -30,10 +31,9 @@ from jacgate import (
     parse_expr,
     qh_decompose,
     raw_weighted_degree,
-    tilde_weights,
 )
 from jacgate.errors import DegenerateDirectionError, ZeroPolynomialError
-from oracle import block_structure, scale_point, script_h, script_h_sum, weighted_degree
+from oracle import scale_point, script_h, script_h_sum, weighted_degree
 
 
 W11 = Weight((1, 1))
@@ -228,23 +228,51 @@ class TestFieldHigherPart:
                 continue
             for j in range(n):
                 assert (
-                    weighted_degree(fhp.partials[j], w) == fhp.degrees[j] - w.s[j]
+                    weighted_degree(-fhp.field.components[j], w) == fhp.degrees[j] - w.s[j]
                 )
+
+    def test_agrees_with_every_partial_reference(self):
+        # the top-down scan for the first part that depends on x_j, and s~ per
+        # coordinate, give what the partial of every part and s~ per block give
+        def outcome(build, h, w):
+            try:
+                return build(h, w)
+            except DegenerateDirectionError as exc:
+                return ("dead direction", exc.index)
+
+        def library(h, w):
+            fhp = higher_part_field(h, w)
+            return fhp.degrees, fhp.field, fhp.sizes, fhp.block_degrees, fhp.m, fhp.raw_tilde
+
+        rng = Random(53)
+        cases = [(h_norm(f), w) for f, w in field_pass_instances(30, seed=59)]
+        cases += [(h_norm(f), w) for f, w in r2_block_instances(30, seed=61)]
+        for _ in range(80):
+            fmap = random_map(rng, rng.choice((2, 3)), max_terms=3, max_degree=3)
+            cases.append((h_norm(fmap), random_weight(rng, fmap.n)))
+        dead = 0
+        for h, w in cases:
+            if h.is_zero:
+                continue
+            expected = outcome(oracle.field_by_every_partial, h, w)
+            assert outcome(library, h, w) == expected
+            dead += expected[0] == "dead direction"
+        assert dead > 0
 
 
 class TestBlockStructure:
     def test_single_block(self, cubic_h):
-        bs = block_structure(cubic_h, W11)
+        bs = higher_part_field(cubic_h, W11)
         assert bs.r == 1
         assert bs.sizes == (2,)
-        assert bs.degrees == (6,)
+        assert bs.block_degrees == (6,)
         assert bs.m == 6
 
     def test_two_blocks(self):
-        bs = block_structure(p2("1/4*x^4 + 1/2*y^2"), W11)
+        bs = higher_part_field(p2("1/4*x^4 + 1/2*y^2"), W11)
         assert bs.r == 2
         assert bs.sizes == (1, 1)
-        assert bs.degrees == (4, 2)
+        assert bs.block_degrees == (4, 2)
         assert bs.m == 8
         assert bs.perm == (0, 1)
 
@@ -254,56 +282,56 @@ class TestBlockStructure:
             p = random_qh_polynomial(rng, 2, W11, 4, max_terms=6)
             if p is None or {i for e in p.terms for i, k in enumerate(e) if k} != {0, 1}:
                 continue
-            bs = block_structure(p, W11)
+            bs = higher_part_field(p, W11)
             assert bs.r == 1
 
     def test_top_degree_equals_weighted_degree(self):
         for fmap, w in r2_block_instances(20, seed=5):
             h = h_norm(fmap)
-            bs = block_structure(h, w)
-            assert bs.degrees[0] == weighted_degree(h, w)
+            bs = higher_part_field(h, w)
+            assert bs.block_degrees[0] == weighted_degree(h, w)
 
 
 class TestScriptH:
     def test_single_block_whole_part(self, cubic_h):
-        bs = block_structure(cubic_h, W11)
+        bs = higher_part_field(cubic_h, W11)
         assert script_h(cubic_h, W11, bs, 0) == higher_part(cubic_h, W11)
 
     def test_two_blocks(self):
         h = p2("1/4*x^4 + 1/2*y^2")
-        bs = block_structure(h, W11)
+        bs = higher_part_field(h, W11)
         assert script_h(h, W11, bs, 0) == p2("1/4*x^4")
         assert script_h(h, W11, bs, 1) == p2("1/2*y^2")
 
     def test_block_index_out_of_range(self, cubic_h):
-        bs = block_structure(cubic_h, W11)
+        bs = higher_part_field(cubic_h, W11)
         with pytest.raises(IndexError):
             script_h(cubic_h, W11, bs, 1)
 
     def test_own_block_part_unchanged(self):
         h = p2("x^6 + y^2")
-        bs = block_structure(h, W11)
+        bs = higher_part_field(h, W11)
         assert script_h(h, W11, bs, 1) == p2("y^2")
 
 
 class TestTildeWeights:
     def test_single_block_keeps_weight(self, cubic_h):
-        bs = block_structure(cubic_h, W11)
-        assert tilde_weights(bs) == W11
+        bs = higher_part_field(cubic_h, W11)
+        assert bs.tilde == W11
         assert bs.raw_tilde == (1, 1)
 
     def test_two_blocks(self):
-        bs = block_structure(p2("1/4*x^4 + 1/2*y^2"), W11)
+        bs = higher_part_field(p2("1/4*x^4 + 1/2*y^2"), W11)
         assert bs.raw_tilde == (2, 4)
-        assert tilde_weights(bs) == Weight((1, 2))
+        assert bs.tilde == Weight((1, 2))
 
     def test_three_blocks(self):
         h = parse_expr("x^6 + y^3 + z^2", ("x", "y", "z"))
-        bs = block_structure(h, Weight((1, 1, 1)))
-        assert bs.degrees == (6, 3, 2)
+        bs = higher_part_field(h, Weight((1, 1, 1)))
+        assert bs.block_degrees == (6, 3, 2)
         assert bs.m == 36
         assert bs.raw_tilde == (6, 12, 18)
-        assert tilde_weights(bs) == Weight((1, 2, 3))
+        assert bs.tilde == Weight((1, 2, 3))
 
 
 class TestScriptHSum:
@@ -318,7 +346,7 @@ class TestScriptHSum:
         # the sum of own-block tops is the higher part at the derived weights
         for fmap, w in r2_block_instances(30, seed=77):
             h = h_norm(fmap)
-            bs = block_structure(h, w)
-            derived = tilde_weights(bs)
+            bs = higher_part_field(h, w)
+            derived = bs.tilde
             assert script_h_sum(h, w) == higher_part(h, derived)
             assert raw_weighted_degree(h, bs.raw_tilde) == bs.m
