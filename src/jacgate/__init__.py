@@ -31,15 +31,12 @@ from .poly import (
 )
 from .weights import (
     FieldHigherPart,
-    QHDecomposition,
     Weight,
     enumerate_weights,
-    euler_check,
     higher_part,
     higher_part_field,
     higher_part_map,
     qh_decompose,
-    raw_weighted_degree,
 )
 
 # the names of the analysis modules, imported on first use by ``__getattr__``

@@ -41,7 +41,7 @@ from .intervals import Bisection, Box, Interval, IntervalPoly
 from .poly import Polynomial
 from .sampling import points_on_sphere
 from .univariate import bivariate, line_roots
-from .weights import Weight, euler_check, raw_weighted_degree
+from .weights import Weight, qh_decompose
 
 
 SHELL = 0.0625  # half-width of the norm-square shell around the sphere
@@ -112,13 +112,13 @@ def _validate_system(system: Sequence[Polynomial], w: Weight) -> list[int]:
     for i, g in enumerate(system):
         if g.is_zero:
             raise ZeroPolynomialError(f"system polynomial {i} is identically zero", component=i)
-        d = raw_weighted_degree(g, w.s)
-        if not euler_check(g, w, d):
+        parts = qh_decompose(g, w)
+        if len(parts) > 1:
             raise ValueError(
                 f"system polynomial {i} is not quasi-homogeneous for weight {tuple(w.s)}: "
-                f"Euler identity fails at degree {d}"
+                f"Euler identity fails at degree {parts[-1][0]}"
             )
-        degrees.append(d)
+        degrees.append(parts[0][0])
     return degrees
 
 

@@ -252,18 +252,16 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         for i, component in enumerate(fmap.components):
             if component.is_zero:
                 raise ZeroPolynomialError(f"component {i} is identically zero", component=i)
-            decomposition = qh_decompose(component, w)
             print(f"f{i + 1}:")
-            for degree, part in decomposition.parts:
+            for degree, part in qh_decompose(component, w):
                 print(f"  degree {degree}: {print_poly(part, names)}")
         return 0
     h = h_norm(fmap)
     if h.is_zero:
         raise ZeroPolynomialError("norm function is identically zero")
     if args.target == "H":
-        decomposition = qh_decompose(h, w)
         print("H = ||F||^2/2:")
-        for degree, part in decomposition.parts:
+        for degree, part in qh_decompose(h, w):
             print(f"  degree {degree}: {print_poly(part, names)}")
         return 0
     # argparse allows only F, H and Y

@@ -38,30 +38,8 @@ class Weight:
     def n(self) -> int:
         return len(self.s)
 
-    def __iter__(self):
-        return iter(self.s)
-
-    def __getitem__(self, index: int) -> int:
-        return self.s[index]
-
     def __repr__(self) -> str:
         return f"Weight({','.join(map(str, self.s))})"
-
-
-@dataclass(frozen=True)
-class QHDecomposition:
-    """Sum of quasi-homogeneous parts, degrees strictly increasing."""
-
-    weight: Weight
-    parts: tuple[tuple[int, Polynomial], ...]
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(degree for degree, _ in self.parts)
-
-    @property
-    def top(self) -> Polynomial:
-        return self.parts[-1][1]
 
 
 @dataclass(frozen=True)
@@ -95,22 +73,12 @@ class FieldHigherPart:
         return Weight(self.raw_tilde)
 
 
-def _require_nonzero(p: Polynomial, what: str = "polynomial") -> None:
+def qh_decompose(p: Polynomial, w: Weight) -> tuple[tuple[int, Polynomial], ...]:
+    """The ``(degree, part)`` pairs of ``p``, degrees strictly increasing; the
+    parts sum back to ``p`` exactly, and ``p`` is quasi-homogeneous of degree
+    ``d`` exactly when it has one part, of degree ``d``."""
     if p.is_zero:
-        raise ZeroPolynomialError(f"weighted degree of the zero {what} is undefined")
-
-
-def raw_weighted_degree(p: Polynomial, svec: Sequence[int]) -> int:
-    """Max weighted exponent sum over stored terms, for a raw weight vector."""
-    _require_nonzero(p)
-    if len(svec) != p.n:
-        raise DimensionMismatchError("weight length does not match variable count")
-    return max(sum(s * k for s, k in zip(svec, exponent)) for exponent in p.terms)
-
-
-def qh_decompose(p: Polynomial, w: Weight) -> QHDecomposition:
-    """Group terms by weighted degree; the parts sum back to ``p`` exactly."""
-    _require_nonzero(p)
+        raise ZeroPolynomialError("weighted degree of the zero polynomial is undefined")
     if w.n != p.n:
         raise DimensionMismatchError("weight length does not match variable count")
     buckets: dict[int, dict] = {}
@@ -118,15 +86,14 @@ def qh_decompose(p: Polynomial, w: Weight) -> QHDecomposition:
         degree = sum(s * k for s, k in zip(w.s, exponent))
         buckets.setdefault(degree, {})[exponent] = coefficient
     # bucketed terms of a valid polynomial are valid
-    parts = tuple(
+    return tuple(
         (degree, Polynomial._trusted(p.n, terms)) for degree, terms in sorted(buckets.items())
     )
-    return QHDecomposition(weight=w, parts=parts)
 
 
 def higher_part(p: Polynomial, w: Weight) -> Polynomial:
     """The part of maximal weighted degree."""
-    return qh_decompose(p, w).top
+    return qh_decompose(p, w)[-1][1]
 
 
 def higher_part_map(fmap: PolyMap, w: Weight) -> PolyMap:
@@ -141,18 +108,6 @@ def higher_part_map(fmap: PolyMap, w: Weight) -> PolyMap:
     return PolyMap(parts)
 
 
-def euler_check(p: Polynomial, w: Weight, degree: int) -> bool:
-    """Exact generalized Euler identity: sum of s_i * x_i * dp/dx_i == degree * p.
-
-    The left side multiplies each term by its weighted degree, and stored
-    coefficients are non-zero, so the identity holds exactly when every
-    term has weighted degree ``degree``.
-    """
-    if w.n != p.n:
-        raise DimensionMismatchError("weight length does not match variable count")
-    return all(sum(s * k for s, k in zip(w.s, exponent)) == degree for exponent in p.terms)
-
-
 def higher_part_field(h: Polynomial, w: Weight) -> FieldHigherPart:
     """Higher part of the descent field of ``h``, with its blocks and ``s~``.
 
@@ -160,7 +115,7 @@ def higher_part_field(h: Polynomial, w: Weight) -> FieldHigherPart:
     one that still depends on x_j; if no part does, the direction is dead
     and a DegenerateDirectionError is raised.  ``s~_j = (m / i_j) s_j``.
     """
-    parts = qh_decompose(h, w).parts
+    parts = qh_decompose(h, w)
     degrees: list[int] = []
     components: list[Polynomial] = []
     for j in range(h.n):

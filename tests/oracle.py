@@ -4,9 +4,10 @@ only-origin certifier, term-by-term interval bounds for ``IntervalPoly``,
 hunt-first references for the box paths ``_only_origin_boxes`` and
 ``_check_assumptions_on_box`` (which ``only_origin`` and
 ``check_assumptions`` take for n >= 3), a witness-first reference for
-``verdict``, the Euler identity as a polynomial identity for
-``euler_check``, a partial-of-every-part reference for
-``higher_part_field``, and the squeeze at derived weights.
+``verdict``, the Euler identity as a polynomial identity for the
+one-part reading of ``qh_decompose`` that ``_validate_system`` makes, a
+partial-of-every-part reference for ``higher_part_field``, the weighted
+degree for a raw weight vector, and the squeeze at derived weights.
 
 It also keeps the proof machinery of the paper's first part, which no
 command runs: the descent flow, the index sum, the properness certificate,
@@ -50,6 +51,7 @@ from jacgate.errors import (
     DegenerateDirectionError,
     DimensionMismatchError,
     InternalInconsistencyError,
+    ZeroPolynomialError,
 )
 from jacgate.floatval import FloatSystem, _norm, gauss_newton, max_abs, snap_exact
 from jacgate.intervals import Bisection, Box, Interval, IntervalPoly
@@ -62,7 +64,6 @@ from jacgate.weights import (
     higher_part_field,
     higher_part_map,
     qh_decompose,
-    raw_weighted_degree,
 )
 
 
@@ -338,8 +339,9 @@ def witness_first_verdict(fmap: PolyMap, cfg: AnalysisConfig | None = None) -> V
 
 def euler_identity(p: Polynomial, w: Weight, degree: int) -> bool:
     """The generalized Euler identity as a polynomial identity:
-    sum of s_i * x_i * dp/dx_i == degree * p, which ``euler_check`` decides
-    from the exponents."""
+    sum of s_i * x_i * dp/dx_i == degree * p.  The left side multiplies each
+    term by its weighted degree, so it holds exactly when ``qh_decompose(p, w)``
+    is one part, of degree ``degree``: the reading ``_validate_system`` makes."""
     lhs = Polynomial.zero(p.n)
     for i, s_i in enumerate(w.s):
         lhs = lhs + (Polynomial.variable(p.n, i) * p.partial(i)).scale(s_i)
@@ -521,6 +523,14 @@ def properness_certificate(
     return outcome.is_only_origin, outcome
 
 
+def raw_weighted_degree(p: Polynomial, svec: Sequence[int]) -> int:
+    """Max weighted exponent sum over stored terms, for a raw weight vector
+    such as ``FieldHigherPart.raw_tilde``, whose gcd may exceed 1."""
+    if p.is_zero:
+        raise ZeroPolynomialError("weighted degree of the zero polynomial is undefined")
+    return max(sum(s * k for s, k in zip(svec, exponent)) for exponent in p.terms)
+
+
 def weighted_degree(p: Polynomial, w: Weight) -> int:
     return raw_weighted_degree(p, w.s)
 
@@ -534,7 +544,7 @@ def field_by_every_partial(h: Polynomial, w: Weight) -> tuple:
     partials: list[Polynomial] = []
     for j in range(h.n):
         best = None
-        for degree, part in decomposition.parts:
+        for degree, part in decomposition:
             derivative = part.partial(j)
             if not derivative.is_zero:
                 best = (degree, derivative)
@@ -571,7 +581,7 @@ def script_h(h: Polynomial, w: Weight, bs: FieldHigherPart, block_index: int) ->
     """
     if not 0 <= block_index < bs.r:
         raise IndexError(f"block index {block_index} out of range for r={bs.r}")
-    part = dict(qh_decompose(h, w).parts).get(bs.block_degrees[block_index], Polynomial.zero(h.n))
+    part = dict(qh_decompose(h, w)).get(bs.block_degrees[block_index], Polynomial.zero(h.n))
     # the blocks are consecutive runs of ``perm``
     earlier = bs.perm[:sum(bs.sizes[:block_index])]
     kept = {k: c for k, c in part.terms.items() if all(k[i] == 0 for i in earlier)}

@@ -17,6 +17,7 @@ from jacgate import (
     h_norm,
     higher_part,
     only_origin,
+    parse_expr,
     unique_zero_nonneg,
 )
 import jacgate.certify
@@ -72,6 +73,25 @@ class TestOnlyOrigin:
     def test_rejects_zero_polynomial(self):
         with pytest.raises(ZeroPolynomialError):
             only_origin([Polynomial.zero(2)], W11)
+
+    @pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")], ids=["exact", "boxes"])
+    def test_non_qh_message_names_the_top_degree(self, names):
+        # the parts of x + x^2*y at (1, ..., 1) have degrees 1 and 3; the message names 3
+        w = Weight((1,) * len(names))
+        ones = ", ".join("1" for _ in names)
+        with pytest.raises(ValueError) as exc_info:
+            only_origin([parse_expr("x + x^2*y", names)], w)
+        assert str(exc_info.value) == (
+            f"system polynomial 0 is not quasi-homogeneous for weight ({ones}): "
+            "Euler identity fails at degree 3"
+        )
+
+    @pytest.mark.parametrize("n", [2, 3], ids=["exact", "boxes"])
+    def test_zero_polynomial_names_its_index(self, n):
+        system = [Polynomial.variable(n, 0), Polynomial.zero(n)]
+        with pytest.raises(ZeroPolynomialError) as exc_info:
+            only_origin(system, Weight((1,) * n))
+        assert exc_info.value.component == 1
 
     def test_witness_residuals_below_tolerance(self):
         outcome = only_origin([p2("1/2*x^6 + x^3*y^3 + 1/2*y^6")], W11)

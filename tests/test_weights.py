@@ -23,17 +23,15 @@ from jacgate import (
     Polynomial,
     Weight,
     enumerate_weights,
-    euler_check,
     h_norm,
     higher_part,
     higher_part_field,
     higher_part_map,
     parse_expr,
     qh_decompose,
-    raw_weighted_degree,
 )
 from jacgate.errors import DegenerateDirectionError, ZeroPolynomialError
-from oracle import scale_point, script_h, script_h_sum, weighted_degree
+from oracle import raw_weighted_degree, scale_point, script_h, script_h_sum, weighted_degree
 
 
 W11 = Weight((1, 1))
@@ -89,19 +87,19 @@ class TestWeightedDegree:
 class TestDecompose:
     def test_cubic_h_parts(self, cubic_h):
         decomposition = qh_decompose(cubic_h, W11)
-        assert decomposition.degrees == (2, 4, 6)
-        parts = dict(decomposition.parts)
+        assert tuple(degree for degree, _ in decomposition) == (2, 4, 6)
+        parts = dict(decomposition)
         assert parts[2] == p2("1/2*x^2 + 1/2*y^2")
         assert parts[4] == p2("x^4 + x*y^3")
         assert parts[6] == p2("1/2*x^6 + x^3*y^3 + 1/2*y^6")
 
     def test_monomial_single_part(self):
         decomposition = qh_decompose(p2("5*x^2*y"), W11)
-        assert len(decomposition.parts) == 1
+        assert len(decomposition) == 1
 
     def test_equal_weighted_terms_merge(self):
         decomposition = qh_decompose(p2("x + y^2"), Weight((2, 1)))
-        assert decomposition.degrees == (2,)
+        assert tuple(degree for degree, _ in decomposition) == (2,)
 
     def test_reassembly_random(self):
         rng = Random(3)
@@ -110,7 +108,7 @@ class TestDecompose:
             p = random_polynomial(rng, n)
             w = random_weight(rng, n)
             total = Polynomial.zero(n)
-            for _, part in qh_decompose(p, w).parts:
+            for _, part in qh_decompose(p, w):
                 total = total + part
             assert total == p
 
@@ -121,7 +119,7 @@ class TestDecompose:
             n = rng.choice((1, 2, 3))
             p = random_polynomial(rng, n)
             w = random_weight(rng, n)
-            for degree, part in qh_decompose(p, w).parts:
+            for degree, part in qh_decompose(p, w):
                 for _ in range(3):
                     lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
                     point = random_point(rng, n)
@@ -158,15 +156,23 @@ class TestHigherPart:
         assert exc_info.value.component == 1
 
 
+def one_part_of_degree(p: Polynomial, w: Weight, degree: int) -> bool:
+    """The contract ``certify._validate_system`` reads: ``p`` is quasi-homogeneous
+    of weighted degree ``degree`` exactly when it decomposes into one part, of
+    that degree."""
+    parts = qh_decompose(p, w)
+    return len(parts) == 1 and parts[0][0] == degree
+
+
 class TestEulerCheck:
     def test_homogeneous_cubic(self):
-        assert euler_check(p2("x^3 + y^3"), W11, 3)
+        assert one_part_of_degree(p2("x^3 + y^3"), W11, 3)
 
     def test_weighted_monomial(self):
-        assert euler_check(p2("x^2*y^3"), Weight((1, 2)), 8)
+        assert one_part_of_degree(p2("x^2*y^3"), Weight((1, 2)), 8)
 
     def test_inhomogeneous_fails(self):
-        assert not euler_check(p2("x + x^2"), W11, 1)
+        assert not one_part_of_degree(p2("x + x^2"), W11, 1)
 
     def test_random_qh_instances(self):
         rng = Random(29)
@@ -177,7 +183,7 @@ class TestEulerCheck:
             p = random_qh_polynomial(rng, n, w, degree)
             if p is None:
                 continue
-            assert euler_check(p, w, degree)
+            assert one_part_of_degree(p, w, degree)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(weighted_polynomials(), st.integers(-1, 2))
@@ -185,9 +191,9 @@ class TestEulerCheck:
         # shift 0 is the right degree for a quasi-homogeneous polynomial
         p, w = case
         degree = weighted_degree(p, w) + shift
-        quasi_homogeneous = len(qh_decompose(p, w).parts) == 1
+        quasi_homogeneous = len(qh_decompose(p, w)) == 1
         expected = quasi_homogeneous and shift == 0
-        assert euler_check(p, w, degree) == oracle.euler_identity(p, w, degree) == expected
+        assert one_part_of_degree(p, w, degree) == oracle.euler_identity(p, w, degree) == expected
 
 
 class TestFieldHigherPart:
