@@ -23,7 +23,6 @@ from .parsing import parse_expr, parse_map_file, parse_poly_file, print_poly
 from .poly import (
     PolyMap,
     Polynomial,
-    gradient_field,
     h_norm,
     jacobian_det,
     jacobian_matrix,

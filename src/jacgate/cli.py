@@ -280,7 +280,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     from .certify import CertConfig, gradient_only_origin, only_origin, unique_zero_nonneg
 
     text = _read(args.polyfile)
-    polys, names, _ = parse_poly_file(text)
+    polys, names = parse_poly_file(text)
     n = polys[0].n
     w = _parse_weights_flag(args.weights, n)
     cfg = CertConfig(depth=_depth(args.depth), seed=args.seed)
@@ -311,13 +311,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_zeros(args: argparse.Namespace) -> int:
-    from .dynamics import find_zeros
+    from .dynamics import DEDUP_RADIUS, find_zeros
 
     text = _read(args.mapfile)
     fmap, names = parse_map_file(text)
     report = find_zeros(fmap, starts=args.starts, box=_box(args.box), seed=args.seed)
-    print(f"starts: {report.starts_used}, dedup radius: {report.dedup_radius}")
-    missed = f"{report.unconverged} of {report.starts_used} starts did not converge"
+    print(f"starts: {args.starts}, dedup radius: {DEDUP_RADIUS}")
+    missed = f"{report.unconverged} of {args.starts} starts did not converge"
     if not report.zeros:  # then no start converged
         print(f"no zeros found; {missed}")
         return 0
@@ -329,8 +329,16 @@ def cmd_zeros(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors take ``main``'s input-error path, exit code 1, not argparse's 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise JacgateError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jacgate",
         description="Analyze global injectivity of polynomial maps R^n -> R^n",
     )
@@ -370,9 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (JacgateError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

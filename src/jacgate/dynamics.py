@@ -1,8 +1,9 @@
 """Floating-point dynamics: zero finding, indices, witness search.
 
 Zeros of the map coincide with singular points of the descent field of
-half its squared norm, and at any such zero the field's Jacobian
-determinant has sign (-1)^n; ``index_at`` reports that sign.
+H = |F|^2/2.  At a zero q that field's Jacobian is -DF(q)^T DF(q), so
+where det DF(q) != 0 the zero is non-degenerate with index (-1)^n; the
+one thing ``index_at`` computes is that DF(q) is not singular.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from typing import Sequence
 from .certify import RHO
 from .errors import PreconditionError
 from .floatval import FloatSystem, _norm, determinant, gauss_newton, max_abs, snap_exact
-from .poly import PolyMap, Polynomial, gradient_field, h_norm
+from .poly import PolyMap, Polynomial
 from .sampling import PROBES, STARTS, points_in_box
 from .univariate import bivariate, cell_samples, real_roots
 
 
 DEDUP_RADIUS = 1e-6   # Newton points closer than this count as one zero
+MAX_STARTS = 10_000   # Newton starts one search may take: 10,000 take seconds on tri3
 
 
 @dataclass(frozen=True)
@@ -34,9 +36,7 @@ class ZeroInfo:
 @dataclass(frozen=True)
 class ZeroReport:
     zeros: tuple[ZeroInfo, ...]
-    starts_used: int
     unconverged: int  # starts whose Newton run stopped short of a zero
-    dedup_radius: float
 
 
 @dataclass(frozen=True)
@@ -50,16 +50,17 @@ class WitnessPair:
 
 
 def _newton_zeros(
-    fmap: PolyMap, starts: int, box: float, seed: int
+    fsys: FloatSystem, starts: int, box: float, seed: int
 ) -> tuple[list[tuple[tuple[float, ...], float]], int]:
     """Deduped converged Newton points and their residuals, in lexicographic
     order, and the number of starts that did not converge."""
     if starts < 1:
         raise ValueError("need at least one start")
-    fsys = FloatSystem(list(fmap.components))
+    if starts > MAX_STARTS:
+        raise ValueError(f"at most {MAX_STARTS} starts, got {starts}")
     found: list[tuple[tuple[float, ...], float]] = []
     unconverged = 0
-    for start in points_in_box(fmap.n, starts, box, seed):
+    for start in points_in_box(fsys.n, starts, box, seed):
         point, residual, converged = gauss_newton(fsys, start, tol=RHO)
         if not converged:
             unconverged += 1
@@ -72,28 +73,29 @@ def _newton_zeros(
 
 def find_zeros(fmap: PolyMap, starts: int = 64, box: float = 5.0, seed: int = 0) -> ZeroReport:
     """Damped Newton from low-discrepancy starts; converged points deduped."""
-    found, unconverged = _newton_zeros(fmap, starts, box, seed)
+    fsys = FloatSystem(list(fmap.components))
+    found, unconverged = _newton_zeros(fsys, starts, box, seed)
     zeros: list[ZeroInfo] = []
     for point, residual in found:
         try:
-            index = index_at(fmap, point)
+            index = _index(fsys, point)
             note = None
         except PreconditionError as exc:
             index = None
             note = str(exc)
         zeros.append(ZeroInfo(point=point, residual=residual, index=index, note=note))
-    return ZeroReport(
-        zeros=tuple(zeros),
-        starts_used=starts,
-        unconverged=unconverged,
-        dedup_radius=DEDUP_RADIUS,
-    )
+    return ZeroReport(zeros=tuple(zeros), unconverged=unconverged)
 
 
 def index_at(fmap: PolyMap, q: Sequence[float]) -> int:
-    """Sign of the descent field's Jacobian determinant at a zero of the map."""
+    """Index of the descent field at a zero ``q`` of the map: (-1)^n, by the
+    theorem, once DF(q) is shown non-singular; a PreconditionError when ``q``
+    is not a zero or DF(q) is singular or not finite there."""
+    return _index(FloatSystem(list(fmap.components)), q)
+
+
+def _index(fsys: FloatSystem, q: Sequence[float]) -> int:
     x = tuple(float(c) for c in q)
-    fsys = FloatSystem(list(fmap.components))
     residual = max_abs(fsys.residual(x))
     if not residual <= RHO:  # a NaN residual fails too
         raise PreconditionError(
@@ -104,13 +106,7 @@ def index_at(fmap: PolyMap, q: Sequence[float]) -> int:
         raise PreconditionError(f"Jacobian determinant at the zero is not finite: {det_df}")
     if abs(det_df) < 1e-8:
         raise PreconditionError(f"near-singular Jacobian at the zero: det {det_df:.3e}")
-    descent = gradient_field(h_norm(fmap))
-    det_dy = determinant(FloatSystem(list(descent.components)).jacobian(x))
-    if not math.isfinite(det_dy):
-        raise PreconditionError(f"descent field Jacobian determinant is not finite: {det_dy}")
-    if det_dy == 0.0:
-        raise PreconditionError("descent field Jacobian is numerically singular")
-    return 1 if det_dy > 0 else -1
+    return (-1) ** fsys.n
 
 
 def witness_from_probe(
@@ -127,7 +123,7 @@ def witness_from_probe(
     # Newton runs on the Taylor shift F(b + z) - F(b), not on F(x) - F(b): on
     # ((x+y+1)^30, y) this search finds the exact pair (-1, 3/4) ~ (-5/2, 3/4),
     # and Newton on F(x) - F(b) finds no pair at all
-    recentred = PolyMap(
+    recentred = FloatSystem(
         [component.translate(b) - value for component, value in zip(fmap.components, c)]
     )
     b_float = tuple(float(v) for v in b)

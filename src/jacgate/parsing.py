@@ -60,16 +60,6 @@ MAX_TERMS = 1000
 MAX_BITS = 4096
 
 
-@dataclass(frozen=True)
-class MapFile:
-    """Parsed map file: variable names, expression strings and their lines, optional name."""
-
-    vars: tuple[str, ...]
-    polys: tuple[str, ...]
-    lines: tuple[int, ...]
-    name: str | None = None
-
-
 # -- tokenizer ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -237,10 +227,10 @@ def parse_expr(src: str, names: Sequence[str], line: int = 1) -> Polynomial:
 
 # -- map files ----------------------------------------------------------
 
-def parse_map_source(src: str) -> MapFile:
-    """Split a map file into its raw header and expression strings."""
+def parse_map_source(src: str) -> tuple[tuple[str, ...], list[tuple[str, int]]]:
+    """Split a map file into its variable names and its expression strings,
+    each with its line; a ``name:`` line is skipped."""
     variables: list[str] | None = None
-    name: str | None = None
     exprs: list[tuple[str, int]] = []
     for lineno, raw in enumerate(src.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -259,7 +249,6 @@ def parse_map_source(src: str) -> MapFile:
                 raise ParseError("duplicate variable name", lineno)
             continue
         if line.startswith("name:"):
-            name = line[len("name:"):].strip()
             continue
         if "=" not in line:
             raise ParseError("expected 'lhs = expression'", lineno)
@@ -269,20 +258,18 @@ def parse_map_source(src: str) -> MapFile:
         raise ParseError("missing vars: line")
     if not exprs:
         raise ParseError("no polynomial lines found")
-    polys, lines = zip(*exprs)
-    return MapFile(vars=tuple(variables), polys=polys, lines=lines, name=name)
+    return tuple(variables), exprs
 
 
-def parse_poly_file(src: str) -> tuple[list[Polynomial], tuple[str, ...], str | None]:
+def parse_poly_file(src: str) -> tuple[list[Polynomial], tuple[str, ...]]:
     """Parse a file of polynomials sharing one variable list (not necessarily square)."""
-    mapfile = parse_map_source(src)
-    polys = [parse_expr(e, mapfile.vars, line=k) for e, k in zip(mapfile.polys, mapfile.lines)]
-    return polys, mapfile.vars, mapfile.name
+    names, exprs = parse_map_source(src)
+    return [parse_expr(e, names, line=k) for e, k in exprs], names
 
 
 def parse_map_file(src: str) -> tuple[PolyMap, tuple[str, ...]]:
     """Parse a square map file into a PolyMap plus its variable names."""
-    polys, names, _ = parse_poly_file(src)
+    polys, names = parse_poly_file(src)
     if len(polys) != len(names):
         raise ParseError(f"non-square map: {len(names)} variables but {len(polys)} polynomials")
     return PolyMap(polys), names

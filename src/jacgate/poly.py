@@ -433,8 +433,3 @@ def h_norm(fmap: PolyMap) -> Polynomial:
     for component in fmap.components:
         total = total + component * component
     return total.scale(Fraction(1, 2))
-
-
-def gradient_field(h: Polynomial) -> PolyMap:
-    """The descent field of ``h``: component j is the negated partial by variable j."""
-    return PolyMap([-h.partial(j) for j in range(h.n)])

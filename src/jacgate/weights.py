@@ -18,6 +18,8 @@ from typing import Sequence
 from .errors import DegenerateDirectionError, DimensionMismatchError, ZeroPolynomialError
 from .poly import Polynomial, PolyMap
 
+MAX_WEIGHT_GRID = 4 ** 8  # candidate weights one search may enumerate: the default s_max at n = 8
+
 
 @dataclass(frozen=True)
 class Weight:
@@ -54,7 +56,6 @@ class FieldHigherPart:
     and ``raw_tilde`` the derived weight vector before gcd canonicalization.
     """
 
-    weight: Weight
     degrees: tuple[int, ...]
     field: PolyMap
     perm: tuple[int, ...]
@@ -129,7 +130,6 @@ def higher_part_field(h: Polynomial, w: Weight) -> FieldHigherPart:
     runs = [(d, len(list(run))) for d, run in itertools.groupby(degrees[j] for j in perm)]
     m = math.prod(d for d, _ in runs)
     return FieldHigherPart(
-        weight=w,
         degrees=tuple(degrees),
         field=PolyMap(components),
         perm=perm,
@@ -144,6 +144,8 @@ def enumerate_weights(n: int, s_max: int) -> list[Weight]:
     """All canonical weights with entries in [1, s_max], ordered by (sum, lex)."""
     if s_max < 1:
         raise ValueError("s_max must be at least 1")
+    if s_max ** n > MAX_WEIGHT_GRID:
+        raise ValueError(f"{s_max}^{n} candidate weights exceed the cap {MAX_WEIGHT_GRID}")
     entries = itertools.product(range(1, s_max + 1), repeat=n)
     out = [Weight(s) for s in entries if math.gcd(*s) == 1]
     out.sort(key=lambda w: (sum(w.s), w.s))

@@ -10,8 +10,9 @@ partial-of-every-part reference for ``higher_part_field``, the weighted
 degree for a raw weight vector, and the squeeze at derived weights.
 
 It also keeps the proof machinery of the paper's first part, which no
-command runs: the descent flow, the index sum, the properness certificate,
-the own-block tops and the weighted scaling action."""
+command runs: the descent flow, the descent field's index evaluated in
+floats, the index sum, the properness certificate, the own-block tops and
+the weighted scaling action."""
 
 import math
 from dataclasses import dataclass, replace
@@ -53,7 +54,7 @@ from jacgate.errors import (
     InternalInconsistencyError,
     ZeroPolynomialError,
 )
-from jacgate.floatval import FloatSystem, _norm, gauss_newton, max_abs, snap_exact
+from jacgate.floatval import FloatSystem, _norm, determinant, gauss_newton, max_abs, snap_exact
 from jacgate.intervals import Bisection, Box, Interval, IntervalPoly
 from jacgate.poly import PolyMap, h_norm, jacobian_det
 from jacgate.sampling import points_in_box, points_on_sphere
@@ -476,6 +477,17 @@ def flow_descent(fmap: PolyMap, start: Sequence[float], max_steps: int = 5000) -
             status = FlowStatus.STEP_LIMIT
             break
     return Trajectory(samples=tuple(samples), status=status)
+
+
+def descent_index(fmap: PolyMap, q: Sequence[float]) -> int:
+    """The sign of det of the descent field's Jacobian at ``q``, in floats: the
+    index at a zero of the map that ``index_at`` takes from the theorem."""
+    h = h_norm(fmap)
+    field = FloatSystem([-h.partial(j) for j in range(fmap.n)])
+    det = determinant(field.jacobian(tuple(float(c) for c in q)))
+    if not math.isfinite(det) or det == 0.0:
+        raise ValueError(f"the descent field's Jacobian is singular at the point: det {det}")
+    return 1 if det > 0 else -1
 
 
 def index_sum_check(fmap: PolyMap, properness_weight: tuple[int, ...] | None) -> IndexSumReport:

@@ -217,6 +217,12 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err == f"error: --weights-max must be a positive integer, got {bound}\n"
 
+    def test_weights_max_over_the_cap_exit_one_fast(self, ex_file, capsys):
+        started = time.perf_counter()
+        assert main(["check", ex_file, "--weights-max", "257"]) == 1
+        assert time.perf_counter() - started < 5.0
+        assert capsys.readouterr().err == "error: 257^2 candidate weights exceed the cap 65536\n"
+
     def test_json_deterministic(self, ex_file, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -434,6 +440,37 @@ class TestCertify:
         assert "Euler" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    """argparse's errors exit 1, the input-error code, not 2 (not injective)."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "{map}", "--depth", "abc"], "argument --depth: invalid int value: 'abc'"),
+            (["check", "{map}", "--bogus"], "unrecognized arguments: --bogus"),
+            (["check"], "the following arguments are required: mapfile"),
+            (
+                ["certify", "{map}", "--weights", "1,1", "--mode", "fast"],
+                "argument --mode: invalid choice: 'fast'",
+            ),
+        ],
+        ids=["bad-int", "unknown-flag", "missing-positional", "bad-choice"],
+    )
+    def test_exit_one(self, ex_file, capsys, argv, message):
+        assert main([arg.format(map=ex_file) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: jacgate")
+        assert f"\nerror: {message}" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc_info:
+            main([flag])
+        assert exc_info.value.code == 0
+        assert "jacgate" in capsys.readouterr().out
+
+
 class TestZeros:
     def test_cubic_one_zero(self, ex_file, capsys):
         assert main(["zeros", ex_file]) == 0
@@ -615,6 +652,24 @@ def test_check_report_pinned(name, tmp_path, monkeypatch, capsys):
         data = json.loads(report.read_text())
         assert data["attempts"] == []
         assert data["derived_weights"] is None and data["properness_weight"] is None
+
+
+# sha256 of `zeros` output with the default flags on each corpus map
+ZEROS_SHA256 = {
+    "coupled3": "418c01474ee1e33277780a2a645f7a231959000d1f77967430adff315c2db756",
+    "cubic": "8da0800de9b50e3cfa4090ab844fba80bf1bfe2f3a2c9a1740bcb6e693102a6a",
+    "cusp": "0beb39c8320800fa3bed986d57dd119b01f1473494843ae840eb9c4072ab3be4",
+    "fold": "24c6a9e22af00e6b924264f08ddefebe855ec25069966642ac923b3d5e3db6cf",
+    "shear": "deae279aed5472438419f6d4a07b4e3719729346341b1435f7925e6ee6d3d7bc",
+    "tinydet": "341dd7e4ae3181a715a7d205113bafb22745e03aa5451b3d89da3e0f200cbc0f",
+    "tri3": "00bc620ef90f92cf275939b6181a45cbb636da3abd20cd00fef2312e4022c135",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZEROS_SHA256))
+def test_zeros_output_pinned(name, capsys):
+    assert main(["zeros", str(ROOT / "perfbench" / "corpus" / f"{name}.map")]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ZEROS_SHA256[name]
 
 
 def dense_map_text() -> str:

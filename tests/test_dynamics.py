@@ -1,6 +1,7 @@
 """Numeric zero finding, indices, descent flow, and witness pairs."""
 
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -10,18 +11,24 @@ from hypothesis import strategies as st
 
 import jacgate.dynamics
 from conftest import p1, p2
+from corpus import random_polynomial
 from jacgate import (
     PolyMap,
     find_zeros,
     index_at,
     injectivity_witness,
+    jacobian_det,
+    parse_map_file,
     witness_from_probe,
 )
-from jacgate.dynamics import _integers, line_witness
+from jacgate.dynamics import MAX_STARTS, _integers, line_witness
+from jacgate.floatval import FloatSystem
 from jacgate.poly import Polynomial
 from jacgate.univariate import count_roots, sturm
 from jacgate.errors import PreconditionError
-from oracle import FlowStatus, flow_descent, index_sum_check
+from oracle import FlowStatus, descent_index, flow_descent, index_sum_check
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
 
 
 class TestFindZeros:
@@ -54,6 +61,43 @@ class TestFindZeros:
             assert converged
             assert np.linalg.norm(point - np.array(zero.point)) <= 10 * 1e-10 + 1e-9
 
+    @pytest.mark.parametrize(
+        "text, count",
+        [
+            ((CORPUS / "tri3.map").read_text(), 35),
+            ("vars: x, y\nf = x^2 - 1\ng = y^2 - 1\n", 4),
+        ],
+        ids=["tri3", "squares"],
+    )
+    def test_one_compiled_system(self, monkeypatch, text, count):
+        # Newton and every index read the one compiled copy of F
+        built = []
+
+        class CountingSystem(FloatSystem):
+            def __init__(self, polys):
+                built.append(len(polys))
+                super().__init__(polys)
+
+        monkeypatch.setattr(jacgate.dynamics, "FloatSystem", CountingSystem)
+        fmap, _ = parse_map_file(text)
+        report = find_zeros(fmap)
+        assert len(report.zeros) == count
+        assert built == [fmap.n]
+
+    def test_starts_over_the_cap_refused_before_newton(self, monkeypatch):
+        calls = []
+
+        def unconverged(fsys, start, tol):
+            calls.append(start)
+            return tuple(start), 1.0, False
+
+        monkeypatch.setattr(jacgate.dynamics, "gauss_newton", unconverged)
+        with pytest.raises(ValueError, match=f"at most {MAX_STARTS} starts, got 10001"):
+            find_zeros(PolyMap.identity(2), starts=10_001)
+        assert calls == []
+        report = find_zeros(PolyMap.identity(2), starts=MAX_STARTS)
+        assert len(calls) == report.unconverged == MAX_STARTS == 10_000
+
 
 class TestIndexAt:
     def test_cubic_at_origin(self, cubic_map):
@@ -70,6 +114,35 @@ class TestIndexAt:
         for n in (1, 2, 3):
             fmap = PolyMap.identity(n)
             assert index_at(fmap, (0.0,) * n) == (-1) ** n
+
+    def test_singular_zero_has_no_index(self):
+        with pytest.raises(PreconditionError, match="near-singular Jacobian at the zero"):
+            index_at(PolyMap([p2("x^2"), p2("y")]), (0.0, 0.0))
+
+    def test_matches_the_descent_field_at_regular_zeros(self):
+        # F(x) = G(x - q), where G(0) = 0 and DG(0) is an integer matrix with
+        # non-zero determinant: q is a regular zero of F
+        rng = Random(67)
+        checked = 0
+        while checked < 40:
+            n = rng.choice((1, 2, 3))
+            q = tuple(Fraction(rng.randint(-8, 8), 4) for _ in range(n))
+            components = []
+            for _ in range(n):
+                higher = random_polynomial(rng, n, max_terms=4, max_degree=3)
+                linear = {
+                    tuple(int(i == j) for i in range(n)): rng.randint(-3, 3) for j in range(n)
+                }
+                terms = {k: c for k, c in higher.terms.items() if sum(k) >= 2}
+                components.append(Polynomial(n, {**terms, **linear}))
+            g = PolyMap(components)
+            if jacobian_det(g).evaluate((0,) * n) == 0:
+                continue
+            fmap = PolyMap([c.translate(tuple(-v for v in q)) for c in g.components])
+            assert fmap.evaluate(q) == (0,) * n
+            point = tuple(float(v) for v in q)
+            assert index_at(fmap, point) == descent_index(fmap, point) == (-1) ** n
+            checked += 1
 
 
 class TestFlowDescent:

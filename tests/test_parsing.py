@@ -230,11 +230,12 @@ class TestMapFile:
             parse_map_file("vars: x, x\nf = x\ng = x\n")
 
     def test_name_metadata(self):
-        source = parse_map_source("name: demo\nvars: x\nf = x\n")
-        assert source.name == "demo"
+        # a name: line parses and is skipped
+        assert parse_map_source("name: demo\nvars: x\nf = x\n") == (("x",), [("x", 3)])
+        assert parse_map_file("vars: x\nname: demo\nf = x\n") == parse_map_file("vars: x\nf = x\n")
 
     def test_poly_file_not_square(self):
-        polys, names, _ = parse_poly_file("vars: x, y\ng = x^2 + y^2\n")
+        polys, names = parse_poly_file("vars: x, y\ng = x^2 + y^2\n")
         assert len(polys) == 1 and names == ("x", "y")
 
     def test_missing_vars(self):

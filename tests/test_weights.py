@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jacgate.weights
 import oracle
 from conftest import p2
 from corpus import (
@@ -31,6 +32,7 @@ from jacgate import (
     qh_decompose,
 )
 from jacgate.errors import DegenerateDirectionError, ZeroPolynomialError
+from jacgate.weights import MAX_WEIGHT_GRID
 from oracle import raw_weighted_degree, scale_point, script_h, script_h_sum, weighted_degree
 
 
@@ -66,6 +68,23 @@ class TestWeight:
     def test_enumerate_weights_order(self):
         weights = enumerate_weights(2, 2)
         assert [w.s for w in weights] == [(1, 1), (1, 2), (2, 1)]
+
+    def test_enumerate_weights_refuses_a_grid_over_the_cap(self, monkeypatch):
+        built = []
+
+        class CountingWeight(Weight):
+            def __init__(self, entries):
+                built.append(entries)
+                super().__init__(entries)
+
+        monkeypatch.setattr(jacgate.weights, "Weight", CountingWeight)
+        with pytest.raises(ValueError, match="41\\^3 candidate weights exceed the cap 65536"):
+            enumerate_weights(3, 41)
+        assert built == []
+        # s_max^n equal to the cap is accepted
+        assert MAX_WEIGHT_GRID == 4**8
+        assert [w.s for w in enumerate_weights(1, MAX_WEIGHT_GRID)] == [(1,)]
+        assert enumerate_weights(2, 256)[-1].s == (256, 255)
 
 
 class TestWeightedDegree:
