@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: check, decompose, certify, zeros.  ``check`` exits 0 for an
-injective verdict, 2 for not-injective, 3 for unknown, and 1 on input
-errors; the JSON report is byte-stable for a fixed input and seed.
+injective verdict, 2 for not-injective, 3 for unknown, 1 on input errors,
+and 141 (128 + SIGPIPE) when the reader of stdout has gone; the JSON
+report is byte-stable for a fixed input and seed.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -30,6 +32,7 @@ EXIT_INJECTIVE = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NOT_INJECTIVE = 2
 EXIT_UNKNOWN = 3
+EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, as the shell reports it
 
 # keyed by ``VerdictKind`` value, so that commands other than check load no float layer
 _VERDICT_EXIT = {
@@ -380,7 +383,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone, as in ``jacgate zeros m.map | head -1``:
+        # point stdout at devnull so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (JacgateError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -218,9 +218,28 @@ def _svd_solve(a: Sequence[Sequence[float]], b: Sequence[float]) -> list[float] 
 def _least_squares(a: Sequence[Sequence[float]], b: Sequence[float]) -> list[float] | None:
     """The minimum-norm least-squares solution of a s = b: partial-pivot
     elimination when a is square and no pivot is exactly zero, else
-    ``_svd_solve``."""
-    if len(a) != len(a[0]):
+    ``_svd_solve``.
+
+    A 2 x 2 system, every planar Newton step, runs the elimination and the
+    back substitution unrolled: the same pivot test, the same operations
+    in the same order, so the same bits."""
+    size = len(a)
+    if size != len(a[0]):
         return _svd_solve(a, b)
+    if size == 2:
+        (a00, a01), (a10, a11) = a
+        b0, b1 = b
+        if abs(a10) > abs(a00):
+            a00, a01, b0, a10, a11, b1 = a10, a11, b1, a00, a01, b0
+        if a00 == 0.0:
+            return _svd_solve(a, b)
+        f = a10 / a00
+        a11 -= f * a01
+        b1 -= f * b0
+        if a11 == 0.0:
+            return _svd_solve(a, b)
+        s1 = b1 / a11
+        return [(b0 - a01 * s1) / a00, s1]
     rows = [list(row) + [v] for row, v in zip(a, b)]
     return _back_substitute(rows) if _eliminate(rows) else _svd_solve(a, b)
 

@@ -20,9 +20,12 @@ polynomial is built directly, its coefficient to the k and every
 exponent times k; only powers of several terms go through products.
 Exact evaluation works on integers too: the point goes over the lcm of its
 denominators, every term is lifted to the top degree with powers of that
-lcm, and one ``Fraction`` is built from the integer sum.  Results of ring
-operations on valid polynomials skip the input checks of
-``Polynomial(n, terms)``.
+lcm, and one ``Fraction`` is built from the integer sum.  So does the
+Taylor shift of ``translate`` (von zur Gathen and Gerhard, ISSAC 1997):
+for an offset p/q in x_i, every numerator is lifted to x_i's top degree
+with powers of q, so that each shift multiplies and adds plain ints and
+one ``Fraction`` is built per result term.  Results of ring operations on
+valid polynomials skip the input checks of ``Polynomial(n, terms)``.
 """
 
 from __future__ import annotations
@@ -259,30 +262,43 @@ class Polynomial:
         return Fraction(total, den * d_powers[top])
 
     def translate(self, offsets: RationalPoint) -> "Polynomial":
-        """Substitute ``x_i -> x_i + b_i`` exactly.
+        """Substitute ``x_i -> x_i + b_i`` exactly, on integers.
 
-        One Taylor shift per non-zero ``b_i``: c * x_i^k becomes the sum over
-        j <= k of C(k, j) * b_i^(k-j) * c * x_i^j.
+        The terms go over one denominator ``den``.  One Taylor shift per
+        non-zero ``b_i = p/q``: with ``top`` the largest exponent of x_i, the
+        numerator c of c * x_i^k becomes C(k, j) * p^(k-j) * q^(top-k+j) * c
+        at x_i^j for each j <= k, and ``den`` takes a factor q^top.
         """
         if len(offsets) != self.n:
             raise DimensionMismatchError("offset length does not match variable count")
-        terms = self.terms
+        den = _denominator(self.terms)
+        nums = {k: c.numerator * (den // c.denominator) for k, c in self.terms.items()}
         for i, b in enumerate(offsets):
             b = Fraction(b)
             if not b:
                 continue
-            powers = [Fraction(1)]  # b^0, b^1, ...
-            shifted: dict[Exponent, Fraction] = {}
-            for exponent, coefficient in terms.items():
+            top = max((exponent[i] for exponent in nums), default=0)
+            p_powers = [b.numerator**e for e in range(top + 1)]
+            q_powers = [b.denominator**e for e in range(top + 1)]
+            factors: dict[int, list[int]] = {}  # per k, the factor of each j
+            shifted: dict[Exponent, int] = {}
+            get = shifted.get
+            for exponent, c in nums.items():
                 k = exponent[i]
-                while len(powers) <= k:
-                    powers.append(powers[-1] * b)
-                for j in range(k + 1):
-                    key = exponent[:i] + (j,) + exponent[i + 1:]
-                    value = comb(k, j) * powers[k - j] * coefficient
-                    shifted[key] = shifted.get(key, 0) + value
-            terms = shifted
-        return Polynomial(self.n, terms)
+                row = factors.get(k)
+                if row is None:
+                    row = factors[k] = [
+                        comb(k, j) * p_powers[k - j] * q_powers[top - k + j] for j in range(k + 1)
+                    ]
+                head, tail = exponent[:i], exponent[i + 1:]
+                for j, factor in enumerate(row):
+                    key = head + (j,) + tail
+                    shifted[key] = get(key, 0) + factor * c
+            nums = shifted
+            den *= q_powers[top]
+        if den == 1:
+            return Polynomial._trusted(self.n, {k: Fraction(v) for k, v in nums.items() if v})
+        return Polynomial._trusted(self.n, {k: Fraction(v, den) for k, v in nums.items() if v})
 
 
 def _max_exponent(terms: Mapping[Exponent, Fraction]) -> int:

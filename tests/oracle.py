@@ -1,11 +1,11 @@
 """Oracles that tests check the library against: term-by-term ``Fraction``
-products and sums for ``Polynomial``'s integer kernel, a grid scan for the
-only-origin certifier, term-by-term interval bounds for ``IntervalPoly``,
-hunt-first references for the box paths ``_only_origin_boxes`` and
-``_check_assumptions_on_box`` (which ``only_origin`` and
-``check_assumptions`` take for n >= 3), a witness-first reference for
-``verdict``, the Euler identity as a polynomial identity for the
-one-part reading of ``qh_decompose`` that ``_validate_system`` makes, a
+products, sums and Taylor shifts for ``Polynomial``'s integer kernel, a
+grid scan for the only-origin certifier, term-by-term interval bounds for
+``IntervalPoly``, hunt-first references for the box paths
+``_only_origin_boxes`` and ``_check_assumptions_on_box`` (which
+``only_origin`` and ``check_assumptions`` take for n >= 3), a witness-first
+reference for ``verdict``, the Euler identity as a polynomial identity for
+the one-part reading of ``qh_decompose`` that ``_validate_system`` makes, a
 partial-of-every-part reference for ``higher_part_field``, the weighted
 degree for a raw weight vector, and the squeeze at derived weights.
 
@@ -85,6 +85,28 @@ def fraction_add(p: Polynomial, q: Polynomial) -> Polynomial:
     for exponent, coefficient in q.terms.items():
         result[exponent] = result.get(exponent, Fraction(0)) + coefficient
     return Polynomial(p.n, result)
+
+
+def fraction_translate(p: Polynomial, offsets: Sequence) -> Polynomial:
+    """``x_i -> x_i + b_i`` one ``Fraction`` Taylor shift per non-zero ``b_i``:
+    c * x_i^k becomes the sum over j <= k of C(k, j) * b_i^(k-j) * c * x_i^j."""
+    terms = p.terms
+    for i, b in enumerate(offsets):
+        b = Fraction(b)
+        if not b:
+            continue
+        powers = [Fraction(1)]  # b^0, b^1, ...
+        shifted: dict[tuple[int, ...], Fraction] = {}
+        for exponent, coefficient in terms.items():
+            k = exponent[i]
+            while len(powers) <= k:
+                powers.append(powers[-1] * b)
+            for j in range(k + 1):
+                key = exponent[:i] + (j,) + exponent[i + 1:]
+                value = math.comb(k, j) * powers[k - j] * coefficient
+                shifted[key] = shifted.get(key, 0) + value
+        terms = shifted
+    return Polynomial(p.n, terms)
 
 
 def _values(p: Polynomial, points: np.ndarray) -> np.ndarray:

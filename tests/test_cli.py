@@ -515,6 +515,32 @@ def _fresh_python(code: str) -> subprocess.CompletedProcess:
     )
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["zeros", "perfbench/corpus/tri3.map"], ["check", "perfbench/corpus/cubic.map"]],
+    ids=["zeros", "check"],
+)
+def test_closed_stdout_exits_141_quietly(argv, buffered):
+    # stdout is a pipe whose read end is already closed, as when ``| head -1``
+    # has exited: no message, and the exit code of a process ended by SIGPIPE
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from jacgate.cli import main; sys.exit(main())",
+             *argv],
+            cwd=ROOT, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 class TestExactPathWithoutNumpy:
     def test_decompose_runs_with_numpy_blocked(self):
         code = (

@@ -8,7 +8,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jacgate.dynamics
@@ -18,7 +18,15 @@ from jacgate import PolyMap, Polynomial
 from jacgate.certify import _newton_witness, _sphere_poly
 from jacgate.dynamics import index_at, witness_from_probe
 from jacgate.errors import PreconditionError
-from jacgate.floatval import FloatSystem, _least_squares, determinant, gauss_newton
+from jacgate.floatval import (
+    FloatSystem,
+    _back_substitute,
+    _eliminate,
+    _least_squares,
+    _svd_solve,
+    determinant,
+    gauss_newton,
+)
 from oracle import FlowStatus, flow_descent
 
 
@@ -176,6 +184,52 @@ def test_singular_square_jacobian_takes_no_step():
     assert point == pytest.approx((0.825, 0.575))
     assert res == pytest.approx(0.4)
     assert not converged
+
+
+entries = st.one_of(
+    st.floats(),  # subnormals, huge values, +-0.0, inf and nan among them
+    st.sampled_from((0.0, -0.0, 1.0, -3.0, 5e-324, -1e-310, 1e308, math.inf, -math.inf, math.nan)),
+)
+
+
+@st.composite
+def square_2x2(draw):
+    """A 2 x 2 system whose first column may tie in magnitude, and whose
+    second pivot may become exactly 0.0: a second row a power of two times
+    the first eliminates exactly."""
+    a00, a01, a11, b0, b1 = (draw(entries) for _ in range(5))
+    kind = draw(st.sampled_from(("free", "tie", "singular")))
+    if kind == "tie":
+        a10 = draw(st.sampled_from((1.0, -1.0))) * a00
+    elif kind == "singular":
+        c = draw(st.sampled_from((1.0, -1.0, 0.5, 2.0, -4.0)))
+        a10, a11 = c * a00, c * a01
+    else:
+        a10 = draw(entries)
+    return ((a00, a01), (a10, a11)), [b0, b1]
+
+
+def _general_step(a, b):
+    """The square step for any size: elimination and back substitution, or
+    ``_svd_solve`` at an exactly zero pivot."""
+    rows = [list(row) + [v] for row, v in zip(a, b)]
+    return _back_substitute(rows) if _eliminate(rows) else _svd_solve(a, b)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(square_2x2())
+@example((((2.0, 1.0), (-2.0, 3.0)), [1.0, 2.0]))  # a tie: no swap
+@example((((0.0, 1.0), (-0.0, 2.0)), [1.0, 1.0]))  # both first-column entries +-0.0
+@example((((-0.0, 1.0), (3.0, 2.0)), [1.0, 1.0]))  # a -0.0 pivot swapped away
+@example((((1.0, 2.0), (2.0, 4.0)), [1.0, 3.0]))  # the second pivot becomes 0.0
+@example((((5e-324, 1.0), (0.0, 5e-324)), [1.0, 1.0]))  # subnormal pivots
+def test_2x2_step_is_bit_identical_to_general_elimination(system):
+    a, b = system
+    step, expected = _least_squares(a, b), _general_step(a, b)
+    if expected is None:
+        assert step is None
+    else:
+        assert [float.hex(v) for v in step] == [float.hex(v) for v in expected]
 
 
 class TestCallersSilenceOverflow:

@@ -21,7 +21,7 @@ from jacgate import (
     parse_expr,
 )
 from jacgate.errors import DimensionMismatchError, ParseError
-from oracle import fraction_add, fraction_mul
+from oracle import fraction_add, fraction_mul, fraction_translate
 
 # small exponents and coefficients, so that products collide and cancel often
 rationals = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 2, 3, 6)))
@@ -222,6 +222,31 @@ class TestPartialEvaluate:
             point = random_point(rng, n)
             moved = tuple(a + b for a, b in zip(point, offset))
             assert shifted.evaluate(point) == p.evaluate(moved)
+
+
+offsets = st.one_of(
+    st.just(0),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 8))),
+    st.builds(Fraction, st.integers(-10**15, 10**15), st.integers(1, 10**15)),
+)
+translations = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.dictionaries(st.tuples(*[st.integers(0, 5)] * n), rationals, max_size=8).map(
+            lambda t: Polynomial(n, t)
+        ),
+        st.lists(offsets, min_size=n, max_size=n),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(translations)
+def test_translate_matches_fraction_oracle(case):
+    p, offset = case
+    shifted, expected = p.translate(offset), fraction_translate(p, offset)
+    assert list(shifted.terms.items()) == list(expected.terms.items())
+    assert all(isinstance(c, Fraction) and c for c in shifted.terms.values())
+    assert p.translate((0,) * p.n) == p
 
 
 nonzero_rationals = st.builds(
